@@ -35,7 +35,7 @@ except ImportError:  # pragma: no cover
     _mp = None
 
 from repro.engine.governor import ResourceGovernor, estimate_table_bytes
-from repro.engine.vector.morsel import SegmentKernelError
+from repro.engine.vector.morsel import SegmentKernelError, _reset_stage
 
 #: The segment being executed, published for forked workers to inherit.
 #: (chain stages bottom-up, agg stage, source batch, morsel size, rows).
@@ -93,8 +93,11 @@ def _run_range(task_range: Tuple[int, int]):
     """Worker body: push one contiguous morsel range through the chain.
 
     Runs in a forked child over inherited (copy-on-write) stage objects
-    and source buffers; mutating them is process-private.  Returns the
-    aggregate partial as a picklable dict, or an ``{"error": ...}``
+    and source buffers; mutating them is process-private — but a pool
+    process may serve several ranges, so every range first puts the
+    stages back into the state the parent forked them in: a partial
+    covers its own morsels only, in counts and in accumulators.  Returns
+    the aggregate partial as a picklable dict, or an ``{"error": ...}``
     marker — exceptions are flattened so nothing unpicklable crosses the
     pipe.
     """
@@ -102,6 +105,8 @@ def _run_range(task_range: Tuple[int, int]):
     chain, agg, source, morsel_size, n = _TASK
     stage_index = 0
     try:
+        for stage in (*chain, agg):
+            _reset_stage(stage)
         max_inflight = 0
         arity = len(source.names)
         for m in range(start, stop):

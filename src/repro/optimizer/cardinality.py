@@ -10,14 +10,16 @@ benchmarks show it reproduces the paper's qualitative calls (Figure 1:
 eager wins; Figure 8: standard wins).
 
 Statistics are collected from the actual stored tables
-(:func:`collect_statistics`) or supplied synthetically for what-if studies
-(:class:`ColumnStats` / :class:`TableStats` are plain data).
+(:func:`collect_statistics`, one scan per table version) or supplied
+synthetically for what-if studies (:class:`ColumnStats` /
+:class:`TableStats` are plain read-only data).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.algebra.ops import (
     Apply,
@@ -37,6 +39,7 @@ from repro.expressions.analysis import classify_atomic, Type1Condition, Type2Con
 from repro.expressions.ast import Comparison, Expression, IsNull
 from repro.expressions.normalize import split_conjuncts
 from repro.sqltypes.values import group_key
+from repro.storage.table import Table
 
 #: Selectivity guesses for predicates we cannot analyse (System R defaults).
 DEFAULT_EQ_SELECTIVITY = 0.1
@@ -44,7 +47,7 @@ DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
 DEFAULT_SELECTIVITY = 0.25
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnStats:
     """Distinct-value count (and optional histogram) for one column."""
 
@@ -52,12 +55,22 @@ class ColumnStats:
     histogram: "Histogram | None" = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableStats:
-    """Row count and per-column NDVs for one stored table."""
+    """Row count and per-column NDVs for one stored table.
+
+    Read-only once built: the statistics of a stored table are shared by
+    every estimator (and server thread) that looks at that table version.
+    """
 
     row_count: int = 0
-    columns: Dict[str, ColumnStats] = field(default_factory=dict)
+    columns: Mapping[str, ColumnStats] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
+
+    def __reduce__(self):
+        return (TableStats, (self.row_count, dict(self.columns)))
 
 
 @dataclass
@@ -73,28 +86,51 @@ class Statistics:
 def collect_statistics(
     database: Database, histogram_buckets: int = 0
 ) -> Statistics:
-    """Exact statistics scanned from the stored tables.
+    """Exact statistics of the tables as stored now.
 
     With ``histogram_buckets > 0``, equi-depth histograms are built for
     numeric columns and used for range-predicate selectivities.
+
+    Each table is scanned once per :attr:`~repro.storage.table.Table.version`
+    (:meth:`~repro.storage.table.Table.derived`); until it mutates, every
+    caller — planner, rewriter, distributor, certificate auditors — reads
+    the same :class:`TableStats`.
     """
+    return Statistics(
+        {
+            name: _table_statistics(table, histogram_buckets)
+            for name, table in database.tables.items()
+        }
+    )
+
+
+def _table_statistics(table: Table, histogram_buckets: int) -> TableStats:
+    return table.derived(
+        ("statistics", histogram_buckets),
+        lambda: _scan_table(table, histogram_buckets),
+    )
+
+
+def _scan_table(table: Table, histogram_buckets: int) -> TableStats:
+    """One pass over ``table``: row count, per-column NDV under the
+    null-aware duplicate equality ``=ⁿ`` (``group_key``), histograms."""
     from repro.optimizer.histogram import Histogram
 
-    stats = Statistics()
-    for name, table in database.tables.items():
-        table_stats = TableStats(row_count=len(table))
-        for i, column in enumerate(table.schema.column_names()):
-            values = {group_key((row.values[i],)) for row in table}
-            histogram = None
-            if histogram_buckets > 0:
-                histogram = Histogram.build(
-                    [row.values[i] for row in table], histogram_buckets
-                )
-            table_stats.columns[column] = ColumnStats(
-                distinct=max(1, len(values)), histogram=histogram
-            )
-        stats.tables[name] = table_stats
-    return stats
+    names = table.schema.column_names()
+    rows = table.rows()
+    values_by_column = (
+        zip(*(row.values for row in rows)) if rows else [()] * len(names)
+    )
+    columns = {}
+    for name, values in zip(names, values_by_column):
+        distinct = len({group_key((value,)) for value in values})
+        histogram = (
+            Histogram.build(values, histogram_buckets)
+            if histogram_buckets > 0
+            else None
+        )
+        columns[name] = ColumnStats(max(1, distinct), histogram)
+    return TableStats(len(rows), columns)
 
 
 @dataclass

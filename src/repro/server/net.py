@@ -38,6 +38,11 @@ def _render(value: object) -> str:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # A response leaves in one write on a TCP_NODELAY socket: written line
+    # by line, the second segment of a multi-row body sat out the client's
+    # delayed ACK (a flat ~40 ms per read, whatever the host's speed).
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         server: Server = self.server.repro_server  # type: ignore[attr-defined]
         session = server.open_session(tenant=self.client_address[0])
@@ -64,22 +69,25 @@ class _Handler(socketserver.StreamRequestHandler):
         if upper == "QUERY":
             report = session.report(rest)
             rows = report.result.rows
-            self._send(f"OK {len(rows)} rows epoch={report.snapshot_epoch}")
-            for row in rows:
-                self._send("\t".join(_render(v) for v in row))
-            self._send("")
+            self._send(
+                f"OK {len(rows)} rows epoch={report.snapshot_epoch}",
+                *("\t".join(_render(v) for v in row) for row in rows),
+                "",
+            )
         elif upper == "EXEC":
             epoch = session.execute(rest)
             self._send(f"OK epoch={epoch}")
         elif command == ".sessions":
             sessions = server.sessions()
-            self._send(f"OK {len(sessions)} sessions")
-            for s in sessions:
-                self._send(
+            self._send(
+                f"OK {len(sessions)} sessions",
+                *(
                     f"{s.id}\t{s.tenant}\tqueries={s.queries}\t"
                     f"writes={s.writes}\tepoch={s.last_epoch}"
-                )
-            self._send("")
+                    for s in sessions
+                ),
+                "",
+            )
         elif command == ".stats":
             stats = server.stats()
             self._send(
@@ -88,8 +96,9 @@ class _Handler(socketserver.StreamRequestHandler):
         else:
             self._send(f"ERR 2 ParseError: unknown command {command!r}")
 
-    def _send(self, text: str) -> None:
-        self.wfile.write((text + "\n").encode("utf-8"))
+    def _send(self, *lines: str) -> None:
+        """One response — every line of it — in a single write."""
+        self.wfile.write("".join(line + "\n" for line in lines).encode("utf-8"))
         self.wfile.flush()
 
 

@@ -48,9 +48,10 @@ connection at a time.  Operations:
 * ``hello`` — handshake: version check, returns pid + wire version;
 * ``ping`` — health probe (heartbeats), returns served/duplicate counts;
 * ``execute`` — run a shard subplan against a shipped table partition
-  and return the result block.  Responses are cached by **request ID**:
-  a retried or duplicated request is answered from the cache without
-  re-executing, so retransmitted partials can never double-count.
+  and return the result block.  The latest responses are cached by
+  **request ID**: a retried or duplicated request is answered from the
+  cache without re-executing, so retransmitted partials can never
+  double-count.
 * ``shutdown`` — drain: stop serving after the reply flushes.
 
 Workers are stateless between requests (each ``execute`` ships its own
@@ -211,13 +212,24 @@ _SHARD_CONFIG_FIELDS = frozenset({
 })
 
 
+#: Completed responses a worker keeps for retransmissions.  A retry or a
+#: duplicate follows its original within one delivery's retry loop, with at
+#: most the other coordinator threads' deliveries in between; a response
+#: holds a whole shard result, so keeping every one grew the worker by its
+#: answers for as long as it lived.  A retransmission that does arrive
+#: after its response was dropped re-runs the plan over the table it
+#: carries and gets the same answer.
+RESPONSE_CACHE_SIZE = 64
+
+
 class ShardWorker:
     """One shard worker process' serving loop (testable in-process).
 
-    Holds the idempotency cache: completed ``execute`` responses keyed by
-    request ID.  A retransmitted request — a retry after a lost response,
-    or an injected duplicate — is served from the cache without running
-    the plan again, so retried partials can never double-count.
+    Holds the idempotency cache: the latest :data:`RESPONSE_CACHE_SIZE`
+    completed ``execute`` responses keyed by request ID.  A retransmitted
+    request — a retry after a lost response, or an injected duplicate — is
+    served from the cache without running the plan again, so retried
+    partials can never double-count.
     """
 
     def __init__(self) -> None:
@@ -275,6 +287,8 @@ class ShardWorker:
             return cached
         response = self._run(request)
         self._responses[request_id] = response
+        if len(self._responses) > RESPONSE_CACHE_SIZE:
+            del self._responses[next(iter(self._responses))]  # the oldest
         self.served += 1
         return response
 

@@ -7,12 +7,12 @@ resulting :class:`~repro.engine.vector.batch.ColumnBatch` carries the same
 qualified column names (and optional ``<corr>.#rowid`` column) the row
 executor's scan produces.
 
-The adapter memoizes the batch on the table itself (a column-store cache):
-repeated scans of an unmodified table — self-joins, repeated queries —
-reuse the transposed columns *and* their cached numpy array views.  The
-cache is invalidated by the table's mutation :attr:`~Table.version`.
-Cached batches are safe to share because the vector kernels never mutate
-column data in place.
+The batch is a :meth:`~repro.storage.table.Table.derived` value of the
+table (a column-store cache): repeated scans of an unmodified table —
+self-joins, repeated queries — reuse the transposed columns *and* their
+cached numpy array views, until a mutation bumps :attr:`~Table.version`.
+Batches are safe to share because the vector kernels never mutate column
+data in place.
 """
 
 from __future__ import annotations
@@ -25,17 +25,14 @@ def table_to_batch(
     table: Table, correlation: str, expose_rowids: bool = False
 ) -> ColumnBatch:
     """Scan ``table`` under ``correlation`` into a columnar batch."""
-    from repro.engine.executor import rowid_column
+    return table.derived(
+        ("columnar", correlation, expose_rowids),
+        lambda: _transpose(table, correlation, expose_rowids),
+    )
 
-    cache = getattr(table, "_columnar_cache", None)
-    key = (correlation, expose_rowids)
-    if cache is not None and cache["version"] == table.version:
-        batch = cache["batches"].get(key)
-        if batch is not None:
-            return batch
-    else:
-        cache = {"version": table.version, "batches": {}}
-        table._columnar_cache = cache
+
+def _transpose(table: Table, correlation: str, expose_rowids: bool) -> ColumnBatch:
+    from repro.engine.executor import rowid_column
 
     names = [f"{correlation}.{c}" for c in table.column_names()]
     stored = table.rows()
@@ -46,6 +43,4 @@ def table_to_batch(
     if expose_rowids:
         names.append(rowid_column(correlation))
         columns.append([row.rowid for row in stored])
-    batch = ColumnBatch(names, columns, length=len(stored))
-    cache["batches"][key] = batch
-    return batch
+    return ColumnBatch(names, columns, length=len(stored))

@@ -22,10 +22,10 @@ Determinism rules:
   ``stable_shard(rowid)``, range shards take contiguous rowid runs — so
   *any* table can be sharded, keys or not.
 
-Partitioning composes with MVCC: partitions are keyed by
-``(Table.version, spec)`` in a per-table cache, so a mutation (version
-bump) invalidates them and snapshot readers of a frozen version keep
-getting the partitions of *that* version.
+Partitioning composes with MVCC: the partitions of one spec are a
+:meth:`~repro.storage.table.Table.derived` value of the table, so a
+mutation (version bump) invalidates them and snapshot readers of a frozen
+version keep getting the partitions of *that* version.
 """
 
 from __future__ import annotations
@@ -151,24 +151,16 @@ def _shard_twin(parent: Table, rows) -> Table:
     return twin
 
 
-_CACHE_ATTR = "_partition_cache"
-
-
 def partition_table(table: Table, spec: PartitionSpec) -> Tuple[Table, ...]:
     """Split ``table`` into ``spec.shards`` frozen twins (cached per version).
 
     Every row lands in exactly one shard; the concatenation of the shards
     in shard order, re-sorted by rowid, is exactly the parent's row list.
     """
-    cache = getattr(table, _CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(table, _CACHE_ATTR, cache)
-    cache_key = (table.version, spec)
-    cached = cache.get(cache_key)
-    if cached is not None:
-        return cached
+    return table.derived(("partitions", spec), lambda: _split(table, spec))
 
+
+def _split(table: Table, spec: PartitionSpec) -> Tuple[Table, ...]:
     shards = spec.shards
     buckets: List[List] = [[] for __ in range(shards)]
     if spec.column is None:
@@ -192,10 +184,7 @@ def partition_table(table: Table, spec: PartitionSpec) -> Tuple[Table, ...]:
                 buckets[_range_shard(row.values[index], bounds, shards)].append(
                     row
                 )
-    partitions = tuple(_shard_twin(table, bucket) for bucket in buckets)
-    cache.clear()  # one live version per table; stale entries are dead weight
-    cache[cache_key] = partitions
-    return partitions
+    return tuple(_shard_twin(table, bucket) for bucket in buckets)
 
 
 @dataclass

@@ -10,7 +10,20 @@ multi-table assertions) are enforced by
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+import threading
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.catalog.constraints import (
     CheckConstraint,
@@ -23,6 +36,8 @@ from repro.expressions.eval import RowScope
 from repro.sqltypes.values import SqlValue, group_key, is_null
 from repro.storage.row import Row
 
+T = TypeVar("T")
+
 
 class Table:
     """A stored base table (or materialized intermediate)."""
@@ -31,9 +46,13 @@ class Table:
         self.schema = schema
         self._rows: List[Row] = []
         self._next_rowid = 1
-        #: Bumped on every mutation; lets derived physical representations
-        #: (e.g. the vector backend's columnar scan cache) detect staleness.
+        #: Bumped on every mutation; everything :meth:`derived` holds is
+        #: keyed on it.
         self.version = 0
+        #: ``(version, {key: value})`` — see :meth:`derived`.
+        self._derived: Tuple[int, Dict[Hashable, object]] = (0, {})
+        #: Held while a missing :meth:`derived` value is built.
+        self._derived_lock = threading.RLock()
         #: Published copy-on-write snapshots set this: a frozen table
         #: refuses every mutation, so a pinned reader can never observe a
         #: write (writers must :meth:`clone` first — the MVCC protocol of
@@ -63,6 +82,49 @@ class Table:
 
     def column_names(self) -> Tuple[str, ...]:
         return self.schema.column_names()
+
+    # -- derived per-version data -------------------------------------------
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """The value ``build()`` computes from the rows as stored now.
+
+        Built on first use and handed back to every later caller until a
+        mutation bumps :attr:`version`; the one place a physical
+        representation or summary of this table (columnar batches,
+        partition twins, optimizer statistics) is kept.  The slot belongs
+        to this object alone: :meth:`clone` starts empty and pickling
+        leaves it out.
+
+        Values are shared by every reader of the table, server threads
+        included, so they must never be mutated.  A hit takes no lock.  A
+        miss builds under this table's lock: readers that miss together
+        wait for the one build and share its value.  Two builds at once
+        would be correct but, under one interpreter lock, each twice as
+        slow — a read after a write would cost more the more readers
+        arrived with it.  ``build`` may ask this table for other derived
+        values, and no other table.
+        """
+        version, values = self._derived
+        if version == self.version and key in values:
+            return values[key]  # type: ignore[return-value]
+        with self._derived_lock:
+            version, values = self._derived
+            if version != self.version:
+                values = {}
+                self._derived = (self.version, values)
+            if key not in values:
+                values[key] = build()
+            return values[key]  # type: ignore[return-value]
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        del state["_derived"], state["_derived_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._derived = (self.version, {})
+        self._derived_lock = threading.RLock()
 
     # -- copy-on-write snapshots ------------------------------------------
 

@@ -44,6 +44,23 @@ def plant_faults():
 
 
 @pytest.fixture
+def statistics_scans(monkeypatch):
+    """Names of the tables the optimizer's private per-table statistics
+    scan ran over, in call order (``del scans[:]`` to start counting)."""
+    import repro.optimizer.cardinality as cardinality
+
+    scanned = []
+    real = cardinality._scan_table
+
+    def counting(table, histogram_buckets):
+        scanned.append(table.name)
+        return real(table, histogram_buckets)
+
+    monkeypatch.setattr(cardinality, "_scan_table", counting)
+    return scanned
+
+
+@pytest.fixture
 def example1_db():
     """Employee/Department with 200 employees over 10 departments."""
     db = make_employee_department()

@@ -329,6 +329,45 @@ def test_parallel_matches_serial_exactly():
     assert list(map(tuple, serial.rows)) == list(map(tuple, parallel_result.rows))
 
 
+def test_one_pool_process_serving_every_range(monkeypatch):
+    # On a busy or single-core host one pool process picks up several
+    # ranges.  Each partial must still cover only its own morsels: a
+    # worker that carried stage counts or accumulators from one range
+    # into the next would double-count rows and aggregate values.
+    import repro.engine.vector.parallel as parallel
+
+    if not parallel.fork_available():
+        pytest.skip("no fork on this platform")
+    fork = parallel._mp.get_context("fork")  # one object per start method
+    real_pool = fork.Pool
+    pools = []
+
+    def one_process_pool(processes):
+        pools.append(processes)
+        return real_pool(processes=1)
+
+    monkeypatch.setattr(fork, "Pool", one_process_pool)
+    rows = [(i % 11, (i * 13) % 997) for i in range(3000)]
+    db = _db(rows)
+    serial, serial_stats = _run(
+        db, _group_plan(), engine="vector", morsel_size=128, workers=1
+    )
+    shared, shared_stats = _run(
+        db, _group_plan(), engine="vector", morsel_size=128, workers=4
+    )
+    assert pools == [4], "parallel dispatch never engaged"
+    assert list(map(tuple, shared.rows)) == list(map(tuple, serial.rows))
+    def counts(stats):
+        return sorted(
+            (node.kind, node.input_cardinalities, node.output_cardinality)
+            for node in stats.nodes.values()
+        )
+
+    assert counts(shared_stats) == counts(serial_stats)
+    kept = sum(1 for __, v in rows if v > 2)
+    assert ("select", (3000,), kept) in counts(shared_stats)
+
+
 def test_parallel_under_memory_budget_stays_deterministic():
     # With a budget the aggregate runs materialized (spill decisions are
     # global), so workers>1 must not change results or spill accounting.

@@ -158,6 +158,27 @@ class TestSocketDeliveries:
             assert list(result.rows) == list(base.rows), engine
 
 
+    def test_derived_data_never_crosses_the_wire(self, db, node, socket_config):
+        # An in-process sharded run on the vector engine leaves columnar
+        # batches on the cached partition twins.  Shipped with the twin,
+        # they were refused by the workers' restricted unpickler and every
+        # later socket statement retried, then degraded to single-site.
+        from dataclasses import replace
+
+        config = replace(socket_config, engine="vector")
+        fresh_result, fresh = run_socket(db, node, config)
+        execute(db, node, config=ExecutorConfig(shards=2, engine="vector"))
+        result, stats = run_socket(db, node, config)
+        assert list(result.rows) == list(fresh_result.rows)
+        assert not stats.degradations
+        before, after = fresh.exchanges[-1], stats.exchanges[-1]
+        assert (after.rpc_retries, after.rpc_timeouts, after.rpc_failovers) == (
+            0, 0, 0,
+        )
+        assert after.wire_bytes == before.wire_bytes
+        assert after.shard_health == ("shard-0: healthy", "shard-1: healthy")
+
+
 class TestNetworkFaults:
     @pytest.mark.parametrize("kind", ["drop", "delay", "duplicate", "garble"])
     def test_single_fault_survived(self, db, node, baseline, socket_config, kind):

@@ -221,6 +221,39 @@ class TestTcpFrontend:
         assert "epoch=" in reader.readline()
         sock.close()
 
+    def test_multi_row_reply_is_one_write(self):
+        # Line-by-line writes put a reply's second segment behind the
+        # client's delayed ACK; the whole response must leave at once.
+        from repro.server.net import _Handler
+
+        server = build_server()
+        admin = server.open_session(tenant="admin")
+        for e in range(30, 50):
+            admin.execute(f"INSERT INTO Emp VALUES ({e}, {e % 3}, {50 + e})")
+
+        writes = []
+
+        class Recorder:
+            def write(self, data):
+                writes.append(bytes(data))
+
+            def flush(self):
+                pass
+
+        handler = _Handler.__new__(_Handler)  # no socket: only _dispatch runs
+        handler.wfile = Recorder()
+        handler._dispatch(
+            server, admin, "QUERY SELECT Emp.EmpID, Emp.Salary FROM Emp"
+        )
+        assert _Handler.disable_nagle_algorithm
+        assert len(writes) == 1
+        lines = writes[0].decode("utf-8").split("\n")
+        assert lines[0] == f"OK 50 rows epoch={server.catalog.epoch}"
+        assert sorted(lines[1:51]) == sorted(
+            f"{e}\t{50 + e}" for e in range(50)
+        )
+        assert lines[51:] == ["", ""]  # the blank terminator line, then EOF
+
     def test_two_clients_are_separate_sessions(self, front):
         sock1, reader1 = self.connect(front)
         sock2, reader2 = self.connect(front)

@@ -254,3 +254,85 @@ def test_seeded_database_tables_get_frozen_on_wrap():
     assert database.table("T").frozen
     catalog.execute("INSERT INTO T VALUES (2)")
     assert len(catalog.database.table("T")) == 2
+
+
+# -- statistics follow the table version, reader by reader ---------------------
+
+
+def _emp_ids(database):
+    from repro.optimizer.cardinality import collect_statistics
+
+    return collect_statistics(database).table("Emp").columns["EmpID"].distinct
+
+
+def test_pinned_reader_keeps_the_old_statistics():
+    catalog = build_catalog()
+    pinned = catalog.snapshot()
+    assert _emp_ids(pinned.database) == 1
+    catalog.execute("INSERT INTO Emp VALUES (11, 2, 60)")
+    catalog.execute("INSERT INTO Emp VALUES (12, 2, 70)")
+    # A reader that arrives after the writes sees them; the pinned one
+    # still prices the table it reads, before and after the other asked.
+    assert _emp_ids(catalog.snapshot().database) == 3
+    assert _emp_ids(pinned.database) == 1
+
+
+def test_write_to_one_table_leaves_the_others_statistics_warm(statistics_scans):
+    catalog = build_catalog()
+    query = (
+        "SELECT Dept.DeptID, COUNT(Emp.EmpID) FROM Emp, Dept "
+        "WHERE Emp.DeptID = Dept.DeptID GROUP BY Dept.DeptID"
+    )
+    Session(catalog.snapshot().database).query(query)
+    scanned = statistics_scans
+    del scanned[:]
+    catalog.execute("INSERT INTO Emp VALUES (11, 2, 60)")
+    assert scanned == []  # a write pays nothing for statistics
+    # Each query gets a fresh snapshot-view Database over the same tables.
+    rows = Session(catalog.snapshot().database).query(query).rows
+    assert sorted(rows) == [(1, 1), (2, 1)]
+    assert scanned == ["Emp"]
+    Session(catalog.snapshot().database).query(query)
+    assert scanned == ["Emp"]
+
+
+def test_aborted_write_leaves_published_statistics_alone():
+    catalog = build_catalog()
+    assert _emp_ids(catalog.snapshot().database) == 1
+    with pytest.raises(ConstraintViolation):
+        catalog.execute("INSERT INTO Emp VALUES (11, 99, 60)")  # no such Dept
+    assert _emp_ids(catalog.snapshot().database) == 1
+    catalog.execute("INSERT INTO Emp VALUES (11, 2, 60)")
+    assert _emp_ids(catalog.snapshot().database) == 2
+
+
+def test_readers_price_the_version_they_pinned_while_a_writer_commits():
+    from repro.optimizer.cardinality import collect_statistics
+
+    catalog = build_catalog()
+    stop = threading.Event()
+    wrong = []
+
+    def reader():
+        while not stop.is_set():
+            database = catalog.snapshot().database
+            emp = collect_statistics(database).table("Emp")
+            pinned = database.table("Emp")
+            if (emp.row_count, emp.columns["EmpID"].distinct) != (
+                len(pinned), len(pinned),
+            ):
+                wrong.append((emp.row_count, len(pinned)))
+
+    readers = [threading.Thread(target=reader) for __ in range(4)]
+    for thread in readers:
+        thread.start()
+    try:
+        for emp_id in range(100, 160):
+            catalog.execute(f"INSERT INTO Emp VALUES ({emp_id}, 1, 1)")
+    finally:
+        stop.set()
+        for thread in readers:
+            thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in readers)
+    assert wrong == []
+    assert _emp_ids(catalog.snapshot().database) == 61

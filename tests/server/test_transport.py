@@ -231,6 +231,24 @@ class TestShardWorker:
         assert worker.served == 2
         assert worker.duplicates == 0
 
+    def test_response_cache_keeps_only_the_latest(self):
+        # A worker must not grow by every answer it ever gave; a
+        # retransmission older than the window is simply run again and,
+        # the request being self-contained, answers the same.
+        from repro.server.transport import RESPONSE_CACHE_SIZE
+
+        worker = ShardWorker()
+        first = worker.handle(make_execute_request("old"))
+        for i in range(RESPONSE_CACHE_SIZE):
+            worker.handle(make_execute_request(f"r{i}"))
+        assert len(worker._responses) == RESPONSE_CACHE_SIZE
+        latest = f"r{RESPONSE_CACHE_SIZE - 1}"
+        assert worker.handle(make_execute_request(latest)) is not None
+        assert worker.duplicates == 1
+        again = worker.handle(make_execute_request("old"))
+        assert worker.duplicates == 1  # dropped: executed a second time
+        assert again == first
+
     def test_execute_without_request_id_is_error(self):
         request = make_execute_request()
         del request["request_id"]
