@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.ops import (
     AggregateSpec,
@@ -70,10 +70,15 @@ from repro.engine import faults
 from repro.engine.dataset import DataSet
 from repro.engine.faults import KernelFault
 from repro.engine.governor import ResourceGovernor
-from repro.engine.stats import ExchangeStats, ExecutionStats, NodeStats
+from repro.engine.operators import evaluate, rowid_column
+from repro.engine.stats import ExchangeStats, ExecutionStats
 from repro.errors import ExecutionError, ShardUnavailable
 from repro.expressions.ast import Aggregate, ColumnRef
-from repro.server.transport import WIRE_PICKLE_PROTOCOL, restricted_loads
+from repro.server.transport import (
+    SHARD_CONFIG_FIELDS,
+    WIRE_PICKLE_PROTOCOL,
+    restricted_loads,
+)
 from repro.sqltypes.values import NULL, SqlValue, is_null, sort_key, sql_div
 from repro.storage.partition import PartitionSpec, partition_table
 
@@ -212,23 +217,23 @@ def _merge_substats(
 
 
 def run_exchange(
-    database: Database,
-    config,
-    params: Optional[Mapping[str, SqlValue]],
+    env,
     node: Exchange,
     stats: ExecutionStats,
     governor: ResourceGovernor,
 ) -> DataSet:
     """Execute one Exchange: partition, run shards, meter the wire, merge.
 
-    Engine-agnostic by construction — both executors delegate here, shard
-    subplans re-enter the public executor under the outer config (same
-    engine, morsels, workers), and the recorded :class:`NodeStats` is
-    deterministic, so row and vector stats stay identical.
+    Engine-agnostic by construction — both executors delegate here
+    (``env`` is the delegating executor: its database, config and params),
+    shard subplans re-enter the public executor under the outer config
+    (same engine, morsels, workers), and the recorded :class:`NodeStats`
+    is deterministic, so row and vector stats stay identical.
     """
+    database, config, params = env.database, env.config, env.params
     label = node.label()
     try:
-        return _run_sharded(database, config, params, node, stats, governor, label)
+        return _run_sharded(env, node, stats, governor, label)
     except (KernelFault, ShardUnavailable) as error:
         if not config.degrade:
             raise
@@ -248,24 +253,22 @@ def run_exchange(
             node.child
         )
         _merge_substats(stats, governor, sub_stats)
-        stats.record(
-            id(node),
-            NodeStats(label, "exchange", (result.cardinality,), result.cardinality, 0),
+        stats.record_node(
+            node, "exchange", (result.cardinality,), result.cardinality, 0
         )
         return result
 
 
 def _run_sharded(
-    database: Database,
-    config,
-    params: Optional[Mapping[str, SqlValue]],
+    env,
     node: Exchange,
     stats: ExecutionStats,
     governor: ResourceGovernor,
     label: str,
 ) -> DataSet:
-    from repro.engine.executor import Executor, rowid_column
+    from repro.engine.executor import Executor
 
+    database, config, params = env.database, env.config, env.params
     if node.merge:
         child = node.child
         if not isinstance(child, GroupApply):
@@ -321,16 +324,10 @@ def _run_sharded(
             attempts=config.rpc_attempts,
         )
         rpc_before = pool.counters.snapshot()
+        # sorted: a frozenset iterates in per-process hash order, and the
+        # request's frame should not depend on it.
         worker_config = {
-            "engine": config.engine,
-            "join_algorithm": config.join_algorithm,
-            "aggregation": config.aggregation,
-            "exploit_orders": config.exploit_orders,
-            "morsel_size": config.morsel_size,
-            "memory_limit_bytes": config.memory_limit_bytes,
-            "max_rows": config.max_rows,
-            "spill": config.spill,
-            "degrade": config.degrade,
+            f: getattr(config, f) for f in sorted(SHARD_CONFIG_FIELDS)
         }
         for index, shard_table in enumerate(partitions):
             # Same per-delivery crash point the memory wire exposes, so
@@ -394,7 +391,7 @@ def _run_sharded(
 
     if node.merge:
         merged = _merge_two_phase(
-            node.child, columns, deliveries, merged_specs, config, params
+            node.child, columns, deliveries, merged_specs, env
         )
     else:
         merged = _merge_ordinal(
@@ -417,9 +414,8 @@ def _run_sharded(
             rpc_after["wire_bytes"] - rpc_before["wire_bytes"]
         )
     stats.exchanges.append(exchange_stats)
-    stats.record(
-        id(node),
-        NodeStats(label, "exchange", (received,), merged.cardinality, rows_shipped),
+    stats.record_node(
+        node, "exchange", (received,), merged.cardinality, rows_shipped
     )
     return merged
 
@@ -454,8 +450,7 @@ def _merge_two_phase(
     columns: Tuple[str, ...],
     deliveries: List[List[tuple]],
     merged_specs: List[DecomposedSpec],
-    config,
-    params: Optional[Mapping[str, SqlValue]],
+    env,
 ) -> DataSet:
     """Re-aggregate shard partials into the one-phase operator's output.
 
@@ -463,7 +458,8 @@ def _merge_two_phase(
     ordinal is its group's minimum RowID within that shard, so the union
     replays groups in their base-scan first-appearance order) and then fed
     through the *requesting engine's own* grouped-aggregation operator
-    with the merge aggregates: COUNT and SUM partials merge by SUM, MIN
+    (:func:`repro.engine.operators.evaluate` — the table entry every
+    GroupApply runs) with the merge aggregates: COUNT and SUM partials merge by SUM, MIN
     and MAX by themselves, AVG from its hidden SUM + COUNT pair.  Running
     the real operator rather than a hand-rolled fold is what makes the
     merged stream bit-identical to the unsharded GroupApply on either
@@ -510,25 +506,9 @@ def _merge_two_phase(
             )
 
     grouping = original.grouping_columns
-    if config.engine == "vector":
-        from repro.engine.vector import kernels
-        from repro.engine.vector.batch import ColumnBatch
-
-        batch, __ = kernels.grouped_aggregate(
-            ColumnBatch.from_dataset(union),
-            grouping,
-            merge_specs,
-            params,
-            mode=config.aggregation,
-        )
-        merged = batch.to_dataset()
-    else:
-        from repro.engine.aggregation import hash_group, sort_group
-
-        if config.aggregation == "sort":
-            merged, __ = sort_group(union, grouping, merge_specs, params)
-        else:
-            merged, __ = hash_group(union, grouping, merge_specs, params)
+    merged, __ = evaluate(
+        GroupApply(original.child, grouping, merge_specs), (union,), env
+    )
 
     if not avg_pairs:
         return merged

@@ -18,40 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
-from repro.algebra.ops import (
-    Apply,
-    Exchange,
-    Group,
-    GroupApply,
-    Join,
-    PlanNode,
-    Product,
-    Project,
-    Relation,
-    Select,
-    Sort,
-    fuse_group_apply,
-    walk_plan,
-)
+from repro.algebra.ops import Exchange, PlanNode, fuse_group_apply, walk_plan
+from repro.algebra.rewrite_rules import normalize_rewrites
 from repro.catalog.catalog import Database
-from repro.engine import faults, joins
-from repro.engine.aggregation import distinct, hash_group, sort_group
+from repro.engine import faults
 from repro.engine.dataset import DataSet
 from repro.engine.governor import CancellationToken, ResourceGovernor
-from repro.engine.sorting import sort_dataset
-from repro.engine.stats import ExecutionStats, NodeStats
-from repro.errors import (
-    ExecutionError,
-    MemoryLimitExceeded,
-    ReproError,
-    annotate_operator,
+from repro.engine.operators import (  # noqa: F401  (rowid_column re-exported)
+    child_frames,
+    operator_for,
+    rowid_column,
 )
-from repro.expressions.eval import evaluate_predicate
+from repro.engine.stats import ExecutionStats
+from repro.errors import ReproError, raise_through_frames
 from repro.sqltypes.values import SqlValue
-
-#: Name of the hidden RowID column exposed for correlation ``corr``.
-def rowid_column(correlation: str) -> str:
-    return f"{correlation}.#rowid"
 
 
 @dataclass(frozen=True)
@@ -163,33 +143,7 @@ class ExecutorConfig:
     def __post_init__(self) -> None:
         if self.join_algorithm not in ("auto", "nested_loop", "hash", "sort_merge"):
             raise ValueError(f"bad join_algorithm: {self.join_algorithm}")
-        # Normalized inline (not via repro.optimizer.rewrites, which cannot
-        # be imported while this module is still initializing); the rule
-        # list is mirrored by repro.optimizer.rewrites.REWRITE_RULES and a
-        # test keeps the two in sync.
-        valid = ("predicate_pushdown", "join_reordering", "projection_pruning")
-        value = self.rewrites
-        if value is None:
-            names: Tuple[str, ...] = ()
-        elif isinstance(value, str):
-            text = value.strip()
-            if text in ("", "none", "off"):
-                names = ()
-            else:
-                names = tuple(p.strip() for p in text.split(",") if p.strip())
-        else:
-            names = tuple(value)
-        if "all" in names:
-            names = valid
-        else:
-            for name in names:
-                if name not in valid:
-                    raise ValueError(
-                        f"unknown rewrite rule {name!r}; valid rules: "
-                        + ", ".join(valid) + ", all"
-                    )
-            names = tuple(rule for rule in valid if rule in names)
-        object.__setattr__(self, "rewrites", names)
+        object.__setattr__(self, "rewrites", normalize_rewrites(self.rewrites))
         if self.aggregation not in ("hash", "sort"):
             raise ValueError(f"bad aggregation: {self.aggregation}")
         if self.engine not in ("row", "vector"):
@@ -237,17 +191,15 @@ class Executor:
         """Execute ``plan``; returns the result and per-operator statistics."""
         fused = fuse_group_apply(plan)
         if self.config.rewrites:
-            from repro.optimizer.rewrites import apply_rewrites, rewrites_applied
+            from repro.optimizer.rewrites import (
+                apply_configured_rewrites,
+                rewrites_applied,
+            )
 
             if rewrites_applied(fused) is None:
-                algorithm = self.config.join_algorithm
-                outcome = apply_rewrites(
-                    fused,
-                    self.database,
-                    self.config.rewrites,
-                    join_algorithm="hash" if algorithm == "auto" else algorithm,
-                )
-                fused = outcome.plan
+                fused = apply_configured_rewrites(
+                    fused, self.database, self.config
+                ).plan
         if self.config.shards > 1 and self.config.exchange != "off":
             if not any(isinstance(n, Exchange) for n in walk_plan(fused)):
                 from repro.optimizer.distribute import distribute_plan
@@ -313,235 +265,40 @@ class Executor:
         so the final message reads failing-operator → plan-root.
         """
         label = node.label()
-        frame = f"{position}:{label}" if position else label
         try:
             governor.check(label)
             faults.injection_point("row", label)
             result = self._dispatch(node, stats, governor)
             governor.charge_rows(result.cardinality, label)
             return result
-        except MemoryError as error:
-            converted = MemoryLimitExceeded(f"allocation failed: {error}")
-            annotate_operator(converted, frame)
-            raise converted from error
-        except ReproError as error:
-            annotate_operator(error, frame)
-            raise
+        except (MemoryError, ReproError) as error:
+            raise_through_frames(
+                error, (f"{position}:{label}" if position else label,)
+            )
 
     def _dispatch(
         self, node: PlanNode, stats: ExecutionStats, governor: ResourceGovernor
     ) -> DataSet:
-        if isinstance(node, Relation):
-            return self._scan(node, stats)
-        if isinstance(node, Select):
-            return self._select(node, stats, governor)
-        if isinstance(node, Project):
-            return self._project(node, stats, governor)
-        if isinstance(node, Product):
-            return self._product(node, stats, governor)
-        if isinstance(node, Join):
-            return self._join(node, stats, governor)
-        if isinstance(node, GroupApply):
-            return self._group_apply(node, stats, governor)
-        if isinstance(node, Group):
-            return self._bare_group(node, stats, governor)
-        if isinstance(node, Sort):
-            return self._sort(node, stats, governor)
+        """Recurse into the children, run the operator's row body
+        (:mod:`repro.engine.operators`), record it."""
         if isinstance(node, Exchange):
             from repro.engine.exchange import run_exchange
 
-            return run_exchange(
-                self.database, self.config, self.params, node, stats, governor
-            )
-        if isinstance(node, Apply):
-            raise ExecutionError(
-                "Apply without Group beneath it; run fuse_group_apply first"
-            )
-        raise ExecutionError(f"cannot execute node {type(node).__name__}")
-
-    # -- operators ------------------------------------------------------------
-
-    def _scan(self, node: Relation, stats: ExecutionStats) -> DataSet:
-        table = self.database.table(node.table_name)
-        correlation = node.correlation
-        columns = [f"{correlation}.{c}" for c in table.column_names()]
-        if self.config.expose_rowids:
-            columns.append(rowid_column(correlation))
-            rows = [row.values + (row.rowid,) for row in table]
-        else:
-            rows = [row.values for row in table]
-        dataset = DataSet(columns, rows)
-        stats.record(
-            id(node),
-            NodeStats(node.label(), "scan", (), dataset.cardinality, dataset.cardinality),
+            return run_exchange(self, node, stats, governor)
+        operator = operator_for(node)
+        inputs = tuple(
+            self._execute(child, stats, governor, position)
+            for child, position in child_frames(node)
         )
-        return dataset
-
-    def _select(
-        self, node: Select, stats: ExecutionStats, governor: ResourceGovernor
-    ) -> DataSet:
-        child = self._execute(node.child, stats, governor)
-        from repro.expressions.eval import ReusableRowScope
-
-        scope = ReusableRowScope(child.columns)
-        out_rows = []
-        for row in child.rows:
-            governor.tick("select")
-            if evaluate_predicate(
-                node.condition, scope.bind(row), self.params
-            ).is_true():
-                out_rows.append(row)
-        # Filtering preserves any known sort order.
-        dataset = DataSet(child.columns, out_rows, ordering=child.ordering)
-        stats.record(
-            id(node),
-            NodeStats(
-                node.label(),
-                "select",
-                (child.cardinality,),
-                dataset.cardinality,
-                child.cardinality,
-            ),
+        result, work = operator.row(node, inputs, self, governor)
+        stats.record_node(
+            node,
+            operator.kind,
+            (child.cardinality for child in inputs),
+            result.cardinality,
+            work,
         )
-        return dataset
-
-    def _project(
-        self, node: Project, stats: ExecutionStats, governor: ResourceGovernor
-    ) -> DataSet:
-        child = self._execute(node.child, stats, governor)
-        projected = child.project(node.columns)
-        work = child.cardinality
-        if node.distinct:
-            projected, distinct_work = distinct(projected, governor)
-            work += distinct_work
-        stats.record(
-            id(node),
-            NodeStats(
-                node.label(),
-                "project",
-                (child.cardinality,),
-                projected.cardinality,
-                work,
-            ),
-        )
-        return projected
-
-    def _product(
-        self, node: Product, stats: ExecutionStats, governor: ResourceGovernor
-    ) -> DataSet:
-        left = self._execute(node.left, stats, governor, "L")
-        right = self._execute(node.right, stats, governor, "R")
-        dataset, work = joins.cartesian_product(left, right, governor)
-        stats.record(
-            id(node),
-            NodeStats(
-                node.label(),
-                "join",
-                (left.cardinality, right.cardinality),
-                dataset.cardinality,
-                work,
-            ),
-        )
-        return dataset
-
-    def _join(
-        self, node: Join, stats: ExecutionStats, governor: ResourceGovernor
-    ) -> DataSet:
-        left = self._execute(node.left, stats, governor, "L")
-        right = self._execute(node.right, stats, governor, "R")
-        algorithm = self.config.join_algorithm
-        if node.condition is None:
-            dataset, work = joins.cartesian_product(left, right, governor)
-        elif algorithm == "nested_loop":
-            dataset, work = joins.nested_loop_join(
-                left, right, node.condition, self.params, governor
-            )
-        elif algorithm == "sort_merge":
-            dataset, work = joins.sort_merge_join(
-                left, right, node.condition, self.params, governor
-            )
-        else:  # "hash" and "auto": hash_join falls back to NL itself
-            dataset, work = joins.hash_join(
-                left, right, node.condition, self.params, governor
-            )
-        stats.record(
-            id(node),
-            NodeStats(
-                node.label(),
-                "join",
-                (left.cardinality, right.cardinality),
-                dataset.cardinality,
-                work,
-            ),
-        )
-        return dataset
-
-    def _group_apply(
-        self, node: GroupApply, stats: ExecutionStats, governor: ResourceGovernor
-    ) -> DataSet:
-        child = self._execute(node.child, stats, governor)
-        if self.config.aggregation == "sort":
-            from repro.engine.sorting import is_sorted_on
-
-            presorted = self.config.exploit_orders and is_sorted_on(
-                child, node.grouping_columns
-            )
-            dataset, work = sort_group(
-                child, node.grouping_columns, node.aggregates, self.params,
-                presorted=presorted, governor=governor,
-            )
-        else:
-            dataset, work = hash_group(
-                child, node.grouping_columns, node.aggregates, self.params,
-                governor,
-            )
-        stats.record(
-            id(node),
-            NodeStats(
-                node.label(),
-                "groupby",
-                (child.cardinality,),
-                dataset.cardinality,
-                work,
-            ),
-        )
-        return dataset
-
-    def _sort(
-        self, node: Sort, stats: ExecutionStats, governor: ResourceGovernor
-    ) -> DataSet:
-        child = self._execute(node.child, stats, governor)
-        dataset, work = sort_dataset(child, node.columns, node.descending, governor)
-        stats.record(
-            id(node),
-            NodeStats(
-                node.label(),
-                "sort",
-                (child.cardinality,),
-                dataset.cardinality,
-                work,
-            ),
-        )
-        return dataset
-
-    def _bare_group(
-        self, node: Group, stats: ExecutionStats, governor: ResourceGovernor
-    ) -> DataSet:
-        # G[GA] alone: the defining SQL is SELECT * FROM R ORDER BY GA —
-        # grouping realized by sorting, rows unchanged.
-        child = self._execute(node.child, stats, governor)
-        dataset, work = sort_dataset(child, node.grouping_columns, governor=governor)
-        stats.record(
-            id(node),
-            NodeStats(
-                node.label(),
-                "groupby",
-                (child.cardinality,),
-                dataset.cardinality,
-                work,
-            ),
-        )
-        return dataset
+        return result
 
 
 def execute(

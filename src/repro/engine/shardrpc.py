@@ -429,9 +429,6 @@ class ShardPool:
             except (ShardUnavailable, WireFormatError) as error:
                 last_error = error
                 continue
-            worker.record_success()
-            if response.get("op") == "pong":
-                return response
             return response
         from repro.engine.faults import KernelFault
 
@@ -457,19 +454,16 @@ class ShardPool:
                 worker.record_failure()
                 raise
 
-        try:
-            response = call_with_backoff(
-                attempt,
-                attempts=self.attempts,
-                base_delay=0.005,
-                max_delay=0.1,
-                deadline_seconds=self.timeout_seconds * self.attempts,
-                seed=0,
-                retry_on=(ShardUnavailable, WireFormatError),
-                on_retry=meter,
-            )
-        except (ShardUnavailable, WireFormatError):
-            raise
+        response = call_with_backoff(
+            attempt,
+            attempts=self.attempts,
+            base_delay=0.005,
+            max_delay=0.1,
+            deadline_seconds=self.timeout_seconds * self.attempts,
+            seed=0,
+            retry_on=(ShardUnavailable, WireFormatError),
+            on_retry=meter,
+        )
         worker.record_success()
         return response
 

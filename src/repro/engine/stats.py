@@ -124,6 +124,18 @@ class ExecutionStats:
         self.nodes[node_id] = stats
         self.order.append(node_id)
 
+    def record_node(
+        self, node, kind: str, input_cardinalities, output_cardinality: int, work: int
+    ) -> None:
+        """One executed operator — whichever engine or pipeline ran it."""
+        self.record(
+            id(node),
+            NodeStats(
+                node.label(), kind, tuple(input_cardinalities),
+                output_cardinality, work,
+            ),
+        )
+
     def note_degradation(self, label: str, error: BaseException) -> None:
         """One vector operator retried on the row engine (and why)."""
         self.degradations += 1

@@ -19,7 +19,7 @@ matrix of executor configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.algebra.ops import (
     AggregateSpec,
@@ -367,6 +367,56 @@ SQL_CONFIGS: Tuple[ExecutorConfig, ...] = (
 )
 
 
+def iter_cases(
+    quick: bool, configs: Optional[Sequence[ExecutorConfig]] = None
+) -> Iterator[Tuple[str, ExecutorConfig, Callable]]:
+    """The case catalog as ``(case name, base config, run)`` triples.
+
+    Every SQL case under each of :data:`SQL_CONFIGS` (through the full
+    Session stack) and every plan case under each of :data:`PLAN_CONFIGS`
+    (``configs`` overrides both lists); ``run(config) -> (result, stats)``
+    executes the case under any variation of the base config.  Each case's
+    database is built once.
+    """
+    for sql_case in SQL_CASES:
+        db = sql_case.build(quick)
+
+        def run_sql(config: ExecutorConfig, db=db, sql=sql_case.sql):
+            report = Session(db, executor_config=config).report(sql)
+            return report.result, report.stats
+
+        for config in configs or SQL_CONFIGS:
+            yield sql_case.name, config, run_sql
+
+    for plan_case in PLAN_CASES:
+        db = plan_case.build(quick)
+
+        def run_plan(config: ExecutorConfig, db=db, plan=plan_case.plan):
+            return execute(db, plan(), config)
+
+        for config in configs or PLAN_CONFIGS:
+            yield plan_case.name, config, run_plan
+
+
+def _case_result(
+    name: str,
+    label: str,
+    results_match: bool,
+    cardinality: int,
+    row_stats: ExecutionStats,
+    vec_stats: ExecutionStats,
+) -> CaseResult:
+    return CaseResult(
+        name,
+        label,
+        results_match,
+        stats_signature(row_stats) == stats_signature(vec_stats),
+        cardinality,
+        row_stats.spill_count,
+        vec_stats.spill_count,
+    )
+
+
 def run_differential(
     quick: bool = True, overrides: Optional[dict] = None
 ) -> List[CaseResult]:
@@ -380,53 +430,20 @@ def run_differential(
     """
     results: List[CaseResult] = []
     extra = overrides or {}
-
-    for sql_case in SQL_CASES:
-        db = sql_case.build(quick)
-        for config in SQL_CONFIGS:
-            row_session = Session(
-                db, executor_config=replace(config, engine="row", **extra)
+    for name, config, run in iter_cases(quick):
+        row_result, row_stats = run(replace(config, engine="row", **extra))
+        vec_result, vec_stats = run(replace(config, engine="vector", **extra))
+        results.append(
+            _case_result(
+                name,
+                _config_label(config),
+                row_result.equals_multiset(vec_result)
+                and row_result.ordering == vec_result.ordering,
+                row_result.cardinality,
+                row_stats,
+                vec_stats,
             )
-            vec_session = Session(
-                db, executor_config=replace(config, engine="vector", **extra)
-            )
-            row_report = row_session.report(sql_case.sql)
-            vec_report = vec_session.report(sql_case.sql)
-            results.append(
-                CaseResult(
-                    sql_case.name,
-                    _config_label(config),
-                    row_report.result.equals_multiset(vec_report.result),
-                    stats_signature(row_report.stats)
-                    == stats_signature(vec_report.stats),
-                    row_report.result.cardinality,
-                    row_report.stats.spill_count,
-                    vec_report.stats.spill_count,
-                )
-            )
-
-    for plan_case in PLAN_CASES:
-        db = plan_case.build(quick)
-        for config in PLAN_CONFIGS:
-            row_result, row_stats = execute(
-                db, plan_case.plan(), replace(config, engine="row", **extra)
-            )
-            vec_result, vec_stats = execute(
-                db, plan_case.plan(), replace(config, engine="vector", **extra)
-            )
-            results.append(
-                CaseResult(
-                    plan_case.name,
-                    _config_label(config),
-                    row_result.equals_multiset(vec_result)
-                    and row_result.ordering == vec_result.ordering,
-                    stats_signature(row_stats) == stats_signature(vec_stats),
-                    row_result.cardinality,
-                    row_stats.spill_count,
-                    vec_stats.spill_count,
-                )
-            )
-
+        )
     return results
 
 
@@ -533,8 +550,7 @@ def run_shard_matrix(
         if overrides.get("shards", 1) > 1 and transport != "memory":
             overrides["transport"] = transport
         results: List[CaseResult] = []
-
-        def compare(name: str, config: ExecutorConfig, run) -> None:
+        for name, config, run in iter_cases(quick):
             # Bit-identity is a same-engine promise: sharding must not
             # change what an engine emits, row for row.  Across engines the
             # usual differential contract applies (same multiset, same
@@ -558,36 +574,15 @@ def run_shard_matrix(
                 and vec_result.equals_multiset(base_row)
             )
             results.append(
-                CaseResult(
+                _case_result(
                     name,
                     _config_label(config) + "+" + shard_config_label(overrides),
                     identical,
-                    stats_signature(row_stats) == stats_signature(vec_stats),
                     base_row.cardinality,
-                    row_stats.spill_count,
-                    vec_stats.spill_count,
+                    row_stats,
+                    vec_stats,
                 )
             )
-
-        for sql_case in SQL_CASES:
-            db = sql_case.build(quick)
-
-            def run_sql(config: ExecutorConfig, db=db, sql=sql_case.sql):
-                report = Session(db, executor_config=config).report(sql)
-                return report.result, report.stats
-
-            for config in SQL_CONFIGS:
-                compare(sql_case.name, config, run_sql)
-
-        for plan_case in PLAN_CASES:
-            db = plan_case.build(quick)
-
-            def run_plan(config: ExecutorConfig, db=db, plan=plan_case.plan):
-                return execute(db, plan(), config)
-
-            for config in PLAN_CONFIGS:
-                compare(plan_case.name, config, run_plan)
-
         sweeps.append((shard_config_label(overrides), results))
     return sweeps
 
@@ -617,74 +612,28 @@ def run_rewrite_differential(
     else:
         sets = tuple(tuple(rs) for rs in rewrite_sets)
     results: List[CaseResult] = []
-
-    for sql_case in SQL_CASES:
-        db = sql_case.build(quick)
-        for config in SQL_CONFIGS:
-            base = Session(
-                db, executor_config=replace(config, engine="row")
-            ).report(sql_case.sql)
-            for rewrite_set in sets:
-                row_report = Session(
-                    db,
-                    executor_config=replace(
-                        config, engine="row", rewrites=rewrite_set
-                    ),
-                ).report(sql_case.sql)
-                vec_report = Session(
-                    db,
-                    executor_config=replace(
-                        config, engine="vector", rewrites=rewrite_set
-                    ),
-                ).report(sql_case.sql)
-                results.append(
-                    CaseResult(
-                        sql_case.name,
-                        _config_label(config) + "+rw:" + ",".join(rewrite_set),
-                        row_report.result.equals_multiset(base.result)
-                        and vec_report.result.equals_multiset(base.result)
-                        and row_report.result.ordering == base.result.ordering
-                        and vec_report.result.ordering == base.result.ordering,
-                        stats_signature(row_report.stats)
-                        == stats_signature(vec_report.stats),
-                        row_report.result.cardinality,
-                        row_report.stats.spill_count,
-                        vec_report.stats.spill_count,
-                    )
-                )
-
-    for plan_case in PLAN_CASES:
-        db = plan_case.build(quick)
-        for config in PLAN_CONFIGS:
-            base_result, __ = execute(
-                db, plan_case.plan(), replace(config, engine="row")
+    for name, config, run in iter_cases(quick):
+        base, __ = run(replace(config, engine="row"))
+        for rewrite_set in sets:
+            row_result, row_stats = run(
+                replace(config, engine="row", rewrites=rewrite_set)
             )
-            for rewrite_set in sets:
-                row_result, row_stats = execute(
-                    db,
-                    plan_case.plan(),
-                    replace(config, engine="row", rewrites=rewrite_set),
+            vec_result, vec_stats = run(
+                replace(config, engine="vector", rewrites=rewrite_set)
+            )
+            results.append(
+                _case_result(
+                    name,
+                    _config_label(config) + "+rw:" + ",".join(rewrite_set),
+                    row_result.equals_multiset(base)
+                    and vec_result.equals_multiset(base)
+                    and row_result.ordering == base.ordering
+                    and vec_result.ordering == base.ordering,
+                    row_result.cardinality,
+                    row_stats,
+                    vec_stats,
                 )
-                vec_result, vec_stats = execute(
-                    db,
-                    plan_case.plan(),
-                    replace(config, engine="vector", rewrites=rewrite_set),
-                )
-                results.append(
-                    CaseResult(
-                        plan_case.name,
-                        _config_label(config) + "+rw:" + ",".join(rewrite_set),
-                        row_result.equals_multiset(base_result)
-                        and vec_result.equals_multiset(base_result)
-                        and row_result.ordering == base_result.ordering
-                        and vec_result.ordering == base_result.ordering,
-                        stats_signature(row_stats) == stats_signature(vec_stats),
-                        row_result.cardinality,
-                        row_stats.spill_count,
-                        vec_stats.spill_count,
-                    )
-                )
-
+            )
     return results
 
 
@@ -810,10 +759,10 @@ def run_fault_matrix(
     the execution itself runs on the row engine.
     """
     outcomes: List[FaultOutcome] = []
-    extra = overrides or {}
-
-    def sweep(case_name: str, run) -> None:
-        baseline, base_stats = run()
+    base = ExecutorConfig(**(overrides or {}))
+    # Faults are planted under the default configuration only.
+    for case_name, config, run in iter_cases(quick, configs=(base,)):
+        baseline, base_stats = run(config)
         base_signature = stats_signature(base_stats)
         seen: dict = {}
         for label in _operator_labels(base_stats):
@@ -828,35 +777,16 @@ def run_fault_matrix(
                         # vector kernel; its faults belong to the "exchange"
                         # pseudo-engine above.
                         continue
-                    run_engine = "row" if engine == "exchange" else engine
+                    faulted = replace(
+                        config, engine="row" if engine == "exchange" else engine
+                    )
                     outcomes.append(
                         _check_fault(
                             case_name, engine, label, occurrence, kind,
-                            lambda engine=run_engine: run(engine),
+                            lambda faulted=faulted: run(faulted),
                             baseline, base_signature,
                         )
                     )
-
-    for sql_case in SQL_CASES:
-        db = sql_case.build(quick)
-
-        def run_sql(engine: str = "row", db=db, sql=sql_case.sql):
-            session = Session(
-                db, executor_config=ExecutorConfig(engine=engine, **extra)
-            )
-            report = session.report(sql)
-            return report.result, report.stats
-
-        sweep(sql_case.name, run_sql)
-
-    for plan_case in PLAN_CASES:
-        db = plan_case.build(quick)
-
-        def run_plan(engine: str = "row", db=db, plan=plan_case.plan):
-            return execute(db, plan(), ExecutorConfig(engine=engine, **extra))
-
-        sweep(plan_case.name, run_plan)
-
     return outcomes
 
 

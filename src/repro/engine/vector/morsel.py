@@ -55,19 +55,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.ops import GroupApply, PlanNode, Project, Select
 from repro.engine import faults
-from repro.engine.aggregation import distinct as row_distinct
-from repro.engine.aggregation import hash_group
-from repro.engine.dataset import DataSet
 from repro.engine.governor import ResourceGovernor, estimate_table_bytes
-from repro.engine.stats import ExecutionStats, NodeStats, PipelineStats
+from repro.engine.operators import project_columns
+from repro.engine.stats import ExecutionStats, PipelineStats
 from repro.engine.vector import kernels
 from repro.engine.vector.batch import ColumnBatch, _np
 from repro.errors import (
     ExecutionError,
-    MemoryLimitExceeded,
     ReproError,
     ResourceError,
-    annotate_operator,
+    raise_through_frames,
 )
 from repro.expressions.compile import (
     TRUE_CODE,
@@ -76,7 +73,6 @@ from repro.expressions.compile import (
     compile_group_expression,
     compile_predicate,
 )
-from repro.expressions.eval import ReusableRowScope, evaluate_predicate
 from repro.sqltypes.values import NULL, SqlValue, group_key, sql_add, sql_div
 
 
@@ -338,7 +334,7 @@ class _ProjectStage:
         return self.apply(schema)
 
     def apply(self, batch: ColumnBatch) -> ColumnBatch:
-        out = kernels.project_batch(batch, self.node.columns)
+        out = project_columns(self.node, batch)
         if not self.distinct:
             return out
         seen = self.seen
@@ -712,13 +708,8 @@ class MorselDriver:
                 governor.check(bottom_up[index].label)
             active = 0
             source = self.executor._execute(source_node, stats, governor)
-        except MemoryError as error:
-            converted = MemoryLimitExceeded(f"allocation failed: {error}")
-            self._annotate_up(converted, bottom_up, active, position)
-            raise converted from error
-        except ReproError as error:
-            self._annotate_up(error, bottom_up, active, position)
-            raise
+        except (MemoryError, ReproError) as error:
+            raise_through_frames(error, _frames(bottom_up, active, position))
         return self._stream(bottom_up, source, stats, governor, position)
 
     def _stream(
@@ -798,27 +789,17 @@ class MorselDriver:
                 pipe.morsels += n_morsels
                 pipe.note_inflight(parallel_inflight)
             else:
-                arity = len(source.names)
+
+                def visit(index: int, stage) -> None:
+                    nonlocal active
+                    active = index
+                    governor.tick(stage.label)
+
                 out_batches: List[ColumnBatch] = []
                 for m in range(n_morsels):
-                    lo = m * morsel_size
-                    current = source.slice(lo, min(n, lo + morsel_size))
-                    inflight = estimate_table_bytes(current.length, arity)
-                    for index, stage in enumerate(bottom_up):
-                        active = index
-                        governor.tick(stage.label)
-                        if stage is agg:
-                            agg.feed(current)
-                            inflight += estimate_table_bytes(
-                                len(agg.reps_raw), agg.out_arity
-                            )
-                        else:
-                            stage.in_rows += current.length
-                            current = stage.apply(current)
-                            stage.out_rows += current.length
-                            inflight += estimate_table_bytes(
-                                current.length, len(current.names)
-                            )
+                    current, inflight = run_morsel(
+                        source, m, morsel_size, bottom_up, visit
+                    )
                     if agg is None:
                         out_batches.append(current)
                     pipe.morsels += 1
@@ -829,19 +810,11 @@ class MorselDriver:
                 final = agg.finish()
             else:
                 final = _concat(schema, out_batches)
-        except MemoryError as error:
-            converted = MemoryLimitExceeded(f"allocation failed: {error}")
-            self._annotate_up(converted, bottom_up, active, position)
-            raise converted from error
-        except ResourceError as error:
-            self._annotate_up(error, bottom_up, active, position)
-            raise
-        except SegmentKernelError as error:
-            return self._degrade(
-                bottom_up, source, stats, governor, position,
-                error.stage_index, error,
-            )
+        except (MemoryError, ResourceError) as error:
+            raise_through_frames(error, _frames(bottom_up, active, position))
         except Exception as error:
+            if isinstance(error, SegmentKernelError):
+                active = error.stage_index  # a worker's stage, not ours
             return self._degrade(
                 bottom_up, source, stats, governor, position, active, error
             )
@@ -851,20 +824,13 @@ class MorselDriver:
         index = 0
         try:
             for index, stage in enumerate(bottom_up):
-                stats.record(
-                    id(stage.node),
-                    NodeStats(
-                        stage.label,
-                        stage.kind,
-                        (stage.in_rows,),
-                        stage.out_rows,
-                        stage.work(),
-                    ),
+                stats.record_node(
+                    stage.node, stage.kind, (stage.in_rows,),
+                    stage.out_rows, stage.work(),
                 )
                 governor.charge_rows(stage.out_rows, stage.label)
         except ReproError as error:
-            self._annotate_up(error, bottom_up, index, position)
-            raise
+            raise_through_frames(error, _frames(bottom_up, index, position))
         return final
 
     def _parallel_eligible(self, governor, n_morsels: int, chain) -> bool:
@@ -886,159 +852,81 @@ class MorselDriver:
         self, bottom_up, source, stats, governor, position, index, error
     ) -> ColumnBatch:
         label = bottom_up[index].label
+        frames = _frames(bottom_up, index, position)
         if not self.config.degrade:
-            if isinstance(error, ReproError):
-                self._annotate_up(error, bottom_up, index, position)
-                raise error
-            wrapped = ExecutionError(f"{type(error).__name__}: {error}")
-            self._annotate_up(wrapped, bottom_up, index, position)
-            raise wrapped from error
+            raise_through_frames(error, frames, wrap_bare=True)
         stats.note_degradation(label, error)
         try:
             governor.check(label)  # don't retry past the deadline
         except ReproError as check_error:
-            self._annotate_up(check_error, bottom_up, index, position)
-            raise
+            raise_through_frames(check_error, frames)
         for stage in bottom_up:  # discard partial streaming state
             _reset_stage(stage)
         return self._run_materialized(
             bottom_up, source, stats, governor, position
         )
 
-    # -- the materialized replica ----------------------------------------------
+    # -- the materialized replay -----------------------------------------------
 
     def _run_materialized(
         self, bottom_up, source, stats, governor, position
     ) -> ColumnBatch:
-        """The segment via the ordinary per-operator kernel ladders.
+        """The segment, one materialized operator at a time.
 
         Serves three roles with one code path: the single-morsel bypass,
         the empty-input path, and the whole-segment degradation fallback.
-        Each stage runs through ``VectorExecutor._kernel`` (injection
-        point, vector kernel, row-engine retry), records its
-        ``NodeStats``, and charges the governor — replicating the
-        materialized operator bodies over the retained source batch.
+        Each stage is the operator table's entry for its node, run by
+        :meth:`VectorExecutor.apply` (spill rule, injection point, vector
+        kernel, row-body retry, ``NodeStats``) over the retained source
+        batch; only the frame's tick and row charge are spelled here.
         """
-        executor = self.executor
-        params = executor.params
         current = source
         index = 0
         try:
             for index, stage in enumerate(bottom_up):
-                child = current
-                label = stage.label
-                governor.tick(label)
-                if stage.kind == "select":
-                    node = stage.node
-
-                    def compute():
-                        return kernels.filter_batch(
-                            child, node.condition, params
-                        )
-
-                    def row_path():
-                        dataset = child.to_dataset()
-                        scope = ReusableRowScope(dataset.columns)
-                        out_rows = []
-                        for row in dataset.rows:
-                            governor.tick("select")
-                            if evaluate_predicate(
-                                node.condition, scope.bind(row), params
-                            ).is_true():
-                                out_rows.append(row)
-                        filtered = DataSet(
-                            dataset.columns, out_rows,
-                            ordering=dataset.ordering,
-                        )
-                        return (
-                            ColumnBatch.from_dataset(filtered),
-                            dataset.cardinality,
-                        )
-
-                    batch, work = executor._kernel(
-                        label, stats, governor, compute, row_path
-                    )
-                elif stage.kind == "project":
-                    node = stage.node
-
-                    def compute():
-                        batch = kernels.project_batch(child, node.columns)
-                        work = child.length
-                        if node.distinct:
-                            batch, distinct_work = kernels.distinct_batch(
-                                batch
-                            )
-                            work += distinct_work
-                        return batch, work
-
-                    def row_path():
-                        dataset = child.to_dataset().project(node.columns)
-                        work = child.length
-                        if node.distinct:
-                            dataset, distinct_work = row_distinct(
-                                dataset, governor
-                            )
-                            work += distinct_work
-                        return ColumnBatch.from_dataset(dataset), work
-
-                    batch, work = executor._kernel(
-                        label, stats, governor, compute, row_path
-                    )
-                else:  # hash-mode group apply
-                    node = stage.node
-
-                    def compute():
-                        return kernels.grouped_aggregate(
-                            child, node.grouping_columns, node.aggregates,
-                            params,
-                        )
-
-                    def row_path():
-                        dataset, work = hash_group(
-                            child.to_dataset(), node.grouping_columns,
-                            node.aggregates, params, governor,
-                        )
-                        return ColumnBatch.from_dataset(dataset), work
-
-                    if governor.should_spill(
-                        estimate_table_bytes(child.length, len(child.names)),
-                        "group by",
-                    ):
-                        batch, work = row_path()
-                    else:
-                        batch, work = executor._kernel(
-                            label, stats, governor, compute, row_path
-                        )
-                stats.record(
-                    id(stage.node),
-                    NodeStats(
-                        label, stage.kind, (child.length,), batch.length, work
-                    ),
+                governor.tick(stage.label)
+                current = self.executor.apply(
+                    stage.node, (current,), stats, governor
                 )
-                governor.charge_rows(batch.length, label)
-                current = batch
+                governor.charge_rows(current.length, stage.label)
             return current
-        except MemoryError as error:
-            converted = MemoryLimitExceeded(f"allocation failed: {error}")
-            self._annotate_up(converted, bottom_up, index, position)
-            raise converted from error
-        except ReproError as error:
-            self._annotate_up(error, bottom_up, index, position)
-            raise
         except Exception as error:
-            wrapped = ExecutionError(f"{type(error).__name__}: {error}")
-            self._annotate_up(wrapped, bottom_up, index, position)
-            raise wrapped from error
+            raise_through_frames(
+                error, _frames(bottom_up, index, position), wrap_bare=True
+            )
 
-    @staticmethod
-    def _annotate_up(error, bottom_up, from_index, position) -> None:
-        """Breadcrumbs for fused frames: innermost-first, as if unwinding."""
-        top_index = len(bottom_up) - 1
-        for j in range(from_index, top_index + 1):
-            label = bottom_up[j].label
-            if j == top_index and position:
-                label = f"{position}:{label}"
-            annotate_operator(error, label)
+
+def _frames(bottom_up, from_index: int, position: str) -> List[str]:
+    """Breadcrumbs for fused frames: innermost-first, as if unwinding."""
+    frames = [stage.label for stage in bottom_up[from_index:]]
+    if position:
+        frames[-1] = f"{position}:{frames[-1]}"
+    return frames
+
+
+def run_morsel(source: ColumnBatch, m: int, morsel_size: int, stages, visit):
+    """Push morsel ``m`` of ``source`` through ``stages``, bottom-up.
+
+    The one per-morsel loop: the serial driver and every forked worker
+    run it.  ``visit(index, stage)`` fires before each stage — the serial
+    driver ticks the governor there, and both callers keep the index for
+    error attribution.  Returns what leaves the last non-aggregating stage
+    and the morsel's in-flight byte estimate.
+    """
+    lo = m * morsel_size
+    current = source.slice(lo, min(source.length, lo + morsel_size))
+    inflight = estimate_table_bytes(current.length, len(source.names))
+    for index, stage in enumerate(stages):
+        visit(index, stage)
+        if isinstance(stage, _AggStage):
+            stage.feed(current)
+            inflight += estimate_table_bytes(len(stage.reps_raw), stage.out_arity)
+        else:
+            stage.in_rows += current.length
+            current = stage.apply(current)
+            stage.out_rows += current.length
+            inflight += estimate_table_bytes(current.length, len(current.names))
+    return current, inflight
 
 
 def _reset_stage(stage) -> None:

@@ -34,11 +34,11 @@ try:  # pragma: no cover - exercised only where multiprocessing is absent
 except ImportError:  # pragma: no cover
     _mp = None
 
-from repro.engine.governor import ResourceGovernor, estimate_table_bytes
-from repro.engine.vector.morsel import SegmentKernelError, _reset_stage
+from repro.engine.governor import ResourceGovernor
+from repro.engine.vector.morsel import SegmentKernelError, _reset_stage, run_morsel
 
 #: The segment being executed, published for forked workers to inherit.
-#: (chain stages bottom-up, agg stage, source batch, morsel size, rows).
+#: (chain stages bottom-up, agg stage, source batch, morsel size).
 _TASK = None
 
 
@@ -102,29 +102,21 @@ def _run_range(task_range: Tuple[int, int]):
     pipe.
     """
     start, stop = task_range
-    chain, agg, source, morsel_size, n = _TASK
+    chain, agg, source, morsel_size = _TASK
+    stages = (*chain, agg)
     stage_index = 0
+
+    def visit(index: int, stage) -> None:
+        nonlocal stage_index
+        stage_index = index
+
     try:
-        for stage in (*chain, agg):
+        for stage in stages:
             _reset_stage(stage)
         max_inflight = 0
-        arity = len(source.names)
         for m in range(start, stop):
-            lo = m * morsel_size
-            current = source.slice(lo, min(n, lo + morsel_size))
-            inflight = estimate_table_bytes(current.length, arity)
-            for stage_index, stage in enumerate(chain):
-                stage.in_rows += current.length
-                current = stage.apply(current)
-                stage.out_rows += current.length
-                inflight += estimate_table_bytes(
-                    current.length, len(current.names)
-                )
-            stage_index = len(chain)
-            agg.feed(current)
-            inflight += estimate_table_bytes(len(agg.reps_raw), agg.out_arity)
-            if inflight > max_inflight:
-                max_inflight = inflight
+            __, inflight = run_morsel(source, m, morsel_size, stages, visit)
+            max_inflight = max(max_inflight, inflight)
         return agg.export_partial(
             [(stage.in_rows, stage.out_rows) for stage in chain], max_inflight
         )
@@ -159,7 +151,7 @@ def run_parallel_segment(
     """
     global _TASK
     ranges = _split_ranges(n_morsels, workers)
-    _TASK = (chain, agg, source, morsel_size, source.length)
+    _TASK = (chain, agg, source, morsel_size)
     try:
         ctx = _mp.get_context("fork")
         pool = ctx.Pool(processes=len(ranges))

@@ -123,6 +123,29 @@ def operator_path(error: BaseException) -> tuple:
     return tuple(getattr(error, "operator_path", ()))
 
 
+def raise_through_frames(error: BaseException, frames, wrap_bare: bool = False):
+    """Re-raise ``error`` as it leaves the operator frame(s) ``frames``.
+
+    What every executor frame does with an escaping exception: a raw
+    :class:`MemoryError` becomes the typed :class:`MemoryLimitExceeded`,
+    with ``wrap_bare`` any other non-Repro exception becomes an
+    :class:`ExecutionError` (so nothing escapes the vector engine bare),
+    and the typed error gains one breadcrumb per frame, innermost first.
+    """
+    if isinstance(error, MemoryError):
+        typed: BaseException = MemoryLimitExceeded(f"allocation failed: {error}")
+    elif isinstance(error, ReproError) or not wrap_bare:
+        typed = error
+    else:
+        typed = ExecutionError(f"{type(error).__name__}: {error}")
+    if isinstance(typed, ReproError):
+        for frame in frames:
+            annotate_operator(typed, frame)
+    if typed is error:
+        raise error
+    raise typed from error
+
+
 def error_exit_code(error: BaseException) -> int:
     """The ``repro`` CLI's exit-code family for an error.
 

@@ -151,7 +151,7 @@ def distribute_plan(plan: PlanNode, database: Database, config) -> PlanNode:
     # distributed totals against single-site without flipping the
     # ship-all vs two-phase choice.
     latency_weight = 0.0
-    if getattr(config, "transport", "memory") == "socket":
+    if config.transport == "socket":
         from repro.engine.shardrpc import active_pool
 
         live = active_pool()
@@ -202,7 +202,7 @@ def distribute_plan(plan: PlanNode, database: Database, config) -> PlanNode:
         ("keys", ", ".join(exchange.keys) or "(rowid)"),
         ("estimated-shipped-rows", f"{estimated_shipped:.6f}"),
         ("cost", f"{cost:.6f}"),
-        ("transport", getattr(config, "transport", "memory")),
+        ("transport", config.transport),
         ("per-site-latency", f"{latency_weight:.6f}"),
     ]
     if strategy == "two-phase":

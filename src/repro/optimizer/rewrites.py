@@ -50,6 +50,7 @@ from repro.algebra.ops import (
     fuse_group_apply,
     walk_plan,
 )
+from repro.algebra.rewrite_rules import REWRITE_RULES, normalize_rewrites
 from repro.analysis.certificates import attach_certificate, get_certificate
 from repro.analysis.nullability import rejects_null
 from repro.analysis.schema import (
@@ -71,49 +72,8 @@ from repro.expressions.ast import (
 )
 from repro.expressions.normalize import conjoin, split_conjuncts
 
-#: The rewrite rules, in the order the pass applies them.
-REWRITE_RULES: Tuple[str, ...] = (
-    "predicate_pushdown",
-    "join_reordering",
-    "projection_pruning",
-)
-
 #: Attribute set on a rewritten plan root so the executor never re-applies.
 _APPLIED_ATTR = "_certified_rewrites"
-
-
-def normalize_rewrites(value: object) -> Tuple[str, ...]:
-    """Canonicalize a user-facing rewrite spec to a tuple of rule names.
-
-    Accepts ``None``/``""``/``"none"``/``"off"`` (disabled), ``"all"``, a
-    comma-separated string, or an iterable of rule names.  Unknown names
-    raise ``ValueError`` listing the valid rules.
-    """
-    if value is None:
-        return ()
-    if isinstance(value, str):
-        text = value.strip()
-        if text in ("", "none", "off"):
-            return ()
-        names: Tuple[str, ...] = tuple(
-            part.strip() for part in text.split(",") if part.strip()
-        )
-    else:
-        names = tuple(value)
-    if "all" in names:
-        return REWRITE_RULES
-    seen: List[str] = []
-    for name in names:
-        if name not in REWRITE_RULES:
-            raise ValueError(
-                f"unknown rewrite rule {name!r}; valid rules: "
-                + ", ".join(REWRITE_RULES)
-                + ", all"
-            )
-        if name not in seen:
-            seen.append(name)
-    # Preserve the canonical application order regardless of spelling order.
-    return tuple(rule for rule in REWRITE_RULES if rule in seen)
 
 
 @dataclass(frozen=True)
@@ -854,3 +814,18 @@ def apply_rewrites(
             attach_certificate(current, eager)
     object.__setattr__(current, _APPLIED_ATTR, enabled)
     return RewriteOutcome(current, tuple(certificates))
+
+
+def apply_configured_rewrites(
+    plan: PlanNode, database: Database, config
+) -> RewriteOutcome:
+    """:func:`apply_rewrites` as an ``ExecutorConfig`` asks for it: the
+    config's rule set, costed for the join algorithm the executor will run
+    (``"auto"`` resolves to hash)."""
+    algorithm = config.join_algorithm
+    return apply_rewrites(
+        plan,
+        database,
+        config.rewrites,
+        join_algorithm="hash" if algorithm == "auto" else algorithm,
+    )

@@ -206,7 +206,7 @@ def recv_frame(stream: BinaryIO) -> Tuple[Dict[str, Any], int]:
 #: ExecutorConfig fields a coordinator may set on a shard execution.
 #: Everything else (budgets with coordinator-side meaning, cancellation
 #: tokens, shard topology) is pinned worker-side.
-_SHARD_CONFIG_FIELDS = frozenset({
+SHARD_CONFIG_FIELDS = frozenset({
     "engine", "join_algorithm", "aggregation", "exploit_orders",
     "morsel_size", "memory_limit_bytes", "max_rows", "spill", "degrade",
 })
@@ -303,7 +303,7 @@ class ShardWorker:
         overrides = {
             key: value
             for key, value in (request.get("config") or {}).items()
-            if key in _SHARD_CONFIG_FIELDS
+            if key in SHARD_CONFIG_FIELDS
         }
         config = ExecutorConfig(
             expose_rowids=True,

@@ -22,7 +22,7 @@ TestFD verdict, executed statistics) without hiding anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Tuple
 
 from repro.algebra.display import render_annotated
 from repro.algebra.ops import Apply, Group, PlanNode, Project, fuse_group_apply
@@ -332,14 +332,10 @@ class Session:
         """Apply configured certified rewrites; (plan, certificates)."""
         if not self.executor_config.rewrites:
             return plan, ()
-        from repro.optimizer.rewrites import apply_rewrites
+        from repro.optimizer.rewrites import apply_configured_rewrites
 
-        algorithm = self.executor_config.join_algorithm
-        outcome = apply_rewrites(
-            fuse_group_apply(plan),
-            self.database,
-            self.executor_config.rewrites,
-            join_algorithm="hash" if algorithm == "auto" else algorithm,
+        outcome = apply_configured_rewrites(
+            fuse_group_apply(plan), self.database, self.executor_config
         )
         return outcome.plan, outcome.certificates
 

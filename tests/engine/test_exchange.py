@@ -224,3 +224,53 @@ class TestDegrade:
                     wrap(group_plan(), shards=2, merge=True),
                     ExecutorConfig(degrade=False),
                 )
+
+
+class TestShardConfigWhitelist:
+    """One list of the ExecutorConfig fields a shard execution carries."""
+
+    def test_every_name_is_an_executor_config_field(self):
+        import dataclasses
+
+        from repro.server.transport import SHARD_CONFIG_FIELDS
+
+        fields = {field.name for field in dataclasses.fields(ExecutorConfig)}
+        assert SHARD_CONFIG_FIELDS <= fields
+
+    def test_socket_request_config_is_the_whitelist(self, monkeypatch):
+        # An in-process stand-in for the worker pool: the request the
+        # coordinator builds is what is under test, not the sockets.
+        from repro.engine import shardrpc
+        from repro.server.transport import SHARD_CONFIG_FIELDS, ShardWorker
+
+        requests = []
+
+        class InProcessPool:
+            counters = shardrpc.RpcCounters()
+            worker = ShardWorker()
+
+            def execute(self, index, request):
+                requests.append(request)
+                return self.worker.handle(
+                    dict(request, request_id=f"r{len(requests)}")
+                )
+
+            def health(self):
+                return []
+
+        monkeypatch.setattr(shardrpc, "get_pool", lambda *a, **k: InProcessPool())
+        db = make_db()
+        config = ExecutorConfig(aggregation="sort", morsel_size=16)
+        base, __ = execute(db, group_plan(), config)
+        sharded, __ = execute(
+            db,
+            wrap(group_plan(), shards=2, merge=True),
+            ExecutorConfig(aggregation="sort", morsel_size=16, transport="socket"),
+        )
+        assert sharded.rows == base.rows
+        assert len(requests) == 2
+        for request in requests:
+            assert set(request["config"]) == SHARD_CONFIG_FIELDS
+            assert request["config"]["aggregation"] == "sort"
+            assert request["config"]["morsel_size"] == 16
+

@@ -1,0 +1,155 @@
+"""One body per operator: every execution path reads the operator table.
+
+(i) The row body registered in :data:`repro.engine.operators.OPERATORS` is
+the one the row engine runs, the one a faulted vector kernel falls back
+to, and the one a degraded streamed segment replays through — with the
+statistics of the unfaulted run each time.  (ii) Nothing else under
+``src/repro/engine/`` calls the operator implementations directly.
+"""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+import repro.engine
+from repro.algebra.ops import AggregateSpec, GroupApply, Join, Relation, Select
+from repro.catalog.catalog import Database
+from repro.catalog.schema import Column, TableSchema
+from repro.engine import faults
+from repro.engine.executor import ExecutorConfig, execute
+from repro.engine.operators import OPERATORS
+from repro.engine.stats import NodeStats
+from repro.engine.vector.differential import stats_signature
+from repro.expressions.builder import col, count_star, eq, gt, sum_
+from repro.sqltypes.datatypes import INTEGER
+
+
+def make_db() -> Database:
+    db = Database()
+    db.create_table(TableSchema("T", [Column("k", INTEGER), Column("v", INTEGER)]))
+    db.create_table(TableSchema("D", [Column("k", INTEGER), Column("w", INTEGER)]))
+    for i in range(200):
+        db.table("T").insert([i % 9, i])
+    for k in range(9):
+        db.table("D").insert([k, k * 10])
+    return db
+
+
+def make_plan() -> GroupApply:
+    joined = Join(Relation("T", "T"), Relation("D", "D"), eq(col("T.k"), col("D.k")))
+    return GroupApply(
+        Select(joined, gt(col("T.v"), 10)),
+        ["T.k"],
+        [AggregateSpec("n", count_star()), AggregateSpec("s", sum_("T.v"))],
+    )
+
+
+def the_node(plan: GroupApply, node_type: type):
+    return {GroupApply: plan, Select: plan.child, Join: plan.child.child}[node_type]
+
+
+@pytest.mark.parametrize("node_type", [Select, Join, GroupApply])
+def test_every_path_runs_the_one_row_body(monkeypatch, node_type):
+    operator = OPERATORS[node_type]
+    calls = []
+
+    def counting_row(node, inputs, env, governor):
+        calls.append(type(env).__name__)
+        return operator.row(node, inputs, env, governor)
+
+    monkeypatch.setitem(
+        OPERATORS, node_type, dataclasses.replace(operator, row=counting_row)
+    )
+    db = make_db()
+    label = the_node(make_plan(), node_type).label()
+
+    def run(**config):
+        return execute(db, make_plan(), ExecutorConfig(**config))
+
+    def kernel_fault():
+        return faults.FaultSpec("kernel", engine="vector", label=label)
+
+    # The row engine.
+    expected, row_stats = run(engine="row")
+    signature = stats_signature(row_stats)
+    assert calls == ["Executor"]
+
+    # A materialized vector run: unfaulted it never touches the row body;
+    # with a kernel fault at the operator it falls back to exactly it.
+    materialized = {"engine": "vector", "morsel_size": None}
+    __, clean_stats = run(**materialized)
+    assert calls == ["Executor"] and clean_stats.degradations == 0
+    with faults.inject(kernel_fault()):
+        result, stats = run(**materialized)
+    assert calls == ["Executor", "VectorExecutor"]
+    assert stats.degradations == 1
+    assert result.equals_multiset(expected)
+    assert stats_signature(stats) == signature == stats_signature(clean_stats)
+
+    # A streamed run (13 morsels).  Select and GroupApply are fused into
+    # the segment: the first fault degrades the whole segment, the second
+    # hits the operator again inside the materialized replay, which falls
+    # back to the same row body.  The Join is the segment's source and
+    # degrades on its own.
+    streamed = {"engine": "vector", "morsel_size": 16}
+    __, clean_stats = run(**streamed)
+    assert clean_stats.pipelines.morsels > 1 and clean_stats.degradations == 0
+    planted = [kernel_fault()] if node_type is Join else [kernel_fault()] * 2
+    with faults.inject(*planted) as injector:
+        result, stats = run(**streamed)
+    assert len(injector.fired) == len(planted)
+    assert calls == ["Executor", "VectorExecutor", "VectorExecutor"]
+    assert stats.degradations == len(planted)
+    assert result.equals_multiset(expected)
+    assert stats_signature(stats) == signature == stats_signature(clean_stats)
+
+
+# -- (ii) one call site per operator implementation ----------------------------
+
+ENGINE_ROOT = Path(repro.engine.__file__).parent
+#: The implementations themselves, and the harnesses that call them to
+#: measure or cross-check them.
+EXEMPT = {
+    "joins.py", "aggregation.py", "sorting.py",
+    "vector/bench.py", "vector/differential.py",
+}
+SINGLE_CALL_SITE = (
+    "hash_join", "sort_merge_join", "nested_loop_join", "sort_group",
+    "filter_batch", "project_batch", "evaluate_predicate",
+)
+
+
+def engine_sources():
+    for path in sorted(ENGINE_ROOT.rglob("*.py")):
+        relative = path.relative_to(ENGINE_ROOT).as_posix()
+        if relative not in EXEMPT:
+            yield relative, ast.parse(path.read_text())
+
+
+def call_sites(name: str):
+    sites = []
+    for relative, tree in engine_sources():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = getattr(func, "attr", None) or getattr(func, "id", None)
+            if called == name:
+                sites.append(f"{relative}:{node.lineno}")
+    return sites
+
+
+@pytest.mark.parametrize("name", SINGLE_CALL_SITE)
+def test_operator_implementation_has_one_call_site(name):
+    sites = call_sites(name)
+    assert len(sites) == 1, sites
+    assert sites[0].startswith("operators.py:")
+
+
+def test_node_stats_is_built_in_one_place():
+    [site] = call_sites(NodeStats.__name__)
+    assert site.startswith("stats.py:")  # ExecutionStats.record_node

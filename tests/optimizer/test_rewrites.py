@@ -75,9 +75,15 @@ class TestNormalizeRewrites:
             normalize_rewrites("bogus")
 
     def test_executor_config_stays_in_sync(self):
-        # ExecutorConfig.__post_init__ inlines the rule list to avoid a
-        # circular import; this is the test that keeps the copies equal.
-        assert ExecutorConfig(rewrites="all").rewrites == REWRITE_RULES
+        # One rule list, one parser: the optimizer re-exports what
+        # ExecutorConfig.__post_init__ calls.
+        import repro.engine.executor as executor_module
+        from repro.algebra import rewrite_rules
+
+        assert REWRITE_RULES is rewrite_rules.REWRITE_RULES
+        assert normalize_rewrites is rewrite_rules.normalize_rewrites
+        assert executor_module.normalize_rewrites is normalize_rewrites
+        assert ExecutorConfig(rewrites="all").rewrites is REWRITE_RULES
         for rule in REWRITE_RULES:
             assert ExecutorConfig(rewrites=rule).rewrites == (rule,)
         with pytest.raises(ValueError):

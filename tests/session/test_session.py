@@ -171,3 +171,14 @@ class TestViewQueries:
         # Either order is legal here; the report must expose the decision.
         assert report.strategy in ("eager", "standard")
         assert report.choice.decision.valid
+
+
+def test_query_report_annotations_resolve():
+    # Every name QueryReport's annotations use must be importable from
+    # session.py (a missing ``Tuple`` import once made this raise).
+    import typing
+
+    from repro.session import QueryReport
+
+    hints = typing.get_type_hints(QueryReport)
+    assert hints["rewrites"] is typing.Tuple
