@@ -71,6 +71,19 @@ def _values_extractor(indexes: Sequence[int]):
     return itemgetter(*indexes)
 
 
+def finish_average(total: SqlValue, count: SqlValue) -> SqlValue:
+    """AVG from its folded SUM and COUNT — the one finalisation every
+    path shares (this reference, the vector fold, the two-phase splice).
+
+    No values is NULL.  An integer total — BOOLEAN included, ``True`` is
+    an ``int`` — takes true division, so AVG over integers is fractional;
+    anything else the NULL-propagating ``sql_div``.
+    """
+    if is_null(count) or count == 0:
+        return NULL
+    return total / count if isinstance(total, int) else sql_div(total, count)
+
+
 def compute_aggregate(
     aggregate: Aggregate,
     dataset: DataSet,
@@ -107,7 +120,7 @@ def compute_aggregate(
         total = values[0]
         for value in values[1:]:
             total = sql_add(total, value)
-        return sql_div(total, len(values)) if not isinstance(total, int) else total / len(values)
+        return finish_average(total, len(values))
     if function == "MIN":
         return min(values, key=lambda v: sort_key((v,)))
     if function == "MAX":

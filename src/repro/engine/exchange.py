@@ -67,6 +67,7 @@ from repro.algebra.ops import (
 )
 from repro.catalog.catalog import Database
 from repro.engine import faults
+from repro.engine.aggregation import finish_average
 from repro.engine.dataset import DataSet
 from repro.engine.faults import KernelFault
 from repro.engine.governor import ResourceGovernor
@@ -79,7 +80,7 @@ from repro.server.transport import (
     WIRE_PICKLE_PROTOCOL,
     restricted_loads,
 )
-from repro.sqltypes.values import NULL, SqlValue, is_null, sort_key, sql_div
+from repro.sqltypes.values import SqlValue, sort_key
 from repro.storage.partition import PartitionSpec, partition_table
 
 #: Hidden partial column carrying each group's first-appearance RowID.
@@ -514,8 +515,7 @@ def _merge_two_phase(
         return merged
 
     # Splice each AVG back together from its merged SUM/COUNT pair,
-    # finalizing exactly as the one-phase operator does (integer totals
-    # use true division, everything else the NULL-propagating sql_div).
+    # finalizing exactly as the one-phase operator does.
     n_group = len(grouping)
     merged_index = {name: i for i, name in enumerate(merged.columns)}
     out_columns = merged.columns[:n_group] + tuple(
@@ -527,14 +527,11 @@ def _merge_two_phase(
         for position, spec in enumerate(merged_specs):
             if spec.function == "AVG":
                 sum_name, count_name = avg_pairs[position]
-                total = row[merged_index[sum_name]]
-                count = row[merged_index[count_name]]
-                if is_null(count) or count == 0:
-                    values.append(NULL)
-                elif isinstance(total, int) and not isinstance(total, bool):
-                    values.append(total / count)
-                else:
-                    values.append(sql_div(total, count))
+                values.append(
+                    finish_average(
+                        row[merged_index[sum_name]], row[merged_index[count_name]]
+                    )
+                )
             else:
                 values.append(row[merged_index[spec.name]])
         out_rows.append(tuple(values))

@@ -121,16 +121,22 @@ class _Gather:
             return [source[i] for i in self.sel[index]]
         return self.source[self.sel[index]]
 
-    def slice_view(self, start: int, stop: int) -> "_Gather":
+    def slice_view(self, start: int, stop: int, narrowed: dict) -> "_Gather":
         """A lazy sub-gather of rows [start, stop) sharing the source.
 
         The narrowed selection is a view wherever the representation
         allows one (numpy index arrays, ranges); no source values are
-        touched until the sub-gather is itself read.
+        touched until the sub-gather is itself read.  ``narrowed`` is the
+        slicing batch's memo of selections it has already narrowed: the
+        columns of one join side share one selection vector, and they must
+        still share one after the slice (:meth:`ColumnBatch.shared_gather`).
         """
         if self._data is not None:
             return _Gather(self._data, range(start, stop), None)
-        return _Gather(self.source, self.sel[start:stop], self.source_array)
+        sel = narrowed.get(id(self.sel))
+        if sel is None:
+            sel = narrowed[id(self.sel)] = self.sel[start:stop]
+        return _Gather(self.source, sel, self.source_array)
 
 
 #: A column is any indexable sequence of SQL values (list, tuple, _Repeat,
@@ -333,6 +339,32 @@ class ColumnBatch:
         """
         return self._arrays.get(index)
 
+    def shared_gather(self, indexes: Sequence[int]):
+        """``(source batch, selection array)`` when the columns at
+        ``indexes`` are all unmaterialized gathers, through one shared
+        selection vector, of fewer rows than this batch has — one side of
+        a join that fans out — else ``None``.  The source batch holds the
+        un-gathered columns, array views included.  Needs numpy."""
+        columns = [self.columns[i] for i in indexes]
+        head = columns[0]
+        if not all(
+            isinstance(column, _Gather)
+            and column._data is None
+            and column.sel is head.sel
+            and 0 < len(column.source) == len(head.source) < self.length
+            for column in columns
+        ):
+            return None
+        source = ColumnBatch(
+            [self.names[i] for i in indexes],
+            [column.source for column in columns],
+            length=len(head.source),
+        )
+        for j, column in enumerate(columns):
+            if column.source_array is not None:
+                source._arrays[j] = column.source_array
+        return source, head.sel_array()
+
     def plain_keys_on(self, indexes: Sequence[int]) -> bool:
         """Can raw value tuples serve as ``=ⁿ`` group keys on these columns?
 
@@ -395,11 +427,12 @@ class ColumnBatch:
         start = max(0, min(start, self.length))
         stop = max(start, min(stop, self.length))
         columns: List[Column] = []
+        narrowed: Dict[int, object] = {}
         for i, column in enumerate(self.columns):
             if isinstance(column, _Repeat):
                 columns.append(_Repeat(column.value, stop - start))
             elif isinstance(column, _Gather):
-                columns.append(column.slice_view(start, stop))
+                columns.append(column.slice_view(start, stop, narrowed))
             else:
                 cached = self._arrays.get(i, _MISSING)
                 if cached is None:

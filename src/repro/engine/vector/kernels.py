@@ -6,8 +6,8 @@ Each kernel mirrors one row-engine operator (``engine/joins.py``,
 cost study must not be able to tell the backends apart.  What changes is
 the inner loop: predicates and aggregate arguments are compiled once per
 operator (:mod:`repro.expressions.compile`) and applied to whole columns,
-selection vectors replace row copying, and grouped aggregation streams
-per-group accumulators instead of materializing row lists per group.
+selection vectors replace row copying, and grouped aggregation folds
+per-group accumulators (:mod:`.grouping`) instead of row lists per group.
 
 NULL handling follows the per-batch type census: kernels consult
 :meth:`ColumnBatch.column_kinds` to decide whether the ``=ⁿ``/3VL-aware
@@ -22,23 +22,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.algebra.ops import AggregateSpec
 from repro.engine.joins import extract_equi_keys
 from repro.engine.vector.batch import ColumnBatch, _Gather, _Repeat, _np
-from repro.errors import ExecutionError
+from repro.engine.vector.grouping import GroupedFold
 from repro.expressions.ast import Expression
-from repro.expressions.compile import (
-    TRUE_CODE,
-    GroupVectors,
-    compile_aggregate_arguments,
-    compile_group_expression,
-    compile_predicate,
-)
-from repro.sqltypes.values import (
-    NULL,
-    SqlValue,
-    group_key,
-    sort_key,
-    sql_add,
-    sql_div,
-)
+from repro.expressions.compile import TRUE_CODE, compile_predicate
+from repro.sqltypes.values import NULL, SqlValue, group_key, sort_key
 
 Params = Optional[Mapping[str, SqlValue]]
 
@@ -448,327 +435,6 @@ def _np_sort_perm(batch: ColumnBatch, indexes: Sequence[int], flags: Sequence[bo
 # -- grouped aggregation -----------------------------------------------------
 
 
-class _Accumulator:
-    """Streaming per-group state for one aggregate (pipelined fold).
-
-    Folds values in the order they are fed, which the caller arranges to
-    match the row engine exactly: input order for hash grouping, sorted
-    order for sort grouping.  SUM/AVG accumulate with ``sql_add`` starting
-    from the first value; MIN/MAX keep the first value among sort-key ties
-    (strict ``<``/``>`` replacement, same as ``min(..., key=sort_key)``).
-    """
-
-    __slots__ = ("function", "distinct", "state", "counts", "seen")
-
-    def __init__(self, function: str, distinct: bool, n_groups: int) -> None:
-        self.function = function
-        self.distinct = distinct
-        self.state: List[SqlValue] = [NULL] * n_groups
-        self.counts = [0] * n_groups
-        self.seen: Optional[List[Dict[Tuple, None]]] = (
-            [{} for __ in range(n_groups)] if distinct else None
-        )
-
-    def feed(self, gid: int, value: SqlValue) -> None:
-        if value is NULL:
-            return
-        if self.seen is not None:
-            key = group_key((value,))
-            bucket = self.seen[gid]
-            if key in bucket:
-                return
-            bucket[key] = None
-        function = self.function
-        count = self.counts[gid]
-        self.counts[gid] = count + 1
-        if function == "COUNT":
-            return
-        if count == 0:
-            self.state[gid] = value
-        elif function in ("SUM", "AVG"):
-            self.state[gid] = sql_add(self.state[gid], value)
-        elif function == "MIN":
-            if _strictly_less(value, self.state[gid]):
-                self.state[gid] = value
-        elif function == "MAX":
-            if _strictly_less(self.state[gid], value):
-                self.state[gid] = value
-        else:
-            raise ExecutionError(f"unknown aggregate function {function}")
-
-    def finish(self) -> List[SqlValue]:
-        if self.function == "COUNT":
-            return list(self.counts)
-        if self.function == "AVG":
-            return [
-                NULL
-                if count == 0
-                else (
-                    sql_div(total, count)
-                    if not isinstance(total, int)
-                    else total / count
-                )
-                for total, count in zip(self.state, self.counts)
-            ]
-        return self.state
-
-
-def _strictly_less(left: SqlValue, right: SqlValue) -> bool:
-    # Non-NULL values only (NULLs were skipped); NullsFirstKey then
-    # delegates to plain ``<``, so compare directly.
-    return left < right  # type: ignore[operator]
-
-
-def _factorize_generic(
-    batch: ColumnBatch,
-    group_indexes: Tuple[int, ...],
-    key_columns: List[Sequence[SqlValue]],
-    mode: str,
-    presorted: bool,
-) -> Tuple[List[int], List[int], Optional[List[int]], int]:
-    """Reference grouping: (group_of, reps, fold_perm, sort_work).
-
-    Per-row grouping keys are raw value tuples when the type census shows
-    no NULL/BOOLEAN on the grouping columns (raw tuple equality then
-    agrees with group_key equality), the full ``=ⁿ`` key otherwise.
-    ``fold_perm`` is ``None`` when rows fold in input order.
-    """
-    n = batch.length
-    if not group_indexes:
-        keys: Sequence[Tuple] = _Repeat((), n)
-    elif batch.plain_keys_on(group_indexes):
-        keys = (
-            [(value,) for value in key_columns[0]]
-            if len(key_columns) == 1
-            else list(zip(*key_columns))
-        )
-    else:
-        keys = [group_key(row) for row in zip(*key_columns)] if n else []
-
-    group_of: List[int] = [0] * n
-    reps: List[int] = []
-    if mode == "sort":
-        if presorted:
-            perm: Sequence[int] = range(n)
-            fold_perm: Optional[List[int]] = None
-            sort_work = 0
-        else:
-            sort_keys = (
-                keys
-                if not group_indexes
-                else [
-                    sort_key(tuple(batch.columns[i][r] for i in group_indexes))
-                    for r in range(n)
-                ]
-            )
-            perm = sorted(range(n), key=sort_keys.__getitem__)
-            fold_perm = list(perm)
-            sort_work = _sort_cost(n) if n > 1 else n
-        # Boundary scan: a new group starts whenever the key changes between
-        # consecutive rows of the sorted sequence (exactly sort_group's
-        # flush condition).
-        previous: object = _SENTINEL
-        gid = -1
-        for r in perm:
-            key = keys[r]
-            if gid < 0 or key != previous:
-                gid += 1
-                reps.append(r)
-                previous = key
-            group_of[r] = gid
-        return group_of, reps, fold_perm, sort_work
-    table: Dict[Tuple, int] = {}
-    for r in range(n):
-        key = keys[r]
-        gid = table.get(key)
-        if gid is None:
-            gid = len(reps)
-            table[key] = gid
-            reps.append(r)
-        group_of[r] = gid
-    return group_of, reps, None, 0
-
-
-def _factorize_fast(
-    batch: ColumnBatch,
-    group_indexes: Tuple[int, ...],
-    mode: str,
-    presorted: bool,
-):
-    """C-speed grouping, or ``None`` when only the generic path is sound.
-
-    Two strategies, both provably ``=ⁿ``-equivalent to the generic path:
-
-    * *shared-selection gathers* (hash mode): every grouping column is an
-      unmaterialized gather through the same selection vector — e.g. all
-      came from one side of a join.  Factorize the (much smaller) source
-      rows with ``group_key``, then gather + compact the ids.
-    * *array keys*: homogeneous null-free int/float grouping columns with
-      no NaN — raw equality is ``=ⁿ`` equality and a stable argsort is
-      ``sort_key`` order, so ids come from ``np.unique``/boundary flags.
-
-    Returns (group_of int64 array, reps, fold_perm array or None,
-    sort_work); reps is the first row of each group in the row engine's
-    processing order (input order for hash, sorted order for sort).
-    """
-    if _np is None or not group_indexes:
-        return None
-    n = batch.length
-    columns = [batch.columns[i] for i in group_indexes]
-
-    if mode == "hash" and all(
-        isinstance(column, _Gather) and column._data is None for column in columns
-    ):
-        shared_sel = columns[0].sel
-        sources = [column.source for column in columns]
-        m = len(sources[0])
-        if (
-            all(column.sel is shared_sel for column in columns)
-            and 0 < m <= n  # factorizing the source must not exceed one pass
-            and all(len(source) == m for source in sources)
-        ):
-            table: Dict[Tuple, int] = {}
-            src_gid = _np.empty(m, dtype=_np.int64)
-            source_keys = (
-                ((value,) for value in sources[0])
-                if len(sources) == 1
-                else zip(*sources)
-            )
-            for j, raw in enumerate(source_keys):
-                key = group_key(raw)
-                gid = table.get(key)
-                if gid is None:
-                    gid = len(table)
-                    table[key] = gid
-                src_gid[j] = gid
-            gids = src_gid[columns[0].sel_array()]
-            __, first, inverse = _np.unique(
-                gids, return_index=True, return_inverse=True
-            )
-            return inverse.reshape(-1), first.tolist(), None, 0
-
-    arrays = []
-    for i in group_indexes:
-        arr = batch.as_array(i)
-        if arr is None:
-            return None
-        if arr.dtype.kind == "f" and _np.isnan(arr).any():
-            return None  # NaN equality/order differs from the Python path
-        arrays.append(arr)
-
-    if mode == "hash":
-        codes = arrays[0] if len(arrays) == 1 else _combine_codes(arrays)
-        __, first, inverse = _np.unique(codes, return_index=True, return_inverse=True)
-        return inverse.reshape(-1), first.tolist(), None, 0
-
-    if presorted:
-        perm = None
-        ordered = arrays
-    else:
-        if len(arrays) == 1:
-            perm = _np.argsort(arrays[0], kind="stable")
-        else:
-            perm = _np.lexsort(tuple(reversed(arrays)))
-        ordered = [arr[perm] for arr in arrays]
-    change = _np.zeros(n, dtype=bool)
-    change[0] = True
-    for arr in ordered:
-        change[1:] |= arr[1:] != arr[:-1]
-    gids_in_order = _np.cumsum(change) - 1
-    if perm is None:
-        return gids_in_order, _np.flatnonzero(change).tolist(), None, 0
-    group_of = _np.empty(n, dtype=_np.int64)
-    group_of[perm] = gids_in_order
-    return group_of, perm[change].tolist(), perm, _sort_cost(n)
-
-
-def _combine_codes(arrays):
-    """Collapse multiple key arrays into one int64 code array.
-
-    Each column is factorized independently, then codes are mixed with a
-    positional radix; renormalizing after every step keeps every code
-    below n², far inside int64.
-    """
-    codes = _np.unique(arrays[0], return_inverse=True)[1].reshape(-1)
-    for arr in arrays[1:]:
-        nxt = _np.unique(arr, return_inverse=True)[1].reshape(-1)
-        width = int(nxt.max()) + 1 if nxt.size else 1
-        codes = _np.unique(codes * width + nxt, return_inverse=True)[1].reshape(-1)
-    return codes
-
-
-def _values_array(values: Sequence[SqlValue], batch: ColumnBatch):
-    """An exact numpy view of an aggregate-argument column, or ``None``.
-
-    A column taken straight from the batch reuses its cached array view;
-    a computed column (arithmetic over columns) converts if its dtype
-    lands exactly on int64/float64 — NULL, strings, or plain bools make
-    the conversion refuse (object/bool/str dtypes), forcing the streaming
-    fallback.
-    """
-    for index, column in enumerate(batch.columns):
-        if column is values:
-            return batch.as_array(index)
-    if isinstance(values, list):
-        try:
-            arr = _np.asarray(values)
-        except (OverflowError, ValueError, TypeError):
-            return None
-        if arr.ndim == 1 and (arr.dtype == _np.int64 or arr.dtype == _np.float64):
-            return arr
-    return None
-
-
-def _fold_fast(
-    function: str,
-    values: Sequence[SqlValue],
-    batch: ColumnBatch,
-    group_of,
-    fold_perm,
-    n_groups: int,
-) -> Optional[List[SqlValue]]:
-    """COUNT/SUM/AVG per group via ``np.bincount``, or ``None``.
-
-    ``bincount`` accumulates sequentially, so per-group float sums fold in
-    exactly the order the rows are presented (``fold_perm`` reorders to
-    the row engine's fold order); starting from 0.0 is exact because
-    ``0.0 + x == x``.  Integer sums go through float64 weights only when
-    ``max|v|·n < 2⁵³`` guarantees every partial sum is exact; otherwise
-    the caller's arbitrary-precision fallback runs.  Every group has at
-    least one row and the array view excludes NULL, so the empty-bag →
-    NULL case cannot arise here.
-    """
-    if function not in ("COUNT", "SUM", "AVG"):
-        return None
-    arr = _values_array(values, batch)
-    if arr is None:
-        return None
-    gids = group_of
-    if fold_perm is not None:
-        gids = gids[fold_perm]
-        arr = arr[fold_perm]
-    if function == "COUNT":
-        return _np.bincount(gids, minlength=n_groups).tolist()
-    if arr.dtype.kind == "i":
-        amax = int(_np.abs(arr).max()) if arr.size else 0
-        if amax < 0 or amax * arr.size >= 2 ** 53:
-            return None
-        totals = (
-            _np.bincount(gids, weights=arr, minlength=n_groups)
-            .astype(_np.int64)
-            .tolist()
-        )
-    else:
-        totals = _np.bincount(gids, weights=arr, minlength=n_groups).tolist()
-    if function == "SUM":
-        return totals
-    counts = _np.bincount(gids, minlength=n_groups).tolist()
-    return [
-        sql_div(total, count) if not isinstance(total, int) else total / count
-        for total, count in zip(totals, counts)
-    ]
-
-
 def grouped_aggregate(
     batch: ColumnBatch,
     grouping_columns: Sequence[str],
@@ -777,7 +443,7 @@ def grouped_aggregate(
     mode: str = "hash",
     presorted: bool = False,
 ) -> Tuple[ColumnBatch, int]:
-    """G[GA] + F(AA): grouped aggregation with pipelined accumulators.
+    """G[GA] + F(AA): the grouped fold (:mod:`.grouping`) fed one batch.
 
     ``mode="hash"`` mirrors :func:`repro.engine.aggregation.hash_group`
     (groups in first-appearance order, work = n + groups); ``mode="sort"``
@@ -785,116 +451,14 @@ def grouped_aggregate(
     boundary scan, output ordered by the grouping columns, work =
     n·log₂n + n, or n + groups when ``presorted``).
     """
-    group_indexes = batch.indexes_of(grouping_columns)
     n = batch.length
-    key_columns = [batch.columns[i] for i in group_indexes]
-
-    # Grouping = factorization: assign each row a dense group id, pick the
-    # row engine's representative per group, and remember the order rows
-    # must be folded in.  The C-speed path handles null-free numeric keys
-    # and shared-selection gathers; everything else takes the generic path.
-    group_of: Optional[List[int]] = None
-    group_of_array = None
-    fold_perm_list: Optional[List[int]] = None  # None = fold in input order
-    fold_perm_array = None
-    fast = _factorize_fast(batch, group_indexes, mode, presorted) if n else None
-    if fast is not None:
-        group_of_array, reps, fold_perm_array, sort_work = fast
-    else:
-        group_of, reps, fold_perm_list, sort_work = _factorize_generic(
-            batch, group_indexes, key_columns, mode, presorted
-        )
-        if _np is not None and n >= 1024:
-            group_of_array = _np.asarray(group_of, dtype=_np.int64)
-            if fold_perm_list is not None:
-                fold_perm_array = _np.asarray(fold_perm_list, dtype=_np.intp)
-
-    n_groups = len(reps)
-    order: Optional[Sequence[int]] = None  # fold order as Python ints, lazy
-
-    # Compile each distinct aggregate's argument once, evaluate it over the
-    # whole batch, then fold per group — at C speed via bincount where the
-    # value column has an exact array view, streaming otherwise.
-    compiled, slots = compile_aggregate_arguments(specs, batch.names)
-    agg_columns: List[List[SqlValue]] = []
-    for aggregate in compiled:
-        if aggregate.argument is None:  # COUNT(*): group sizes
-            if group_of_array is not None:
-                agg_columns.append(
-                    _np.bincount(group_of_array, minlength=n_groups).tolist()
-                )
-            else:
-                sizes = [0] * n_groups
-                for gid in group_of:
-                    sizes[gid] += 1
-                agg_columns.append(sizes)
-            continue
-        values = aggregate.argument(batch, params)
-        column: Optional[List[SqlValue]] = None
-        if group_of_array is not None and not aggregate.distinct:
-            column = _fold_fast(
-                aggregate.function,
-                values,
-                batch,
-                group_of_array,
-                fold_perm_array,
-                n_groups,
-            )
-        if column is None:
-            if group_of is None:
-                group_of = group_of_array.tolist()
-            if order is None:
-                if fold_perm_list is not None:
-                    order = fold_perm_list
-                elif fold_perm_array is not None:
-                    order = fold_perm_array.tolist()
-                else:
-                    order = range(n)
-            accumulator = _Accumulator(
-                aggregate.function, aggregate.distinct, n_groups
-            )
-            feed = accumulator.feed
-            for r in order:
-                feed(group_of[r], values[r])
-            column = accumulator.finish()
-        agg_columns.append(column)
-
-    # Evaluate each spec's F(AA) arithmetic over the per-group vectors.
-    groups = GroupVectors(batch, reps, agg_columns)
-    spec_columns = [
-        compile_group_expression(spec.expression, batch.names, slots)(groups, params)
-        for spec in specs
-    ]
-
-    out_names = tuple(batch.names[i] for i in group_indexes) + tuple(
-        spec.name for spec in specs
-    )
-    out_columns: List[Sequence[SqlValue]] = [
-        [column[r] for r in reps] for column in key_columns
-    ]
-    out_columns.extend(spec_columns)
-
-    if mode == "sort":
-        ordering: Tuple[str, ...] = out_names[: len(grouping_columns)]
-        if presorted:
-            work = n + n_groups
-        else:
-            work = sort_work + n
-    else:
-        ordering = ()
-        work = n + n_groups
-    result = ColumnBatch(out_names, out_columns, length=n_groups, ordering=ordering)
-    return result, work
-
-
-class _Sentinel:
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return 0
-
-
-_SENTINEL = _Sentinel()
+    fold = GroupedFold(batch, grouping_columns, specs, params)
+    sort_work = 0
+    if mode == "sort" and not presorted:
+        batch, sort_work = sort_batch(batch, grouping_columns)
+    representatives = fold.feed(batch, runs=mode == "sort")
+    result = fold.finish(batch, representatives)
+    if mode != "sort":
+        return result, n + result.length
+    work = n + result.length if presorted else sort_work + n
+    return result.with_ordering(result.names[: len(grouping_columns)]), work

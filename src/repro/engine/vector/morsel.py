@@ -39,41 +39,30 @@ materialized run would.  The same routine is the single-morsel bypass
 (inputs no larger than one morsel take the materialized path outright,
 keeping small-query behaviour bit-identical) and the empty-input path.
 
-Determinism under reordering: morsel boundaries change *when* partial
-aggregation states are merged, never *what* they merge to.  COUNT and
-integer SUM/AVG partials merge with exact integer arithmetic; MIN/MAX
-merge with the same strict comparison the sequential fold uses; DISTINCT
-aggregates fold their value set in global first-appearance order; and
-non-integer SUM/AVG (float addition is non-associative) always fold
-per-row in input order — parallel workers flag such aggregates
-*order-sensitive* and the driver re-runs the segment serially.
+Determinism under reordering: morsel boundaries change *when* rows reach
+the aggregation state, never *what* it folds to.  That is the contract of
+the one grouped fold (:mod:`repro.engine.vector.grouping`), which the
+terminal stage merely feeds a morsel at a time: its state does not depend
+on how the input was chunked, and the exports of consecutive ranges
+merge, in range order, to the state of one pass — except where a
+non-integer SUM/AVG makes a partial *order-sensitive*, which the export
+says and the parallel driver answers by re-running the segment serially.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.algebra.ops import GroupApply, PlanNode, Project, Select
 from repro.engine import faults
 from repro.engine.governor import ResourceGovernor, estimate_table_bytes
 from repro.engine.operators import project_columns
 from repro.engine.stats import ExecutionStats, PipelineStats
-from repro.engine.vector import kernels
-from repro.engine.vector.batch import ColumnBatch, _np
-from repro.errors import (
-    ExecutionError,
-    ReproError,
-    ResourceError,
-    raise_through_frames,
-)
-from repro.expressions.compile import (
-    TRUE_CODE,
-    GroupVectors,
-    compile_aggregate_arguments,
-    compile_group_expression,
-    compile_predicate,
-)
-from repro.sqltypes.values import NULL, SqlValue, group_key, sql_add, sql_div
+from repro.engine.vector.batch import ColumnBatch
+from repro.engine.vector.grouping import GroupedFold
+from repro.errors import ReproError, ResourceError, raise_through_frames
+from repro.expressions.compile import TRUE_CODE, compile_predicate
+from repro.sqltypes.values import SqlValue, group_key
 
 
 class SegmentKernelError(Exception):
@@ -88,198 +77,6 @@ class SegmentKernelError(Exception):
         super().__init__(cause)
         self.stage_index = stage_index
         self.cause = cause
-
-
-class _GuardColumn:
-    """A synthetic column that refuses to be read.
-
-    Stands in for non-grouping source columns of the streamed-aggregation
-    finalizer: grouped-table discipline means a valid plan never reads
-    them outside an aggregate, so any access marks an invalid plan —
-    raising here routes the segment through the materialized fallback,
-    which produces the error (or value) the per-operator path would.
-    """
-
-    __slots__ = ("name", "n")
-
-    def __init__(self, name: str, n: int) -> None:
-        self.name = name
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n
-
-    def _refuse(self):
-        raise ExecutionError(
-            f"column {self.name!r} read outside the grouping columns"
-        )
-
-    def __getitem__(self, index):
-        self._refuse()
-
-    def __iter__(self):
-        self._refuse()
-
-
-class _GrowAcc:
-    """A growable per-group accumulator with order-independent merging.
-
-    Implements the sequential
-    :class:`~repro.engine.vector.kernels._Accumulator` fold semantics,
-    but groups are appended as they are discovered and exported partial
-    states can be merged in: integer COUNT/SUM/AVG partials add exactly,
-    MIN/MAX merge by the same strict comparison the fold uses (so the
-    globally-first value among ``=ⁿ`` ties survives), and DISTINCT
-    aggregates keep their value set in first-seen order and fold once at
-    merge time.  ``order_sensitive`` flips when a non-integer value
-    reaches a non-distinct SUM/AVG — those folds are only exact in input
-    order, so their partials must not be merged out of order.
-    """
-
-    __slots__ = (
-        "function", "distinct", "counts", "state", "seen", "order_sensitive"
-    )
-
-    def __init__(self, function: str, distinct: bool) -> None:
-        self.function = function
-        self.distinct = distinct
-        self.counts: List[int] = []
-        self.state: List[SqlValue] = []
-        self.seen: Optional[List[Dict[Tuple, SqlValue]]] = (
-            [] if distinct else None
-        )
-        self.order_sensitive = False
-
-    def grow(self, n_groups: int) -> None:
-        add = n_groups - len(self.counts)
-        if add > 0:
-            self.counts.extend([0] * add)
-            self.state.extend([NULL] * add)
-            if self.seen is not None:
-                self.seen.extend({} for __ in range(add))
-
-    def feed(self, gid: int, value: SqlValue) -> None:
-        if value is NULL:
-            return
-        if self.seen is not None:
-            key = group_key((value,))
-            bucket = self.seen[gid]
-            if key in bucket:
-                return
-            bucket[key] = value
-        function = self.function
-        count = self.counts[gid]
-        self.counts[gid] = count + 1
-        if function == "COUNT":
-            return
-        if count == 0:
-            self.state[gid] = value
-            if function in ("SUM", "AVG") and type(value) is not int:
-                self.order_sensitive = True
-        elif function in ("SUM", "AVG"):
-            if type(value) is not int:
-                self.order_sensitive = True
-            self.state[gid] = sql_add(self.state[gid], value)
-        elif function == "MIN":
-            if value < self.state[gid]:  # type: ignore[operator]
-                self.state[gid] = value
-        elif function == "MAX":
-            if self.state[gid] < value:  # type: ignore[operator]
-                self.state[gid] = value
-        else:
-            raise ExecutionError(f"unknown aggregate function {function}")
-
-    def add_star(self, gid: int, count: int) -> None:
-        """COUNT(*): group sizes, no argument values."""
-        self.counts[gid] += count
-
-    def add_int_partial(self, gid: int, total: SqlValue, count: int) -> None:
-        """Merge an exact integer partial (COUNT/SUM/AVG over int values)."""
-        if count == 0:
-            return
-        had = self.counts[gid]
-        self.counts[gid] = had + count
-        if self.function == "COUNT":
-            return
-        if had == 0:
-            self.state[gid] = total
-        else:
-            self.state[gid] = self.state[gid] + total  # type: ignore[operator]
-
-    def merge_minmax(self, gid: int, state: SqlValue, count: int) -> None:
-        if count == 0:
-            return
-        had = self.counts[gid]
-        self.counts[gid] = had + count
-        if had == 0:
-            self.state[gid] = state
-        elif self.function == "MIN":
-            if state < self.state[gid]:  # type: ignore[operator]
-                self.state[gid] = state
-        else:
-            if self.state[gid] < state:  # type: ignore[operator]
-                self.state[gid] = state
-
-    def export(self, n_groups: int):
-        """A picklable partial covering local groups ``[0, n_groups)``."""
-        self.grow(n_groups)
-        if self.seen is not None:
-            return [list(bucket.values()) for bucket in self.seen]
-        return list(zip(self.counts, self.state))
-
-    def merge(self, gid: int, partial) -> None:
-        """Fold one exported local-group partial into global group ``gid``."""
-        if self.seen is not None:
-            for value in partial:
-                self.feed(gid, value)
-            return
-        count, state = partial
-        if self.function in ("COUNT", "SUM", "AVG"):
-            self.add_int_partial(gid, state, count)
-        else:
-            self.merge_minmax(gid, state, count)
-
-    def finish(self) -> List[SqlValue]:
-        if self.function == "COUNT":
-            return list(self.counts)
-        if self.function == "AVG":
-            return [
-                NULL
-                if count == 0
-                else (
-                    sql_div(total, count)
-                    if not isinstance(total, int)
-                    else total / count
-                )
-                for total, count in zip(self.state, self.counts)
-            ]
-        return self.state
-
-
-def _minmax_array(values, batch: ColumnBatch):
-    """A numpy view of a MIN/MAX argument column, or ``None``.
-
-    Stricter than :func:`kernels._values_array`: MIN/MAX keep the *exact
-    winning value* (type identity matters for ``=ⁿ`` bit-equality), so
-    only direct batch columns qualify — :meth:`ColumnBatch.as_array`
-    guarantees those are homogeneous ``{int}`` or ``{float}`` and
-    NULL-free, so ``tolist()`` round-trips every element exactly.
-    Computed argument lists may mix int and float (``asarray`` would
-    silently promote the ints) and are left to the per-row fold.  Float
-    columns containing NaN also fall back: ``reduceat`` propagates NaN
-    while the fold's strict ``<`` never selects it.
-    """
-    if _np is None:
-        return None
-    for index, column in enumerate(batch.columns):
-        if column is values:
-            arr = batch.as_array(index)
-            if arr is None:
-                return None
-            if arr.dtype.kind == "f" and _np.isnan(arr).any():
-                return None
-            return arr
-    return None
 
 
 # -- pipeline stages ---------------------------------------------------------
@@ -352,15 +149,12 @@ class _ProjectStage:
 
 
 class _AggStage:
-    """Terminal hash-mode G[GA]+F(AA) maintaining streaming partial state.
+    """Terminal hash-mode G[GA]+F(AA): the grouped fold
+    (:mod:`repro.engine.vector.grouping`) fed one morsel at a time.
 
-    Grouping keys live in a persistent ``group_key``-keyed table; the raw
-    key tuple of each group's globally-first row is captured as its
-    representative (the row engine's choice).  Integer COUNT/SUM/AVG
-    arguments fold per morsel at C speed through ``np.bincount`` (exact —
-    integer partials merge associatively); everything else feeds per row,
-    in input order, with the same accumulator semantics the materialized
-    kernel uses.  Output groups emerge in global first-appearance order.
+    The stage owns what the driver accounts for — row counts, the work
+    formula, the in-flight estimate's inputs — and nothing about groups or
+    aggregates.  Output groups emerge in global first-appearance order.
     """
 
     kind = "groupby"
@@ -369,255 +163,44 @@ class _AggStage:
         self.node = node
         self.label = node.label()
         self.in_rows = 0
-        self.params = None
-        self.in_names: Tuple[str, ...] = ()
-        self.group_indexes: Tuple[int, ...] = ()
-        self.compiled = []
-        self.slots = {}
-        self.accs: List[_GrowAcc] = []
-        self.table: Dict[Tuple, int] = {}
-        self.reps_raw: List[Tuple[SqlValue, ...]] = []
+        self.fold: Optional[GroupedFold] = None
 
     def begin(self, schema: ColumnBatch, params) -> ColumnBatch:
-        self.params = params
-        self.in_names = schema.names
-        self.group_indexes = schema.indexes_of(self.node.grouping_columns)
-        self.compiled, self.slots = compile_aggregate_arguments(
-            self.node.aggregates, schema.names
+        self.fold = GroupedFold(
+            schema, self.node.grouping_columns, self.node.aggregates, params
         )
-        self.accs = [
-            _GrowAcc(aggregate.function, aggregate.distinct)
-            for aggregate in self.compiled
-        ]
         return schema  # terminal stage: nothing streams past it
 
     @property
     def out_rows(self) -> int:
-        return len(self.reps_raw)
+        return len(self.fold.index)
 
     @property
     def out_arity(self) -> int:
-        return len(self.group_indexes) + len(self.node.aggregates)
+        return len(self.fold.group_indexes) + len(self.node.aggregates)
 
     def work(self) -> int:
-        return self.in_rows + len(self.reps_raw)
-
-    def order_sensitive(self) -> bool:
-        return any(acc.order_sensitive for acc in self.accs)
-
-    def _factorize(self, batch: ColumnBatch):
-        """Global group ids for a morsel's rows (appending new groups).
-
-        The fast path factorizes morsel-local numeric key arrays with
-        ``np.unique`` and maps each local group through the persistent
-        ``group_key`` table, so the *partition* is always the ``=ⁿ``
-        partition whichever path a given morsel takes.
-        """
-        n = batch.length
-        indexes = self.group_indexes
-        table = self.table
-        reps = self.reps_raw
-        if indexes and _np is not None:
-            arrays = []
-            for i in indexes:
-                arr = batch.as_array(i)
-                if arr is None:
-                    arrays = None
-                    break
-                if arr.dtype.kind == "f" and _np.isnan(arr).any():
-                    arrays = None  # NaN equality differs from the Python path
-                    break
-                arrays.append(arr)
-            if arrays:
-                codes = (
-                    arrays[0]
-                    if len(arrays) == 1
-                    else kernels._combine_codes(arrays)
-                )
-                __, first, inverse = _np.unique(
-                    codes, return_index=True, return_inverse=True
-                )
-                columns = [batch.columns[i] for i in indexes]
-                local2global = _np.empty(len(first), dtype=_np.int64)
-                for u, first_row in enumerate(first.tolist()):
-                    raw = tuple(column[first_row] for column in columns)
-                    key = group_key(raw)
-                    gid = table.get(key)
-                    if gid is None:
-                        gid = len(reps)
-                        table[key] = gid
-                        reps.append(raw)
-                    local2global[u] = gid
-                return local2global[inverse.reshape(-1)]
-        # Generic path: per-row =ⁿ keys in input order.
-        gids: List[int] = [0] * n
-        if not indexes:
-            empty: Tuple[SqlValue, ...] = ()
-            key = group_key(empty)
-            gid = table.get(key)
-            if gid is None and n:
-                gid = len(reps)
-                table[key] = gid
-                reps.append(empty)
-            for r in range(n):
-                gids[r] = gid
-        else:
-            columns = [batch.columns[i] for i in indexes]
-            for r, raw in enumerate(zip(*columns)):
-                key = group_key(raw)
-                gid = table.get(key)
-                if gid is None:
-                    gid = len(reps)
-                    table[key] = gid
-                    reps.append(raw)
-                gids[r] = gid
-        if _np is not None:
-            return _np.asarray(gids, dtype=_np.int64)
-        return gids
+        return self.in_rows + self.out_rows
 
     def feed(self, batch: ColumnBatch) -> None:
-        n = batch.length
-        self.in_rows += n
-        if n == 0:
-            return
-        gids = self._factorize(batch)
-        n_groups = len(self.reps_raw)
-        gids_list: Optional[List[int]] = None
-        counts = None
-        present: List[int] = []
-        if _np is not None:
-            counts = _np.bincount(gids, minlength=n_groups)
-            present = _np.nonzero(counts)[0].tolist()
-        for acc, aggregate in zip(self.accs, self.compiled):
-            acc.grow(n_groups)
-            if aggregate.argument is None:  # COUNT(*): group sizes
-                if counts is not None:
-                    for g in present:
-                        acc.add_star(g, int(counts[g]))
-                else:
-                    for gid in gids:
-                        acc.add_star(gid, 1)
-                continue
-            values = aggregate.argument(batch, self.params)
-            if (
-                counts is not None
-                and not aggregate.distinct
-                and not acc.order_sensitive
-                and acc.function in ("COUNT", "SUM", "AVG")
-            ):
-                arr = kernels._values_array(values, batch)
-                if arr is not None and (
-                    acc.function == "COUNT" or arr.dtype.kind == "i"
-                ):
-                    if acc.function == "COUNT":
-                        # An array view exists ⇒ no NULLs: count = size.
-                        for g in present:
-                            acc.add_int_partial(g, 0, int(counts[g]))
-                        continue
-                    amax = int(_np.abs(arr).max()) if arr.size else 0
-                    if 0 <= amax and amax * arr.size < 2 ** 53:
-                        totals = _np.bincount(
-                            gids, weights=arr, minlength=n_groups
-                        )
-                        for g in present:
-                            acc.add_int_partial(
-                                g, int(totals[g]), int(counts[g])
-                            )
-                        continue
-            if (
-                counts is not None
-                and not aggregate.distinct
-                and acc.function in ("MIN", "MAX")
-            ):
-                arr = _minmax_array(values, batch)
-                if arr is not None:
-                    # Per-morsel extreme per group: one stable argsort on
-                    # the gid array, then a single reduceat over the
-                    # group-contiguous permutation — C speed instead of a
-                    # per-row Python fold.  Merging the morsel extreme
-                    # uses the same strict comparison as the fold, so
-                    # the globally-first value among ties still wins.
-                    order = _np.argsort(gids, kind="stable")
-                    sorted_gids = gids[order]
-                    sorted_values = arr[order]
-                    starts = _np.flatnonzero(
-                        _np.r_[True, sorted_gids[1:] != sorted_gids[:-1]]
-                    )
-                    reducer = (
-                        _np.minimum if acc.function == "MIN" else _np.maximum
-                    )
-                    extremes = reducer.reduceat(sorted_values, starts)
-                    for g, extreme in zip(
-                        sorted_gids[starts].tolist(), extremes.tolist()
-                    ):
-                        acc.merge_minmax(g, extreme, int(counts[g]))
-                    continue
-            if gids_list is None:
-                gids_list = gids if isinstance(gids, list) else gids.tolist()
-            feed = acc.feed
-            for r in range(n):
-                feed(gids_list[r], values[r])
+        self.in_rows += batch.length
+        self.fold.feed(batch)
 
     def export_partial(self, chain_counts, max_inflight: int):
         """This (worker-local) state as one picklable merge unit."""
-        n_groups = len(self.reps_raw)
         return {
-            "groups": self.reps_raw,
-            "accs": [acc.export(n_groups) for acc in self.accs],
+            **self.fold.export(),
             "in_rows": self.in_rows,
             "chain_counts": chain_counts,
-            "order_sensitive": self.order_sensitive(),
             "max_inflight": max_inflight,
         }
 
     def merge_partial(self, partial) -> None:
-        table = self.table
-        reps = self.reps_raw
-        mapping: List[int] = []
-        for raw in partial["groups"]:
-            key = group_key(raw)
-            gid = table.get(key)
-            if gid is None:
-                gid = len(reps)
-                table[key] = gid
-                reps.append(raw)
-            mapping.append(gid)
-        n_groups = len(reps)
-        for acc, exported in zip(self.accs, partial["accs"]):
-            acc.grow(n_groups)
-            for local_gid, item in enumerate(exported):
-                acc.merge(mapping[local_gid], item)
+        self.fold.merge(partial)
         self.in_rows += partial["in_rows"]
 
     def finish(self) -> ColumnBatch:
-        n_groups = len(self.reps_raw)
-        agg_columns = [acc.finish() for acc in self.accs]
-        key_cols: List[List[SqlValue]] = [
-            [raw[j] for raw in self.reps_raw]
-            for j in range(len(self.group_indexes))
-        ]
-        position = {index: j for j, index in enumerate(self.group_indexes)}
-        src_columns: List[Sequence[SqlValue]] = [
-            key_cols[position[i]]
-            if i in position
-            else _GuardColumn(name, n_groups)
-            for i, name in enumerate(self.in_names)
-        ]
-        source = ColumnBatch(self.in_names, src_columns, length=n_groups)
-        groups = GroupVectors(source, list(range(n_groups)), agg_columns)
-        specs = self.node.aggregates
-        spec_columns = [
-            compile_group_expression(
-                spec.expression, self.in_names, self.slots
-            )(groups, self.params)
-            for spec in specs
-        ]
-        out_names = tuple(
-            self.in_names[i] for i in self.group_indexes
-        ) + tuple(spec.name for spec in specs)
-        out_columns: List[Sequence[SqlValue]] = list(key_cols)
-        out_columns.extend(spec_columns)
-        return ColumnBatch(out_names, out_columns, length=n_groups, ordering=())
+        return self.fold.finish()
 
 
 # -- segment driver ----------------------------------------------------------
@@ -920,7 +503,7 @@ def run_morsel(source: ColumnBatch, m: int, morsel_size: int, stages, visit):
         visit(index, stage)
         if isinstance(stage, _AggStage):
             stage.feed(current)
-            inflight += estimate_table_bytes(len(stage.reps_raw), stage.out_arity)
+            inflight += estimate_table_bytes(stage.out_rows, stage.out_arity)
         else:
             stage.in_rows += current.length
             current = stage.apply(current)
@@ -932,12 +515,8 @@ def run_morsel(source: ColumnBatch, m: int, morsel_size: int, stages, visit):
 def _reset_stage(stage) -> None:
     stage.in_rows = 0
     if isinstance(stage, _AggStage):
-        stage.table = {}
-        stage.reps_raw = []
-        stage.accs = [
-            _GrowAcc(aggregate.function, aggregate.distinct)
-            for aggregate in stage.compiled
-        ]
+        if stage.fold is not None:  # None: the segment failed before begin()
+            stage.fold.reset()
     else:
         stage.out_rows = 0
         if isinstance(stage, _ProjectStage):

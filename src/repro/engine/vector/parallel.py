@@ -10,13 +10,13 @@ pipe.  Workers process disjoint *contiguous* ranges of morsels, so the
 work split is deterministic: the same morsel boundaries as the serial
 loop, merely partitioned.
 
-Correctness leans entirely on the order-independent merge contract of
-:class:`~repro.engine.vector.morsel._GrowAcc`: partials are merged in
-worker order (= morsel order), so group representatives and MIN/MAX
-ties resolve to the globally-first row exactly as the serial fold does.
-Aggregates whose fold is order-*sensitive* (non-integer SUM/AVG) are
-detected by the workers themselves; the driver then discards every
-partial untouched and re-runs the segment serially — bit-identical
+Correctness leans entirely on the ``export``/``merge`` contract of
+:class:`~repro.engine.vector.grouping.GroupedFold`: each range's fold is
+exported and the exports are merged in range order (= morsel order), so
+group representatives and MIN/MAX ties resolve to the globally-first row
+exactly as the serial fold does.  A fold whose state is order-*sensitive*
+(a non-integer SUM/AVG) says so in its export; the driver then discards
+every partial untouched and re-runs the segment serially — bit-identical
 results, at the cost of parallelism for that segment.
 
 The governor stays in the parent: cancellation and timeouts are polled

@@ -21,7 +21,7 @@ from repro.engine.exchange import decompose_aggregates, exchange_fanout
 from repro.engine.executor import ExecutorConfig, execute
 from repro.errors import ExecutionError
 from repro.expressions.builder import avg, col, count, gt, max_, min_, sum_
-from repro.sqltypes.datatypes import INTEGER
+from repro.sqltypes.datatypes import BOOLEAN, INTEGER
 from repro.storage.partition import PartitionSpec
 
 
@@ -187,6 +187,35 @@ class TestEdges:
         )
         assert sharded.columns == base.columns
         assert sharded.rows == base.rows
+
+    @pytest.mark.parametrize("engine", ["row", "vector"])
+    def test_avg_over_boolean_keeps_its_type(self, engine):
+        """One AVG finalisation (``aggregation.finish_average``): a group
+        whose BOOLEAN column holds one TRUE averages to ``1.0`` — a bool
+        total is an integer total — sharded or not.  The two-phase splice
+        once took the ``sql_div`` branch for it and returned ``1``."""
+        db = Database()
+        db.create_table(
+            TableSchema("T", [Column("k", INTEGER), Column("b", BOOLEAN)])
+        )
+        for row in ([0, True], [1, True], [1, False], [2, False]):
+            db.table("T").insert(row)
+        specs = (AggregateSpec("a", avg("T.b")),)
+        config = ExecutorConfig(engine=engine)
+        base, __ = execute(db, GroupApply(Relation("T", "T"), ("T.k",), specs), config)
+        sharded, __ = execute(
+            db,
+            wrap(
+                GroupApply(Relation("T", "T"), ("T.k",), specs),
+                shards=2,
+                merge=True,
+            ),
+            config,
+        )
+        assert sorted(base.rows) == [(0, 1.0), (1, 0.5), (2, 0.0)]
+        assert [(row, type(row[1])) for row in sharded.rows] == [
+            (row, type(row[1])) for row in base.rows
+        ]
 
     def test_merge_requires_group_apply_child(self):
         db = make_db()

@@ -4,7 +4,8 @@
 the one the row engine runs, the one a faulted vector kernel falls back
 to, and the one a degraded streamed segment replays through — with the
 statistics of the unfaulted run each time.  (ii) Nothing else under
-``src/repro/engine/`` calls the operator implementations directly.
+``src/repro/engine/`` calls the operator implementations directly, and
+nothing under ``engine/vector/`` but ``grouping.py`` folds values per group.
 """
 
 from __future__ import annotations
@@ -148,6 +149,25 @@ def test_operator_implementation_has_one_call_site(name):
     sites = call_sites(name)
     assert len(sites) == 1, sites
     assert sites[0].startswith("operators.py:")
+
+
+#: What folding values per group is made of: numpy's per-group reductions
+#: and the NULL-propagating add/divide of the arbitrary-precision fold.
+FOLD_PRIMITIVES = ("bincount", "reduceat", "at", "sql_add", "sql_div")
+
+
+@pytest.mark.parametrize("name", FOLD_PRIMITIVES)
+def test_the_grouped_fold_is_spelled_once(name):
+    """Under ``engine/vector/`` only ``grouping.py`` folds values per
+    group: a second spelling is how one of them came to lack a fast path."""
+    elsewhere = [
+        site
+        for site in call_sites(name)
+        if site.startswith("vector/") and not site.startswith("vector/grouping.py:")
+    ]
+    assert elsewhere == []
+    if name != "sql_div":  # AVG divides in aggregation.finish_average
+        assert any(site.startswith("vector/grouping.py:") for site in call_sites(name))
 
 
 def test_node_stats_is_built_in_one_place():

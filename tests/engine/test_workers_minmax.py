@@ -7,6 +7,8 @@ import pytest
 from repro.algebra.ops import AggregateSpec, GroupApply, Relation
 from repro.catalog import Column, Database, TableSchema
 from repro.engine.executor import ExecutorConfig, execute
+from repro.engine.vector.batch import ColumnBatch, _np
+from repro.engine.vector.grouping import _exact_array
 from repro.engine.vector.parallel import MAX_AUTO_WORKERS, resolve_workers
 from repro.expressions.builder import max_, min_
 from repro.sqltypes import FLOAT, INTEGER
@@ -118,26 +120,14 @@ class TestMinMaxKernel:
         streamed = _run(database, morsel_size=16)
         assert streamed.equals_multiset(_run(database, engine="row"))
 
+    @pytest.mark.skipif(_np is None, reason="numpy not available")
     def test_fast_path_fires_on_direct_columns(self):
-        import repro.engine.vector.morsel as morsel_mod
-
-        rows = [(i % 3, i) for i in range(100)]
-        database = _minmax_db(rows)
-        hits = {"n": 0}
-        original = morsel_mod._minmax_array
-
-        def spy(values, batch):
-            result = original(values, batch)
-            if result is not None:
-                hits["n"] += 1
-            return result
-
-        morsel_mod._minmax_array = spy
-        try:
-            _run(database, morsel_size=16)
-        finally:
-            morsel_mod._minmax_array = original
-        assert hits["n"] > 0
+        batch = ColumnBatch(("k", "v"), [[i % 3 for i in range(9)], list(range(9))])
+        arr = _exact_array(batch.columns[1], batch, direct_only=True)
+        assert arr is not None and arr.dtype.kind == "i"
+        # ... and through a morsel's zero-copy slice of the same column.
+        part = batch.slice(3, 6)
+        assert _exact_array(part.columns[1], part, direct_only=True).tolist() == [3, 4, 5]
 
     def test_nulls_fall_back_and_stay_correct(self):
         database = Database("withnull")
@@ -151,21 +141,19 @@ class TestMinMaxKernel:
         streamed = _run(database, morsel_size=8)
         assert streamed.equals_multiset(_run(database, engine="row"))
 
+    @pytest.mark.skipif(_np is None, reason="numpy not available")
     def test_minmax_array_refuses_nan(self):
-        import numpy as np
-
-        from repro.engine.vector.batch import ColumnBatch
-        from repro.engine.vector.morsel import _minmax_array
-
         clean = [1.0, 2.0, 3.0]
         dirty = [1.0, float("nan"), 3.0]
         batch = ColumnBatch(("a", "b"), [clean, dirty])
-        arr = _minmax_array(clean, batch)
+        arr = _exact_array(clean, batch, direct_only=True)
         assert arr is not None and arr.dtype.kind == "f"
-        assert _minmax_array(dirty, batch) is None
-        # A list that is not a batch column (computed argument): no array.
-        assert _minmax_array([1.0, 2.0, 3.0], batch) is None
-        assert isinstance(np.asarray(clean), np.ndarray)  # numpy present
+        assert _exact_array(dirty, batch, direct_only=True) is None
+        # A list that is not a batch column (computed argument): MIN/MAX
+        # refuse it, SUM takes it under the same census.
+        assert _exact_array([1.0, 2.0, 3.0], batch, direct_only=True) is None
+        assert _exact_array([1.0, 2.0, 3.0], batch, direct_only=False) is not None
+        assert _exact_array([1, 2.0, 3.0], batch, direct_only=False) is None
 
     def test_tie_winner_matches_row_engine(self):
         """Duplicate extremes: the fold keeps the globally-first value;
