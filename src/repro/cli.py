@@ -27,14 +27,6 @@ Subcommands (no REPL):
   scripts and print each SELECT's plan-choice report instead of its rows
   (``--rewrites`` enables the certified rewrite pass so reports list the
   rewrite certificates).
-* ``repro bench [--quick] [--out path] [--repeat n]`` — time the paper's
-  workload scenarios on both execution backends (row vs. vector), check
-  result/stats parity, and write ``BENCH_vector.json``; ``--quick`` is
-  the CI smoke mode (small data + the differential-equivalence harness);
-  ``--server`` runs the concurrent multi-session workload instead and
-  writes ``BENCH_server.json``; ``--distributed`` measures the §7
-  shard-parallel transfer volumes (eager vs ship-all, planner choice,
-  bit-identity audit) and writes ``BENCH_distributed.json``.
 * ``repro serve [--port P] [--max-slots N] [script.sql ...]`` — run the
   multi-session TCP server (snapshot reads, serialized writes, admission
   control; see :mod:`repro.server`).
@@ -347,7 +339,8 @@ class Shell:
         except (OSError, ReproError) as error:
             self.write(f"error: {error}")
             return
-        self.session = Session(database, policy=self.session.policy)
+        # Only the database: policy, executor config and params stay.
+        self.session.database = database
         self.write(f"loaded {len(database.tables)} tables from {path}")
 
     def _run_sql(self, sql: str) -> None:
@@ -529,6 +522,35 @@ def _explain_command(arguments: list, out: TextIO = sys.stdout) -> int:
     return 0
 
 
+def _take_flags(arguments: list, parsers: dict):
+    """Split ``--name value`` / ``--name=value`` options off an argument list.
+
+    ``parsers`` maps each option name to ``(key, parse)``.  Returns
+    ``(values, remaining)``: the parsed values by key, and every other
+    argument in order.  A missing or malformed value raises ``ValueError``
+    naming the option.
+    """
+    values: dict = {}
+    remaining: list = []
+    pending = iter(arguments)
+    for argument in pending:
+        name, __, inline = argument.partition("=")
+        if name not in parsers:
+            remaining.append(argument)
+            continue
+        if not inline:
+            try:
+                inline = next(pending)
+            except StopIteration:
+                raise ValueError(f"{name} requires a value") from None
+        key, parse = parsers[name]
+        try:
+            values[key] = parse(inline)
+        except ValueError:
+            raise ValueError(f"bad {name} value: {inline!r}") from None
+    return values, remaining
+
+
 def parse_workers(text: str) -> int:
     """Parse a ``--workers`` / ``.workers`` value; ``auto`` means the
     autotuner sentinel 0 (resolved to ``os.cpu_count()``, clamped, by
@@ -550,64 +572,27 @@ def _serve_command(arguments: list, out: TextIO = sys.stdout) -> int:
     line-protocol clients (see :mod:`repro.server.net`) until
     interrupted.
     """
-    from dataclasses import replace
-
+    from repro.engine.executor import ExecutorConfig
     from repro.server.net import ReproServer
     from repro.server.server import Server
 
     def write(text: str) -> None:
         out.write(text + "\n")
 
-    host, port = "127.0.0.1", 7432
-    max_slots = max_bytes = None
-    config_overrides: dict = {}
-    paths: list = []
-    option_parsers = {
-        "--host": str,
-        "--port": int,
-        "--max-slots": int,
-        "--max-bytes": int,
-        "--engine": str,
-        "--workers": parse_workers,
-    }
-    i = 0
     try:
-        while i < len(arguments):
-            argument = arguments[i]
-            name, __, inline = argument.partition("=")
-            if name in option_parsers:
-                if not inline:
-                    i += 1
-                    if i >= len(arguments):
-                        raise ValueError(f"{name} requires a value")
-                    inline = arguments[i]
-                value = option_parsers[name](inline)
-                if name == "--host":
-                    host = value
-                elif name == "--port":
-                    port = value
-                elif name == "--max-slots":
-                    max_slots = value
-                elif name == "--max-bytes":
-                    max_bytes = value
-                elif name == "--engine":
-                    config_overrides["engine"] = value
-                else:
-                    config_overrides["workers"] = value
-            else:
-                paths.append(argument)
-            i += 1
-    except ValueError as error:
-        write(f"error: {error}")
-        return 2
-
-    from repro.engine.executor import ExecutorConfig
-
-    try:
-        config = (
-            replace(ExecutorConfig(), **config_overrides)
-            if config_overrides
-            else ExecutorConfig()
+        values, paths = _take_flags(
+            arguments,
+            {
+                "--host": ("host", str),
+                "--port": ("port", int),
+                "--max-slots": ("max_slots", int),
+                "--max-bytes": ("max_bytes", int),
+                "--engine": ("engine", str),
+                "--workers": ("workers", parse_workers),
+            },
+        )
+        config = ExecutorConfig(
+            **{k: values[k] for k in ("engine", "workers") if k in values}
         )
     except ValueError as error:
         write(f"error: {error}")
@@ -623,10 +608,14 @@ def _serve_command(arguments: list, out: TextIO = sys.stdout) -> int:
             write(f"error loading {path}: {error}")
             return error_exit_code(error) if isinstance(error, ReproError) else 2
     server = Server(
-        database, max_slots=max_slots, max_bytes=max_bytes,
+        database,
+        max_slots=values.get("max_slots"),
+        max_bytes=values.get("max_bytes"),
         executor_config=config,
     )
-    front = ReproServer(server, host=host, port=port)
+    front = ReproServer(
+        server, host=values.get("host", "127.0.0.1"), port=values.get("port", 7432)
+    )
     bound_host, bound_port = front.address
     write(
         f"serving on {bound_host}:{bound_port} "
@@ -655,82 +644,46 @@ def _shard_worker_command(arguments: list, out: TextIO = sys.stdout) -> int:
     """
     from repro.server.transport import run_worker
 
-    host, port = "127.0.0.1", 0
-    i = 0
-    while i < len(arguments):
-        argument = arguments[i]
-        name, __, inline = argument.partition("=")
-        if name in ("--host", "--port"):
-            if not inline:
-                i += 1
-                if i >= len(arguments):
-                    out.write(f"error: {name} requires a value\n")
-                    return 2
-                inline = arguments[i]
-            if name == "--host":
-                host = inline
-            else:
-                try:
-                    port = int(inline)
-                except ValueError:
-                    out.write(f"error: bad --port value: {inline!r}\n")
-                    return 2
-        else:
-            out.write("usage: repro shard-worker [--host H] [--port P]\n")
-            return 2
-        i += 1
-    return run_worker(host, port, out=out)
+    try:
+        values, unknown = _take_flags(
+            arguments, {"--host": ("host", str), "--port": ("port", int)}
+        )
+    except ValueError as error:
+        out.write(f"error: {error}\n")
+        return 2
+    if unknown:
+        out.write("usage: repro shard-worker [--host H] [--port P]\n")
+        return 2
+    return run_worker(out=out, **values)
 
 
 def _extract_budget_flags(arguments: list):
     """Strip ``--timeout SECONDS``, ``--memory-limit BYTES``,
-    ``--morsel-size ROWS|off`` and ``--workers N`` from an argument list;
-    returns (remaining, ExecutorConfig or None).
+    ``--morsel-size ROWS|off``, ``--workers N`` and ``--transport NAME``
+    from an argument list; returns (remaining, ExecutorConfig or None).
 
     The flags build the session's resource budget and pipeline shape
     (:class:`~repro.engine.executor.ExecutorConfig` ``timeout_seconds`` /
-    ``memory_limit_bytes`` / ``morsel_size`` / ``workers``); a malformed
-    value raises ``ValueError`` with a usage message.
+    ``memory_limit_bytes`` / ``morsel_size`` / ``workers`` /
+    ``transport``); a malformed value raises ``ValueError`` with a usage
+    message.
     """
     from repro.engine.executor import ExecutorConfig
 
-    remaining: list = []
-    overrides: dict = {}
-    flags = {
-        "--timeout": ("timeout_seconds", float),
-        "--memory-limit": ("memory_limit_bytes", int),
-        "--morsel-size": (
-            "morsel_size",
-            lambda text: None if text in ("off", "none") else int(text),
-        ),
-        "--workers": ("workers", parse_workers),
-        "--transport": ("transport", str),
-    }
-    i = 0
-    while i < len(arguments):
-        argument = arguments[i]
-        name, __, inline = argument.partition("=")
-        if name in flags:
-            if not inline:
-                i += 1
-                if i >= len(arguments):
-                    raise ValueError(f"{name} requires a value")
-                inline = arguments[i]
-            field, parse = flags[name]
-            try:
-                overrides[field] = parse(inline)
-            except ValueError:
-                raise ValueError(f"bad {name} value: {inline!r}") from None
-        else:
-            remaining.append(argument)
-        i += 1
-    if not overrides:
-        return remaining, None
-    try:
-        config = ExecutorConfig(**overrides)
-    except ValueError as error:
-        raise ValueError(str(error)) from None
-    return remaining, config
+    overrides, remaining = _take_flags(
+        arguments,
+        {
+            "--timeout": ("timeout_seconds", float),
+            "--memory-limit": ("memory_limit_bytes", int),
+            "--morsel-size": (
+                "morsel_size",
+                lambda text: None if text in ("off", "none") else int(text),
+            ),
+            "--workers": ("workers", parse_workers),
+            "--transport": ("transport", str),
+        },
+    )
+    return remaining, (ExecutorConfig(**overrides) if overrides else None)
 
 
 def main(argv: Optional[Iterable[str]] = None) -> int:
@@ -747,10 +700,6 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         return _lint_command(arguments[1:])
     if arguments and arguments[0] == "explain":
         return _explain_command(arguments[1:])
-    if arguments and arguments[0] == "bench":
-        from repro.engine.vector.bench import main as bench_main
-
-        return bench_main(arguments[1:])
     if arguments and arguments[0] == "serve":
         return _serve_command(arguments[1:])
     if arguments and arguments[0] == "shard-worker":

@@ -5,8 +5,7 @@ every workload in :mod:`repro.workloads`, both backends produce
 ``=ⁿ``-identical multisets (Definition 1's duplicate semantics, NULL
 grouping with NULL) *and* identical per-operator
 :class:`~repro.engine.stats.ExecutionStats`".  This module is that check,
-runnable three ways: from tests, from ``repro bench --quick`` in CI, and
-ad hoc via :func:`run_differential`.
+run from tests (:func:`run_differential` and the matrices built on it).
 
 Coverage: SQL queries through the full session stack (parser → planner →
 executor) on every generated workload — including a NULL-infested variant
@@ -808,40 +807,3 @@ def render_fault_outcomes(outcomes: Sequence[FaultOutcome]) -> str:
         f"errors, {len(fault_failures(outcomes))} contract violation(s)"
     )
     return "\n".join(lines)
-
-
-def render_results(results: Sequence[CaseResult]) -> str:
-    lines = []
-    for r in results:
-        mark = "ok " if r.ok else "DIVERGED"
-        lines.append(
-            f"{mark:<8} {r.case:<38} [{r.config}] rows={r.cardinality}"
-            + ("" if r.results_match else " results!=")
-            + ("" if r.stats_match else " stats!=")
-        )
-    bad = failures(results)
-    lines.append(
-        f"{len(results)} comparisons, {len(bad)} divergence(s)"
-        if bad
-        else f"{len(results)} comparisons, all equivalent"
-    )
-    return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="row-vs-vector differential equivalence harness"
-    )
-    parser.add_argument(
-        "--full", action="store_true", help="run at full (slower) data sizes"
-    )
-    options = parser.parse_args(argv)
-    results = run_differential(quick=not options.full)
-    print(render_results(results))
-    return 1 if failures(results) else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

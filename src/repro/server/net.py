@@ -4,7 +4,10 @@ Line protocol, one request per line, UTF-8:
 
 * ``QUERY <select>`` — run on a pinned snapshot; response is
   ``OK <n> rows epoch=<e>`` followed by one tab-separated line per row
-  and a terminating blank line;
+  and a terminating blank line.  One row is always exactly one non-empty
+  line: in character values a backslash, tab, newline and carriage
+  return travel as ``\\\\``, ``\\t``, ``\\n`` and ``\\r``, and the empty
+  string as ``\\e``; every other value is its ``str()``, NULL is ``NULL``;
 * ``EXEC <statement>`` — DDL/DML through the serialized commit path;
   response ``OK epoch=<e>``;
 * ``.sessions`` — list open sessions (id, tenant, queries, writes);
@@ -33,7 +36,14 @@ from repro.errors import ReproError, error_exit_code
 from repro.server.server import Server
 
 
+#: The body's field separator, its row terminators (text-mode readers
+#: also end a line at a carriage return) and the escape character itself.
+_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 def _render(value: object) -> str:
+    if isinstance(value, str):
+        return value.translate(_ESCAPES) or "\\e"
     return "NULL" if repr(value) == "NULL" else str(value)
 
 

@@ -112,12 +112,9 @@ def test_every_path_runs_the_one_row_body(monkeypatch, node_type):
 # -- (ii) one call site per operator implementation ----------------------------
 
 ENGINE_ROOT = Path(repro.engine.__file__).parent
-#: The implementations themselves, and the harnesses that call them to
-#: measure or cross-check them.
-EXEMPT = {
-    "joins.py", "aggregation.py", "sorting.py",
-    "vector/bench.py", "vector/differential.py",
-}
+#: The implementations themselves, and the harness that calls them to
+#: cross-check them.
+EXEMPT = {"joins.py", "aggregation.py", "sorting.py", "vector/differential.py"}
 SINGLE_CALL_SITE = (
     "hash_join", "sort_merge_join", "nested_loop_join", "sort_group",
     "filter_batch", "project_batch", "evaluate_predicate",

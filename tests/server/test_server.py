@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import socket
 import threading
 import time
@@ -253,6 +254,27 @@ class TestTcpFrontend:
             f"{e}\t{50 + e}" for e in range(50)
         )
         assert lines[51:] == ["", ""]  # the blank terminator line, then EOF
+
+    def test_character_values_never_break_the_framing(self, front):
+        # A one-column row holding '' used to *be* the terminating blank
+        # line, and a tab or newline split a field or a row.
+        values = ["", "a\tb", "a\nb", "\\", "a\rb", "\\e"]
+        admin = front.server.open_session(tenant="admin")
+        admin.execute("CREATE TABLE S (Id INTEGER PRIMARY KEY, V VARCHAR(5))")
+        for i, value in enumerate(values):
+            admin.execute(f"INSERT INTO S VALUES ({i}, '{value}')")
+        sock, reader = self.connect(front)
+        sock.sendall(b"QUERY SELECT S.V FROM S\n")
+        assert reader.readline().startswith(f"OK {len(values)} rows")
+        body = []
+        while (line := reader.readline().rstrip("\n")):
+            body.append(line)
+        plain = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r", "\\e": ""}
+        decoded = [re.sub(r"\\.", lambda m: plain[m.group()], row) for row in body]
+        assert sorted(decoded) == sorted(values)
+        sock.sendall(b".stats\n")  # the connection is still in step
+        assert reader.readline().startswith("OK aborts=")
+        sock.close()
 
     def test_two_clients_are_separate_sessions(self, front):
         sock1, reader1 = self.connect(front)

@@ -169,10 +169,15 @@ class TestDumpAndOpen:
         assert "dumped" in out.getvalue()
 
         fresh, fresh_out = make_shell()
+        fresh.handle(".engine vector")
+        fresh.handle(".shards 2")
         fresh.handle(f".open {path}")
         fresh.handle("SELECT COUNT(T.a) AS n FROM T;")
         assert "loaded 1 tables" in fresh_out.getvalue()
         assert "2" in fresh_out.getvalue()
+        # .open replaces the database, not the session's execution settings.
+        assert fresh.session.executor_config.engine == "vector"
+        assert fresh.session.executor_config.shards == 2
 
     def test_open_missing_file(self):
         shell, out = make_shell()
