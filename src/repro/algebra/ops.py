@@ -310,6 +310,13 @@ class Exchange(PlanNode):
     def children(self) -> Tuple[PlanNode, ...]:
         return (self.child,)
 
+    @property
+    def fanout(self) -> int:
+        """How many times one shipped row crosses the wire under ``mode``."""
+        if self.mode == "broadcast":
+            return self.shards
+        return 2 if self.mode == "shuffle" else 1
+
     def label(self) -> str:
         key = f" on {', '.join(self.keys)}" if self.keys else ""
         merge = " merge" if self.merge else ""
@@ -360,6 +367,15 @@ def _with_children(plan: PlanNode, children: Tuple[PlanNode, ...]) -> PlanNode:
             plan.merge,
         )
     raise TypeError(f"cannot rebuild {type(plan).__name__}")
+
+
+def scan_chain_relation(plan: PlanNode) -> Optional[Relation]:
+    """The single Relation under a Select* chain — the region an
+    :class:`Exchange` may cut above — or ``None`` if ``plan`` is not one."""
+    cursor = plan
+    while isinstance(cursor, Select):
+        cursor = cursor.child
+    return cursor if isinstance(cursor, Relation) else None
 
 
 def walk_plan(plan: PlanNode):

@@ -852,12 +852,9 @@ def _check_shard_exchange(
         return
     try:
         from repro.optimizer.cardinality import CardinalityEstimator
-        from repro.optimizer.cost import exchange_mode_factor
 
         estimator = CardinalityEstimator(database)
-        derived = estimator.rows(site_after.child) * exchange_mode_factor(
-            site_after.mode, site_after.shards
-        )
+        derived = estimator.rows(site_after.child) * site_after.fanout
     except Exception as error:
         sink.report(
             "R704", where, f"cannot re-derive the shipped-row estimate: {error}"

@@ -22,40 +22,41 @@ merges the shard streams back into one deterministic result:
   stream is bit-identical to the unsharded GroupApply on that engine —
   group order included.
 
-The wire is deterministic and measured, not estimated: every shard
-delivery is serialized at the transport's pinned pickle protocol
+The wire is deterministic and measured, not estimated: the rows of every
+shard delivery are serialized at the transport's pinned pickle protocol
 (:data:`repro.server.transport.WIRE_PICKLE_PROTOCOL`) and the byte
 length of the actual blob is what the governor's transfer meter and
 :class:`~repro.engine.stats.ExchangeStats` record, multiplied by the
-mode's fan-out (gather x1, shuffle x2, broadcast x shards).  Receives
-always pass through the transport's **restricted unpickler** — even on
-the in-memory wire — so a forged payload is rejected with a typed
-:class:`~repro.errors.WireFormatError` regardless of transport.  Each
-delivery passes an ``"exchange"`` fault-injection point; an injected
-kernel fault (or a shard crashing mid-run) degrades the whole Exchange to
-single-site execution of the original child, accounted in
-``stats.degradations`` — the same ladder the vector kernels use.
+node's :attr:`~repro.algebra.ops.Exchange.fanout`.
 
-Two transports carry the deliveries (``config.transport``):
+One delivery path, two backends: every delivery is ``governor.check`` →
+the ``"exchange"`` fault-injection point → ``backend.execute(index,
+request)`` → account the response block.  This module owns that format —
+:func:`shard_request` builds it, :func:`run_shard` is the only code that
+executes a plan below the wire, the loop is the only reader of its
+response — and ``config.transport`` only picks who carries it:
 
-* ``"memory"`` (default) — shards run in-process; the wire is a pickle
-  round-trip through the restricted loader.  Byte accounting is real,
-  failure independence is not.
-* ``"socket"`` — one OS process per shard behind the framed RPC of
-  :mod:`repro.engine.shardrpc`: per-call deadlines, jittered retries,
-  idempotent request IDs, health-checked failover.  A delivery whose
-  every worker is dead raises :class:`KernelFault` into the same
-  single-site degrade ladder, so the answer never changes.  Payload
-  byte accounting (``bytes_shipped``) is computed identically to the
-  memory wire; the extra frames-on-the-wire total lands in
-  ``wire_bytes``.
+* ``"memory"`` (default) — :class:`InProcessShards`, the worker loop
+  without a socket: calls :func:`run_shard` and passes its response
+  through the transport's **restricted unpickler**, so a forged payload
+  is a typed :class:`~repro.errors.WireFormatError` on this wire too.
+  Byte accounting is real, failure independence is not.
+* ``"socket"`` — :class:`~repro.engine.shardrpc.ShardPool`: one OS process
+  per shard serving :func:`run_shard` behind the framed RPC (per-call
+  deadlines, jittered retries, idempotent request IDs, health-checked
+  failover); the frames' own total lands in ``wire_bytes``.
+
+A :class:`KernelFault` or :class:`~repro.errors.ShardUnavailable` from
+either — an injected fault, a shard crashing mid-run, no live worker —
+degrades the whole Exchange to single-site execution of the original
+child, accounted in ``stats.degradations`` — the same ladder the vector
+kernels use — so the answer never changes.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.ops import (
     AggregateSpec,
@@ -63,35 +64,25 @@ from repro.algebra.ops import (
     GroupApply,
     PlanNode,
     Relation,
-    Select,
+    scan_chain_relation,
 )
 from repro.catalog.catalog import Database
-from repro.engine import faults
+from repro.engine import faults, shardrpc
 from repro.engine.aggregation import finish_average
 from repro.engine.dataset import DataSet
+from repro.engine.executor import Executor, ExecutorConfig
 from repro.engine.faults import KernelFault
-from repro.engine.governor import ResourceGovernor
+from repro.engine.governor import CancellationToken, ResourceGovernor
 from repro.engine.operators import evaluate, rowid_column
 from repro.engine.stats import ExchangeStats, ExecutionStats
 from repro.errors import ExecutionError, ShardUnavailable
 from repro.expressions.ast import Aggregate, ColumnRef
-from repro.server.transport import (
-    SHARD_CONFIG_FIELDS,
-    WIRE_PICKLE_PROTOCOL,
-    restricted_loads,
-)
+from repro.server.transport import restricted_loads, wire_dumps
 from repro.sqltypes.values import SqlValue, sort_key
 from repro.storage.partition import PartitionSpec, partition_table
 
 #: Hidden partial column carrying each group's first-appearance RowID.
 ORDINAL_COLUMN = "__ord"
-
-
-def exchange_fanout(mode: str, shards: int) -> int:
-    """How many times one shipped row crosses the wire under ``mode``."""
-    if mode == "broadcast":
-        return max(1, shards)
-    return 2 if mode == "shuffle" else 1
 
 
 # -- aggregate decomposition -------------------------------------------------
@@ -147,10 +138,124 @@ def decompose_aggregates(
     return partials, merged
 
 
+# -- below the wire ----------------------------------------------------------
+
+#: ExecutorConfig fields a coordinator sets on a shard execution.
+#: Everything else (budgets with coordinator-side meaning, shard topology,
+#: worker counts) is pinned by :func:`run_shard`.
+SHARD_CONFIG_FIELDS = frozenset({
+    "engine", "join_algorithm", "aggregation", "exploit_orders",
+    "morsel_size", "memory_limit_bytes", "max_rows", "spill", "degrade",
+})
+
+
+def shard_request(
+    shard_table,
+    table_name: str,
+    plan: PlanNode,
+    params: Optional[Mapping[str, SqlValue]],
+    config: ExecutorConfig,
+) -> Dict[str, Any]:
+    """One shard delivery's request: self-contained (frozen partition +
+    plan + whitelisted config), so any worker computes the same partial."""
+    return {
+        "op": "execute",
+        "table": shard_table,
+        "table_name": table_name,
+        "plan": plan,
+        "params": dict(params) if params else None,
+        # sorted: a frozenset iterates in per-process hash order, and the
+        # request's frame should not depend on it.
+        "config": {f: getattr(config, f) for f in sorted(SHARD_CONFIG_FIELDS)},
+    }
+
+
+def run_shard(
+    request: Dict[str, Any],
+    *,
+    cancellation: Optional[CancellationToken] = None,
+    spill_dir: Optional[str] = None,
+    timeout_seconds: Optional[float] = None,
+) -> Dict[str, Any]:
+    """Execute one :func:`shard_request`; returns the response block.
+
+    Reached by the worker process
+    (:class:`repro.server.transport.ShardWorker`) and by
+    :class:`InProcessShards`.  Shards always expose RowIDs — the ordinal
+    merge needs them — and never distribute or fork further.  The keyword
+    arguments are the coordinator state no frame can carry.
+    """
+    overrides = {
+        key: value
+        for key, value in (request.get("config") or {}).items()
+        if key in SHARD_CONFIG_FIELDS
+    }
+    config = ExecutorConfig(
+        expose_rowids=True,
+        shards=1,
+        exchange="off",
+        workers=1,
+        cancellation=cancellation,
+        spill_dir=spill_dir,
+        timeout_seconds=timeout_seconds,
+        **overrides,
+    )
+    database = Database()
+    database.tables[request["table_name"]] = request["table"]
+    result, stats = Executor(database, config, request.get("params")).run(
+        request["plan"]
+    )
+    return {
+        "op": "result",
+        "request_id": request.get("request_id"),
+        "columns": tuple(result.columns),
+        "rows": list(result.rows),
+        "ordering": tuple(result.ordering),
+        "degradations": stats.degradations,
+        "degradation_events": list(stats.degradation_events),
+        "spill_count": stats.spill_count,
+        "spilled_rows": stats.spilled_rows,
+    }
+
+
+class InProcessShards:
+    """The worker loop without a socket: the three members the delivery
+    loop uses of :class:`~repro.engine.shardrpc.ShardPool`, and the same
+    receive-side allow-list a frame's payload passes."""
+
+    def __init__(self, governor: ResourceGovernor) -> None:
+        self.governor = governor
+        self.counters = shardrpc.RpcCounters()
+
+    def execute(self, index: int, request: Dict[str, Any]) -> Dict[str, Any]:
+        governor = self.governor
+        response = run_shard(
+            request,
+            cancellation=governor.token,
+            spill_dir=governor.spill_dir,
+            timeout_seconds=governor.remaining_seconds(),
+        )
+        return restricted_loads(wire_dumps(response))
+
+    def health(self) -> List[Dict[str, Any]]:
+        return []
+
+
+def _shard_backend(config: ExecutorConfig, size: int, governor: ResourceGovernor):
+    """Where this Exchange's deliveries run — the transport's only reader."""
+    if config.transport == "socket":
+        return shardrpc.get_pool(
+            size,
+            timeout_seconds=config.rpc_timeout_seconds,
+            attempts=config.rpc_attempts,
+        )
+    return InProcessShards(governor)
+
+
 # -- plan plumbing -----------------------------------------------------------
 
 
-def _scan_chain_relation(plan: PlanNode) -> Relation:
+def _below_the_wire(plan: PlanNode) -> Relation:
     """The single Relation at the bottom of a Select* chain.
 
     The Exchange contract (DESIGN.md section 14) requires the subtree below
@@ -158,15 +263,13 @@ def _scan_chain_relation(plan: PlanNode) -> Relation:
     Relation + Select* chain guarantees that *and* that RowID order
     survives to the shard output, which is what the ordinal merge needs.
     """
-    cursor = plan
-    while isinstance(cursor, Select):
-        cursor = cursor.child
-    if not isinstance(cursor, Relation):
+    relation = scan_chain_relation(plan)
+    if relation is None:
         raise ExecutionError(
-            "Exchange expects a Relation/Select* chain below the wire, "
-            f"found {type(cursor).__name__}"
+            "Exchange expects a Relation/Select* chain below the wire; "
+            f"{plan.label()} is not one"
         )
-    return cursor
+    return relation
 
 
 def _resolve_partition_spec(
@@ -202,10 +305,9 @@ def _resolve_partition_spec(
 def _merge_substats(
     stats: ExecutionStats, governor: ResourceGovernor, sub: ExecutionStats
 ) -> None:
-    """Fold one shard run's resilience counters into the outer execution."""
+    """Fold the single-site fallback's counters into the outer execution."""
     stats.degradations += sub.degradations
     stats.degradation_events.extend(sub.degradation_events)
-    stats.exchanges.extend(sub.exchanges)
     governor.spill_count += sub.spill_count
     governor.spilled_rows += sub.spilled_rows
     if stats.pipelines is not None and sub.pipelines is not None:
@@ -227,9 +329,9 @@ def run_exchange(
 
     Engine-agnostic by construction — both executors delegate here
     (``env`` is the delegating executor: its database, config and params),
-    shard subplans re-enter the public executor under the outer config
-    (same engine, morsels, workers), and the recorded :class:`NodeStats`
-    is deterministic, so row and vector stats stay identical.
+    shard subplans re-enter the public executor through :func:`run_shard`
+    (same engine and morsel size), and the recorded :class:`NodeStats` is
+    deterministic, so row and vector stats stay identical.
     """
     database, config, params = env.database, env.config, env.params
     label = node.label()
@@ -242,14 +344,15 @@ def run_exchange(
         # worker could even be reached (ShardUnavailable escaping the
         # retry/failover layer means the whole pool is down): degrade to
         # single-site execution of the original child at the coordinator
-        # (no wire, exact semantics).
+        # (no wire, exact semantics) under what is left of this query's
+        # deadline, not a fresh one.
         stats.note_degradation(label, error)
         governor.check(label)
         fallback_config = replace(
-            config, shards=1, exchange="off", rewrites=(), verify=False
+            config, shards=1, exchange="off", rewrites=(), verify=False,
+            timeout_seconds=governor.remaining_seconds(),
+            cancellation=governor.token,
         )
-        from repro.engine.executor import Executor
-
         result, sub_stats = Executor(database, fallback_config, params).run(
             node.child
         )
@@ -267,8 +370,6 @@ def _run_sharded(
     governor: ResourceGovernor,
     label: str,
 ) -> DataSet:
-    from repro.engine.executor import Executor
-
     database, config, params = env.database, env.config, env.params
     if node.merge:
         child = node.child
@@ -283,7 +384,7 @@ def _run_sharded(
                 "use merge=False (ship-all) instead"
             )
         partial_specs, merged_specs = decomposition
-        relation = _scan_chain_relation(child.child)
+        relation = _below_the_wire(child.child)
         ordinal = AggregateSpec(
             ORDINAL_COLUMN,
             Aggregate("MIN", ColumnRef(relation.correlation, "#rowid")),
@@ -292,102 +393,46 @@ def _run_sharded(
             child.child, child.grouping_columns, tuple(partial_specs) + (ordinal,)
         )
     else:
-        relation = _scan_chain_relation(node.child)
+        relation = _below_the_wire(node.child)
         shard_plan = node.child
 
     table = database.table(relation.table_name)
     spec = _resolve_partition_spec(node, relation, database)
     partitions = partition_table(table, spec)
-    # Shards always expose RowIDs: the ordinal merge needs them.  The
-    # extra column is stripped below unless the outer config asked for it.
-    shard_config = replace(
-        config,
-        shards=1,
-        exchange="off",
-        rewrites=(),
-        verify=False,
-        expose_rowids=True,
-    )
+    backend = _shard_backend(config, len(partitions), governor)
+    rpc_before = backend.counters.snapshot()
 
     deliveries: List[List[tuple]] = []
     columns: Tuple[str, ...] = ()
     ordering: Tuple[str, ...] = ()
-    received = 0
     raw_bytes = 0
-    rpc_before = rpc_after = None
-    health: Tuple[str, ...] = ()
-    if config.transport == "socket":
-        from repro.engine.shardrpc import get_pool
-
-        pool = get_pool(
-            len(partitions),
-            timeout_seconds=config.rpc_timeout_seconds,
-            attempts=config.rpc_attempts,
+    for index, shard_table in enumerate(partitions):
+        governor.check(label)
+        # The per-delivery crash point of the fault matrix and the chaos
+        # schedules.
+        faults.injection_point("exchange", label)
+        response = backend.execute(
+            index,
+            shard_request(
+                shard_table, relation.table_name, shard_plan, params, config
+            ),
         )
-        rpc_before = pool.counters.snapshot()
-        # sorted: a frozenset iterates in per-process hash order, and the
-        # request's frame should not depend on it.
-        worker_config = {
-            f: getattr(config, f) for f in sorted(SHARD_CONFIG_FIELDS)
-        }
-        for index, shard_table in enumerate(partitions):
-            # Same per-delivery crash point the memory wire exposes, so
-            # the existing fault matrix and chaos schedules carry over.
-            faults.injection_point("exchange", label)
-            response = pool.execute(index, {
-                "op": "execute",
-                "table": shard_table,
-                "table_name": relation.table_name,
-                "plan": shard_plan,
-                "params": dict(params) if params else None,
-                "config": worker_config,
-            })
-            rows = list(response["rows"])
-            deliveries.append(rows)
-            columns = tuple(response["columns"])
-            ordering = tuple(response["ordering"])
-            received += len(rows)
-            # Payload accounting identical to the memory wire (the framed
-            # request/response totals land in wire_bytes instead).
-            raw_bytes += len(
-                pickle.dumps(rows, protocol=WIRE_PICKLE_PROTOCOL)
-            )
-            stats.degradations += response.get("degradations", 0)
-            stats.degradation_events.extend(
-                response.get("degradation_events", ())
-            )
-            governor.spill_count += response.get("spill_count", 0)
-            governor.spilled_rows += response.get("spilled_rows", 0)
-        rpc_after = pool.counters.snapshot()
-        health = tuple(
-            f"{entry['shard']}: {entry['health']}"
-            for entry in pool.health()
-        )
-    else:
-        for shard_table in partitions:
-            shard_db = database.snapshot_view()
-            shard_db.tables[relation.table_name] = shard_table
-            result, sub_stats = Executor(shard_db, shard_config, params).run(
-                shard_plan
-            )
-            _merge_substats(stats, governor, sub_stats)
-            # The wire: serialize at the pinned wire protocol, meter the
-            # actual bytes, decode through the restricted unpickler, and
-            # give the fault injector its per-delivery crash point.
-            faults.injection_point("exchange", label)
-            blob = pickle.dumps(
-                list(result.rows), protocol=WIRE_PICKLE_PROTOCOL
-            )
-            rows = restricted_loads(blob)
-            deliveries.append(rows)
-            columns = tuple(result.columns)
-            ordering = tuple(result.ordering)
-            received += len(rows)
-            raw_bytes += len(blob)
+        rows = response["rows"]
+        deliveries.append(rows)
+        columns = tuple(response["columns"])
+        ordering = tuple(response["ordering"])
+        # Payload accounting: the rows alone, whatever framed them (the
+        # framed request/response totals land in wire_bytes).
+        raw_bytes += len(wire_dumps(rows))
+        stats.degradations += response["degradations"]
+        stats.degradation_events.extend(response["degradation_events"])
+        governor.spill_count += response["spill_count"]
+        governor.spilled_rows += response["spilled_rows"]
+    rpc_after = backend.counters.snapshot()
 
-    fanout = exchange_fanout(node.mode, node.shards)
-    rows_shipped = received * fanout
-    bytes_shipped = raw_bytes * fanout
+    received = sum(len(rows) for rows in deliveries)
+    rows_shipped = received * node.fanout
+    bytes_shipped = raw_bytes * node.fanout
     governor.charge_transfer(rows_shipped, bytes_shipped, label)
 
     if node.merge:
@@ -399,22 +444,20 @@ def _run_sharded(
             columns, ordering, deliveries, rowid_column(relation.correlation),
             config.expose_rowids,
         )
-    exchange_stats = ExchangeStats(
-        label, node.mode, node.shards, rows_shipped, bytes_shipped,
-        transport=config.transport, shard_health=health,
+    stats.exchanges.append(
+        ExchangeStats(
+            label, node.mode, node.shards, rows_shipped, bytes_shipped,
+            transport=config.transport,
+            rpc_retries=rpc_after["retries"] - rpc_before["retries"],
+            rpc_timeouts=rpc_after["timeouts"] - rpc_before["timeouts"],
+            rpc_failovers=rpc_after["failovers"] - rpc_before["failovers"],
+            wire_bytes=rpc_after["wire_bytes"] - rpc_before["wire_bytes"],
+            shard_health=tuple(
+                f"{entry['shard']}: {entry['health']}"
+                for entry in backend.health()
+            ),
+        )
     )
-    if rpc_before is not None and rpc_after is not None:
-        exchange_stats.rpc_retries = rpc_after["retries"] - rpc_before["retries"]
-        exchange_stats.rpc_timeouts = (
-            rpc_after["timeouts"] - rpc_before["timeouts"]
-        )
-        exchange_stats.rpc_failovers = (
-            rpc_after["failovers"] - rpc_before["failovers"]
-        )
-        exchange_stats.wire_bytes = (
-            rpc_after["wire_bytes"] - rpc_before["wire_bytes"]
-        )
-    stats.exchanges.append(exchange_stats)
     stats.record_node(
         node, "exchange", (received,), merged.cardinality, rows_shipped
     )

@@ -89,7 +89,8 @@ class ExecutorConfig:
       serial; ``0`` means *auto* — the worker-count autotuner picks
       ``os.cpu_count()`` (clamped, see
       :func:`repro.engine.vector.parallel.resolve_workers`).  Results are
-      bit-identical whatever the count.
+      bit-identical whatever the count.  Below an Exchange wire it is
+      pinned to ``1`` on either transport: a shard never forks further.
 
     Sharded execution (both engines):
 
@@ -112,7 +113,12 @@ class ExecutorConfig:
       pickle round-trip) or ``"socket"`` (one OS process per shard behind
       the framed RPC of :mod:`repro.server.transport`, with retries,
       health-checked failover, and idempotent request IDs — see
-      :mod:`repro.engine.shardrpc`).  Transport never changes results.
+      :mod:`repro.engine.shardrpc`).  Both send the same request to the
+      same :func:`repro.engine.exchange.run_shard`, which takes that
+      module's ``SHARD_CONFIG_FIELDS`` from this config and pins the
+      rest; the cancellation token, ``spill_dir`` and the remaining
+      deadline reach in-process shards only (no frame carries them).
+      Transport never changes results.
     * ``rpc_timeout_seconds`` / ``rpc_attempts``: the per-call deadline
       and retry budget for each socket-transport shard delivery.
     """

@@ -2,13 +2,17 @@
 
 :mod:`repro.server.transport` defines *how* bytes move (framing,
 restricted unpickling, the worker loop); this module decides *when and
-where* they move.  The :class:`ShardPool` owns one OS worker process per
-shard slot — spawn (``repro shard-worker`` as a subprocess, parsing its
-``READY`` line for the ephemeral port), handshake (``hello`` with a
-wire-version check), heartbeat (``ping`` RTTs feed the planner's
-per-site latency term), drain (``shutdown``) and kill.
+where* they move; *what* a delivery holds is opaque here (the request
+and response format is :mod:`repro.engine.exchange`'s).  The
+:class:`ShardPool` owns one OS worker process per shard slot — spawn
+(``repro shard-worker`` as a subprocess, parsing its ``READY`` line for
+the ephemeral port), handshake (``hello`` with a wire-version check),
+heartbeat (``ping`` RTTs feed the planner's per-site latency term),
+drain (``shutdown``) and kill.
 
-Every Exchange delivery goes through :meth:`ShardPool.execute`, which
+The pool is the ``"socket"`` backend of the Exchange delivery loop, which
+uses ``execute``, ``counters.snapshot()`` and ``health()`` of it.  Every
+socket delivery goes through :meth:`ShardPool.execute`, which
 layers the fault-tolerance contract over the raw wire:
 
 * **per-call deadline** — each RPC gets ``rpc_timeout_seconds`` of
@@ -252,9 +256,7 @@ class WorkerHandle:
         if response.get("op") == "error":
             if response.get("error_type") == "WireFormatError":
                 raise WireFormatError(str(response.get("message")))
-            from repro.engine.faults import KernelFault
-
-            raise KernelFault(
+            raise faults.KernelFault(
                 f"{self.label}: {response.get('error_type')}: "
                 f"{response.get('message')}"
             )
@@ -396,13 +398,7 @@ class ShardPool:
 
     # -- the RPC layer ----------------------------------------------------
 
-    def execute(
-        self,
-        index: int,
-        request: Dict[str, Any],
-        *,
-        session: Optional[str] = None,
-    ) -> Dict[str, Any]:
+    def execute(self, index: int, request: Dict[str, Any]) -> Dict[str, Any]:
         """Deliver one shard execution, retrying and failing over.
 
         ``request`` must be self-contained (table + plan + config) and is
@@ -411,7 +407,6 @@ class ShardPool:
         guarantees at-most-once execution per delivery.
         """
         request = dict(request)
-        request.setdefault("op", "execute")
         request.setdefault("request_id", uuid.uuid4().hex)
         # Try the assigned worker first, then every live peer (requests
         # are self-contained, so any worker computes the same partial).
@@ -430,9 +425,7 @@ class ShardPool:
                 last_error = error
                 continue
             return response
-        from repro.engine.faults import KernelFault
-
-        raise KernelFault(
+        raise faults.KernelFault(
             f"shard-{index}: no live worker could serve the delivery "
             f"({last_error})"
         )

@@ -120,11 +120,11 @@ class VectorExecutor:
         self, node: PlanNode, stats: ExecutionStats, governor: ResourceGovernor
     ) -> ColumnBatch:
         if isinstance(node, Exchange):
-            # The Exchange runner is engine-agnostic (it re-enters the
-            # public execute() per shard with this config, so shard
-            # subplans still run on the vector engine, morsel driver and
-            # all); the merged stream comes back as rows and re-enters the
-            # batch world here.
+            # The Exchange runner is engine-agnostic (run_shard re-enters
+            # the public executor per shard with this engine and morsel
+            # size, so shard subplans still run on the vector engine,
+            # morsel driver and all); the merged stream comes back as rows
+            # and re-enters the batch world here.
             from repro.engine.exchange import run_exchange
 
             governor.tick(node.label())

@@ -84,18 +84,6 @@ class NetworkWeights:
     per_site_latency: float = 0.0
 
 
-#: How each Exchange mode multiplies the shipped-row charge: gather ships
-#: every row once, shuffle re-partitions (two hops), broadcast fans every
-#: row out to all shards.
-EXCHANGE_MODE_FACTORS: Dict[str, float] = {"gather": 1.0, "shuffle": 2.0}
-
-
-def exchange_mode_factor(mode: str, shards: int) -> float:
-    if mode == "broadcast":
-        return float(max(1, shards))
-    return EXCHANGE_MODE_FACTORS[mode]
-
-
 class CostModel:
     """Estimates the CPU cost of a logical plan.
 
@@ -103,7 +91,7 @@ class CostModel:
     with the §7 communication term folded in: the subtree below an
     Exchange runs shard-parallel (its CPU cost divides by the shard
     count), and every row the child produces is charged ``network.per_row``
-    times the mode factor on its way through the wire.  This is what makes
+    times the node's ``fanout`` on its way through the wire.  This makes
     the planner push partial aggregation below the Exchange exactly when
     groups ≪ rows — the same comparison
     :class:`DistributedCostModel.cost_with_transfer` makes abstractly.
@@ -207,14 +195,13 @@ class CostModel:
             # The child's estimate is the shipped stream (for merge=True the
             # terminal GroupApply already shrank it to one row per group).
             shipped = child.rows
-            factor = exchange_mode_factor(plan.mode, plan.shards)
             merge_weight = (
                 self.weights.hash_build if plan.merge else self.weights.tuple_cpu
             )
             node_cost = (
                 self.network.per_query_setup
                 + plan.shards * self.network.per_site_latency
-                + shipped * self.network.per_row * factor
+                + shipped * self.network.per_row * plan.fanout
                 + shipped * merge_weight  # coordinator-side merge pass
             )
             by_node[id(plan)] = node_cost
@@ -233,9 +220,7 @@ class CostModel:
         total = 0.0
         for node in walk_plan(plan):
             if isinstance(node, Exchange):
-                total += self.estimator.rows(node.child) * exchange_mode_factor(
-                    node.mode, node.shards
-                )
+                total += self.estimator.rows(node.child) * node.fanout
         return total
 
     def _join_cost(

@@ -33,11 +33,12 @@ from repro.algebra.ops import (
     Relation,
     Select,
     _with_children,
+    scan_chain_relation,
 )
 from repro.catalog.catalog import Database
 from repro.errors import TransformationError
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import CostModel, NetworkWeights, exchange_mode_factor
+from repro.optimizer.cost import CostModel, NetworkWeights
 from repro.storage.partition import PartitionSpec
 
 #: Attribute carrying the shard_exchange certificate on a distributed root.
@@ -47,13 +48,6 @@ _CERT_ATTR = "_distribution_certificate"
 def distribution_certificate(plan: PlanNode):
     """The R704 certificate attached to a distributed plan root, if any."""
     return getattr(plan, _CERT_ATTR, None)
-
-
-def _chain_relation(plan: PlanNode) -> Optional[Relation]:
-    cursor = plan
-    while isinstance(cursor, Select):
-        cursor = cursor.child
-    return cursor if isinstance(cursor, Relation) else None
 
 
 class _Site:
@@ -76,12 +70,12 @@ def _find_sites(plan: PlanNode) -> List[_Site]:
 
     def recurse(node: PlanNode, parent: Optional[PlanNode]) -> None:
         if isinstance(node, GroupApply):
-            relation = _chain_relation(node.child)
+            relation = scan_chain_relation(node.child)
             if relation is not None:
                 sites.append(_Site(node, node.child, relation))
                 return
         if not isinstance(parent, (Select, GroupApply)):
-            relation = _chain_relation(node)
+            relation = scan_chain_relation(node)
             if relation is not None:
                 sites.append(_Site(None, node, relation))
                 return
@@ -188,9 +182,7 @@ def distribute_plan(plan: PlanNode, database: Database, config) -> PlanNode:
     cost, chosen_plan, replaced, exchange, strategy = min(
         candidates, key=lambda item: item[0]
     )
-    estimated_shipped = estimator.rows(exchange.child) * exchange_mode_factor(
-        exchange.mode, exchange.shards
-    )
+    estimated_shipped = estimator.rows(exchange.child) * exchange.fanout
 
     from repro.optimizer.rewrites import RuleCertificate
 

@@ -47,11 +47,12 @@ connection at a time.  Operations:
 
 * ``hello`` — handshake: version check, returns pid + wire version;
 * ``ping`` — health probe (heartbeats), returns served/duplicate counts;
-* ``execute`` — run a shard subplan against a shipped table partition
-  and return the result block.  The latest responses are cached by
-  **request ID**: a retried or duplicated request is answered from the
-  cache without re-executing, so retransmitted partials can never
-  double-count.
+* ``execute`` — hand the request to
+  :func:`repro.engine.exchange.run_shard` (that module owns what a shard
+  request and its response hold) and return its response block.  The
+  latest responses are cached by **request ID**: a retried or duplicated
+  request is answered from the cache without re-executing, so
+  retransmitted partials can never double-count.
 * ``shutdown`` — drain: stop serving after the reply flushes.
 
 Workers are stateless between requests (each ``execute`` ships its own
@@ -203,15 +204,6 @@ def recv_frame(stream: BinaryIO) -> Tuple[Dict[str, Any], int]:
 
 # -- the worker side ---------------------------------------------------------
 
-#: ExecutorConfig fields a coordinator may set on a shard execution.
-#: Everything else (budgets with coordinator-side meaning, cancellation
-#: tokens, shard topology) is pinned worker-side.
-SHARD_CONFIG_FIELDS = frozenset({
-    "engine", "join_algorithm", "aggregation", "exploit_orders",
-    "morsel_size", "memory_limit_bytes", "max_rows", "spill", "degrade",
-})
-
-
 #: Completed responses a worker keeps for retransmissions.  A retry or a
 #: duplicate follows its original within one delivery's retry loop, with at
 #: most the other coordinator threads' deliveries in between; a response
@@ -278,6 +270,8 @@ class ShardWorker:
         return {"op": "hello", "version": WIRE_VERSION, "pid": os.getpid()}
 
     def _execute(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        from repro.engine.exchange import run_shard  # it imports this module
+
         request_id = request.get("request_id")
         if not isinstance(request_id, str):
             raise WireFormatError("execute request carries no request_id")
@@ -285,47 +279,12 @@ class ShardWorker:
         if cached is not None:
             self.duplicates += 1
             return cached
-        response = self._run(request)
+        response = run_shard(request)
         self._responses[request_id] = response
         if len(self._responses) > RESPONSE_CACHE_SIZE:
             del self._responses[next(iter(self._responses))]  # the oldest
         self.served += 1
         return response
-
-    def _run(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.catalog.catalog import Database
-        from repro.engine.executor import Executor, ExecutorConfig
-
-        table = request["table"]
-        table_name = request["table_name"]
-        plan = request["plan"]
-        params = request.get("params")
-        overrides = {
-            key: value
-            for key, value in (request.get("config") or {}).items()
-            if key in SHARD_CONFIG_FIELDS
-        }
-        config = ExecutorConfig(
-            expose_rowids=True,
-            shards=1,
-            exchange="off",
-            workers=1,
-            **overrides,
-        )
-        database = Database()
-        database.tables[table_name] = table
-        result, stats = Executor(database, config, params).run(plan)
-        return {
-            "op": "result",
-            "request_id": request["request_id"],
-            "columns": tuple(result.columns),
-            "rows": list(result.rows),
-            "ordering": tuple(result.ordering),
-            "degradations": stats.degradations,
-            "degradation_events": list(stats.degradation_events),
-            "spill_count": stats.spill_count,
-            "spilled_rows": stats.spilled_rows,
-        }
 
     # -- the serving loop -------------------------------------------------
 

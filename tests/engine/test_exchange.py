@@ -11,15 +11,27 @@ methods, empty shards, AVG decomposition, and the degrade path.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.algebra.ops import AggregateSpec, Exchange, GroupApply, Relation, Select
 from repro.catalog.catalog import Database
 from repro.catalog.schema import Column, TableSchema
-from repro.engine import faults
-from repro.engine.exchange import decompose_aggregates, exchange_fanout
-from repro.engine.executor import ExecutorConfig, execute
-from repro.errors import ExecutionError
+from repro.engine import exchange, faults, shardrpc
+from repro.engine.exchange import SHARD_CONFIG_FIELDS, decompose_aggregates
+from repro.engine.executor import Executor, ExecutorConfig, execute
+from repro.engine.governor import CancellationToken, ResourceGovernor, unlimited
+from repro.engine.stats import ExecutionStats
+from repro.errors import (
+    ExecutionError,
+    QueryCancelled,
+    QueryTimeout,
+    WireFormatError,
+    operator_path,
+)
 from repro.expressions.builder import avg, col, count, gt, max_, min_, sum_
 from repro.sqltypes.datatypes import BOOLEAN, INTEGER
 from repro.storage.partition import PartitionSpec
@@ -57,9 +69,11 @@ def wrap(plan, **kwargs):
 
 class TestFanout:
     def test_modes(self):
-        assert exchange_fanout("gather", 4) == 1
-        assert exchange_fanout("shuffle", 4) == 2
-        assert exchange_fanout("broadcast", 4) == 4
+        fanout = {
+            mode: Exchange(Relation("T", "T"), mode=mode, shards=4).fanout
+            for mode in ("gather", "shuffle", "broadcast")
+        }
+        assert fanout == {"gather": 1, "shuffle": 2, "broadcast": 4}
 
     def test_bad_mode_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -255,51 +269,223 @@ class TestDegrade:
                 )
 
 
+TRANSPORTS = ("memory", "socket")
+
+
+@pytest.fixture
+def shard_runs(monkeypatch):
+    """Every ``run_shard`` call below: ``(request, keyword arguments)``.
+
+    The socket transport's pool is replaced by the real in-process
+    backend, so what the coordinator does on either transport is under
+    test and no worker process is needed."""
+    calls = []
+    run_shard = exchange.run_shard
+
+    def counting(request, **coordinator_state):
+        calls.append((request, coordinator_state))
+        return run_shard(request, **coordinator_state)
+
+    monkeypatch.setattr(exchange, "run_shard", counting)
+    monkeypatch.setattr(
+        shardrpc,
+        "get_pool",
+        lambda size, **rpc: exchange.InProcessShards(unlimited()),
+    )
+    return calls
+
+
+@pytest.fixture
+def executor_configs(monkeypatch):
+    """The config of every ``Executor`` the Exchange runner constructs."""
+    configs = []
+
+    def spy(database, config, params=None):
+        configs.append(config)
+        return Executor(database, config, params)
+
+    monkeypatch.setattr(exchange, "Executor", spy)
+    return configs
+
+
 class TestShardConfigWhitelist:
     """One list of the ExecutorConfig fields a shard execution carries."""
 
     def test_every_name_is_an_executor_config_field(self):
         import dataclasses
 
-        from repro.server.transport import SHARD_CONFIG_FIELDS
-
         fields = {field.name for field in dataclasses.fields(ExecutorConfig)}
         assert SHARD_CONFIG_FIELDS <= fields
 
-    def test_socket_request_config_is_the_whitelist(self, monkeypatch):
-        # An in-process stand-in for the worker pool: the request the
-        # coordinator builds is what is under test, not the sockets.
-        from repro.engine import shardrpc
-        from repro.server.transport import SHARD_CONFIG_FIELDS, ShardWorker
-
-        requests = []
-
-        class InProcessPool:
-            counters = shardrpc.RpcCounters()
-            worker = ShardWorker()
-
-            def execute(self, index, request):
-                requests.append(request)
-                return self.worker.handle(
-                    dict(request, request_id=f"r{len(requests)}")
-                )
-
-            def health(self):
-                return []
-
-        monkeypatch.setattr(shardrpc, "get_pool", lambda *a, **k: InProcessPool())
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_request_config_is_the_whitelist(
+        self, shard_runs, executor_configs, transport
+    ):
         db = make_db()
         config = ExecutorConfig(aggregation="sort", morsel_size=16)
         base, __ = execute(db, group_plan(), config)
         sharded, __ = execute(
             db,
             wrap(group_plan(), shards=2, merge=True),
-            ExecutorConfig(aggregation="sort", morsel_size=16, transport="socket"),
+            ExecutorConfig(
+                aggregation="sort", morsel_size=16, workers=2, transport=transport
+            ),
         )
         assert sharded.rows == base.rows
-        assert len(requests) == 2
-        for request in requests:
+        assert len(shard_runs) == 2
+        for request, __ in shard_runs:
             assert set(request["config"]) == SHARD_CONFIG_FIELDS
-            assert request["config"]["aggregation"] == "sort"
-            assert request["config"]["morsel_size"] == 16
+        # What is not on the list is pinned below the wire, on both wires.
+        assert [
+            (c.aggregation, c.morsel_size, c.workers, c.shards, c.expose_rowids)
+            for c in executor_configs
+        ] == [("sort", 16, 1, 1, True)] * 2
 
+
+class TestOneDeliveryPath:
+    """Both transports send the same request to the same ``run_shard``."""
+
+    def test_both_transports_send_one_request(self, shard_runs):
+        db = make_db()
+        sent = {}
+        for transport in TRANSPORTS:
+            del shard_runs[:]
+            execute(
+                db,
+                wrap(group_plan(), shards=2, merge=True),
+                ExecutorConfig(transport=transport),
+            )
+            sent[transport] = [
+                {k: v for k, v in request.items() if k != "request_id"}
+                for request, __ in shard_runs
+            ]
+            assert len(sent[transport]) == 2
+        for memory, socket in zip(sent["memory"], sent["socket"]):
+            assert list(memory) == list(socket)
+            assert exchange.wire_dumps(memory) == exchange.wire_dumps(socket)
+
+    def test_forged_class_in_a_response_block_is_refused(
+        self, shard_runs, monkeypatch
+    ):
+        """The whole in-process response passes the receive-side
+        allow-list, as a frame's payload does — not only its rows."""
+        import os
+
+        run_shard = exchange.run_shard  # the counting wrapper
+
+        def forging(request, **coordinator_state):
+            response = run_shard(request, **coordinator_state)
+            response["degradation_events"] = [os.getcwd]  # posix.getcwd
+            return response
+
+        monkeypatch.setattr(exchange, "run_shard", forging)
+        with pytest.raises(WireFormatError):
+            execute(make_db(), wrap(group_plan(), shards=2, merge=True))
+        assert len(shard_runs) == 1
+
+    def test_the_transport_is_read_once_and_one_function_runs_shard_plans(self):
+        """AST guard: under ``engine/`` ``config.transport`` is compared in
+        one place (backend selection), and of the three modules the wire
+        is made of only ``run_shard`` — below the wire — and the
+        coordinator's single-site fallback construct an ``Executor``."""
+        root = Path(repro.__file__).parent
+
+        def is_config_transport(side):  # config.transport, env.config.transport
+            owner = getattr(side, "value", None)
+            return (
+                isinstance(side, ast.Attribute)
+                and side.attr == "transport"
+                and "config" in (getattr(owner, "id", None), getattr(owner, "attr", None))
+            )
+
+        compared = []
+        for path in sorted((root / "engine").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Compare) and any(
+                    map(is_config_transport, [node.left, *node.comparators])
+                ):
+                    compared.append(f"{path.name}:{node.lineno}")
+        assert len(compared) == 1 and compared[0].startswith("exchange.py:")
+
+        constructs = []
+        for relative in (
+            "engine/exchange.py", "engine/shardrpc.py", "server/transport.py"
+        ):
+            tree = ast.parse((root / relative).read_text())
+            for function in ast.walk(tree):
+                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    constructs += [
+                        function.name
+                        for node in ast.walk(function)
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "Executor"
+                    ]
+        assert sorted(constructs) == ["run_exchange", "run_shard"]
+
+
+class TestOneBudget:
+    """A sharded query runs under one deadline and one cancellation token:
+    every delivery is preceded by a check of the coordinator's governor,
+    and what runs in-process inherits what is left, not a fresh clock."""
+
+    def run(self, governor, config=ExecutorConfig()):
+        node = wrap(group_plan(), shards=2, merge=True)
+        return Executor(make_db(), config)._execute(
+            node, ExecutionStats(), governor
+        )
+
+    def test_deadline_spans_the_deliveries(self, shard_runs, monkeypatch):
+        now = [0.0]
+        run_shard = exchange.run_shard
+        seconds_per_shard = 4.0
+
+        def slow(request, **coordinator_state):
+            now[0] += seconds_per_shard
+            return run_shard(request, **coordinator_state)
+
+        monkeypatch.setattr(exchange, "run_shard", slow)
+        self.run(ResourceGovernor(timeout_seconds=10.0, clock=lambda: now[0]))
+        assert [kw["timeout_seconds"] for __, kw in shard_runs] == [10.0, 6.0]
+
+        # Shard 0 takes the clock past the deadline: shard 1 never runs.
+        del shard_runs[:]
+        seconds_per_shard = 11.0
+        governor = ResourceGovernor(timeout_seconds=10.0, clock=lambda: now[0])
+        with pytest.raises(QueryTimeout) as excinfo:
+            self.run(governor)
+        assert len(shard_runs) == 1
+        assert any("Exchange[" in frame for frame in operator_path(excinfo.value))
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_cancellation_stops_the_next_delivery(
+        self, shard_runs, monkeypatch, transport
+    ):
+        token = CancellationToken()
+        run_shard = exchange.run_shard
+
+        def cancelling(request, **coordinator_state):
+            response = run_shard(request, **coordinator_state)
+            token.cancel("during shard 0")
+            return response
+
+        monkeypatch.setattr(exchange, "run_shard", cancelling)
+        with pytest.raises(QueryCancelled):
+            self.run(
+                ResourceGovernor(token=token), ExecutorConfig(transport=transport)
+            )
+        assert len(shard_runs) == 1
+        if transport == "memory":
+            assert shard_runs[0][1]["cancellation"] is token
+
+    def test_single_site_fallback_inherits_the_budget(self, executor_configs):
+        now = [4.0]
+        token = CancellationToken()
+        governor = ResourceGovernor(
+            timeout_seconds=10.0, token=token, clock=lambda: now[0]
+        )  # started at 4: deadline 14
+        now[0] = 9.0
+        with faults.inject(faults.FaultSpec("kernel", engine="exchange")):
+            self.run(governor)
+        [fallback] = executor_configs
+        assert fallback.timeout_seconds == 5.0
+        assert fallback.cancellation is token
