@@ -263,7 +263,8 @@ class Shell:
             f"  rpc: calls={counters['calls']} retries={counters['retries']} "
             f"timeouts={counters['timeouts']} "
             f"failovers={counters['failovers']} "
-            f"wire_bytes={counters['wire_bytes']}"
+            f"wire_bytes={counters['wire_bytes']} "
+            f"reseeds={counters['reseeds']}"
         )
 
     def _list_sessions(self) -> None:

@@ -31,16 +31,23 @@ node's :attr:`~repro.algebra.ops.Exchange.fanout`.
 
 One delivery path, two backends: every delivery is ``governor.check`` →
 the ``"exchange"`` fault-injection point → ``backend.execute(index,
-request)`` → account the response block.  This module owns that format —
+request)`` → account the response block.  Partitions are **resident**
+below the wire: a request names its partition by id
+(:func:`repro.storage.partition.identified_partitions`), a worker that does not
+hold it answers ``missing``, and the loop sends the same request once more
+with the frozen twin attached, to the worker that said so; that worker
+keeps the twin — and the columnar batches it derives from it — until its
+bounded store evicts it.  This module owns that format —
 :func:`shard_request` builds it, :func:`run_shard` is the only code that
 executes a plan below the wire, the loop is the only reader of its
 response — and ``config.transport`` only picks who carries it:
 
 * ``"memory"`` (default) — :class:`InProcessShards`, the worker loop
-  without a socket: calls :func:`run_shard` and passes its response
-  through the transport's **restricted unpickler**, so a forged payload
-  is a typed :class:`~repro.errors.WireFormatError` on this wire too.
-  Byte accounting is real, failure independence is not.
+  without a socket: calls :func:`run_shard` over the process's own
+  partition store (a twin is attached by reference) and passes its
+  response through the transport's **restricted unpickler**, so a forged
+  payload is a typed :class:`~repro.errors.WireFormatError` on this wire
+  too.  Byte accounting is real, failure independence is not.
 * ``"socket"`` — :class:`~repro.engine.shardrpc.ShardPool`: one OS process
   per shard serving :func:`run_shard` behind the framed RPC (per-call
   deadlines, jittered retries, idempotent request IDs, health-checked
@@ -56,6 +63,7 @@ kernels use — so the answer never changes.
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import itemgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.ops import (
@@ -77,9 +85,9 @@ from repro.engine.operators import evaluate, rowid_column
 from repro.engine.stats import ExchangeStats, ExecutionStats
 from repro.errors import ExecutionError, ShardUnavailable
 from repro.expressions.ast import Aggregate, ColumnRef
-from repro.server.transport import restricted_loads, wire_dumps
+from repro.server.transport import PartitionStore, restricted_loads, wire_dumps
 from repro.sqltypes.values import SqlValue, sort_key
-from repro.storage.partition import PartitionSpec, partition_table
+from repro.storage.partition import PartitionSpec, identified_partitions
 
 #: Hidden partial column carrying each group's first-appearance RowID.
 ORDINAL_COLUMN = "__ord"
@@ -150,17 +158,18 @@ SHARD_CONFIG_FIELDS = frozenset({
 
 
 def shard_request(
-    shard_table,
+    partition_id: str,
     table_name: str,
     plan: PlanNode,
     params: Optional[Mapping[str, SqlValue]],
     config: ExecutorConfig,
 ) -> Dict[str, Any]:
-    """One shard delivery's request: self-contained (frozen partition +
-    plan + whitelisted config), so any worker computes the same partial."""
+    """One shard delivery's request: the partition's id, the plan and the
+    whitelisted config.  The id names immutable content, so any worker that
+    holds it — or is sent it — computes the same partial."""
     return {
         "op": "execute",
-        "table": shard_table,
+        "partition": partition_id,
         "table_name": table_name,
         "plan": plan,
         "params": dict(params) if params else None,
@@ -172,12 +181,15 @@ def shard_request(
 
 def run_shard(
     request: Dict[str, Any],
+    store: PartitionStore,
     *,
     cancellation: Optional[CancellationToken] = None,
     spill_dir: Optional[str] = None,
     timeout_seconds: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Execute one :func:`shard_request`; returns the response block.
+    """Execute one :func:`shard_request` over ``store``'s resident
+    partition; returns the response block, or ``{"op": "missing"}`` when
+    the store does not hold the partition and the request did not bring it.
 
     Reached by the worker process
     (:class:`repro.server.transport.ShardWorker`) and by
@@ -185,6 +197,14 @@ def run_shard(
     merge needs them — and never distribute or fork further.  The keyword
     arguments are the coordinator state no frame can carry.
     """
+    partition_id = request["partition"]
+    table = request.get("table")
+    if table is not None:
+        store.put(partition_id, table)
+    else:
+        table = store.get(partition_id)
+        if table is None:
+            return {"op": "missing", "request_id": request.get("request_id")}
     overrides = {
         key: value
         for key, value in (request.get("config") or {}).items()
@@ -201,7 +221,7 @@ def run_shard(
         **overrides,
     )
     database = Database()
-    database.tables[request["table_name"]] = request["table"]
+    database.tables[request["table_name"]] = table
     result, stats = Executor(database, config, request.get("params")).run(
         request["plan"]
     )
@@ -218,6 +238,11 @@ def run_shard(
     }
 
 
+#: What the in-process backend's "worker" keeps resident: one store for the
+#: process, as a worker process has one, reached by every session's thread.
+_RESIDENT = PartitionStore()
+
+
 class InProcessShards:
     """The worker loop without a socket: the three members the delivery
     loop uses of :class:`~repro.engine.shardrpc.ShardPool`, and the same
@@ -231,11 +256,14 @@ class InProcessShards:
         governor = self.governor
         response = run_shard(
             request,
+            _RESIDENT,
             cancellation=governor.token,
             spill_dir=governor.spill_dir,
             timeout_seconds=governor.remaining_seconds(),
         )
-        return restricted_loads(wire_dumps(response))
+        response = restricted_loads(wire_dumps(response))
+        response["worker"] = index
+        return response
 
     def health(self) -> List[Dict[str, Any]]:
         return []
@@ -398,7 +426,7 @@ def _run_sharded(
 
     table = database.table(relation.table_name)
     spec = _resolve_partition_spec(node, relation, database)
-    partitions = partition_table(table, spec)
+    partition_ids, partitions = identified_partitions(table, spec)
     backend = _shard_backend(config, len(partitions), governor)
     rpc_before = backend.counters.snapshot()
 
@@ -406,17 +434,28 @@ def _run_sharded(
     columns: Tuple[str, ...] = ()
     ordering: Tuple[str, ...] = ()
     raw_bytes = 0
-    for index, shard_table in enumerate(partitions):
+    for index, partition_id in enumerate(partition_ids):
         governor.check(label)
         # The per-delivery crash point of the fault matrix and the chaos
         # schedules.
         faults.injection_point("exchange", label)
-        response = backend.execute(
-            index,
-            shard_request(
-                shard_table, relation.table_name, shard_plan, params, config
-            ),
+        request = shard_request(
+            partition_id, relation.table_name, shard_plan, params, config
         )
+        response = backend.execute(index, request)
+        if response["op"] == "missing":
+            # Load the partition where it was found missing — the worker
+            # that answered, which after a failover is not ``index``.
+            governor.check(label)
+            backend.counters.reseeds += 1
+            response = backend.execute(
+                response["worker"], {**request, "table": partitions[index]}
+            )
+            if response["op"] == "missing":
+                raise KernelFault(
+                    f"{label}: shard {index} answered 'missing' to a "
+                    "request that carried its partition"
+                )
         rows = response["rows"]
         deliveries.append(rows)
         columns = tuple(response["columns"])
@@ -452,6 +491,7 @@ def _run_sharded(
             rpc_timeouts=rpc_after["timeouts"] - rpc_before["timeouts"],
             rpc_failovers=rpc_after["failovers"] - rpc_before["failovers"],
             wire_bytes=rpc_after["wire_bytes"] - rpc_before["wire_bytes"],
+            reseeds=rpc_after["reseeds"] - rpc_before["reseeds"],
             shard_health=tuple(
                 f"{entry['shard']}: {entry['health']}"
                 for entry in backend.health()
@@ -484,7 +524,10 @@ def _merge_ordinal(
         return DataSet(columns, rows, ordering=ordering)
     kept = [i for i in range(len(columns)) if i != ordinal_index]
     out_columns = tuple(columns[i] for i in kept)
-    out_rows = [tuple(row[i] for i in kept) for row in rows]
+    if len(kept) == 1:  # itemgetter of one index returns a scalar, not a row
+        out_rows = [(row[kept[0]],) for row in rows]
+    else:
+        out_rows = list(map(itemgetter(*kept), rows))
     out_ordering = tuple(name for name in ordering if name != ordinal_column)
     return DataSet(out_columns, out_rows, ordering=out_ordering)
 

@@ -113,11 +113,14 @@ class ExecutorConfig:
       pickle round-trip) or ``"socket"`` (one OS process per shard behind
       the framed RPC of :mod:`repro.server.transport`, with retries,
       health-checked failover, and idempotent request IDs — see
-      :mod:`repro.engine.shardrpc`).  Both send the same request to the
+      :mod:`repro.engine.shardrpc`).  Both send the same requests to the
       same :func:`repro.engine.exchange.run_shard`, which takes that
       module's ``SHARD_CONFIG_FIELDS`` from this config and pins the
       rest; the cancellation token, ``spill_dir`` and the remaining
       deadline reach in-process shards only (no frame carries them).
+      On both, partitions are resident below the wire: a request names
+      its partition by id and carries the partition itself only to a
+      worker that answered ``missing`` (a bounded store, no setting).
       Transport never changes results.
     * ``rpc_timeout_seconds`` / ``rpc_attempts``: the per-call deadline
       and retry budget for each socket-transport shard delivery.

@@ -31,9 +31,13 @@ layers the fault-tolerance contract over the raw wire:
   suspect → dead (:data:`SUSPECT_AFTER` / :data:`DEAD_AFTER`); any
   success snaps it back to healthy; a respawn marks it recovered;
 * **failover** — when a shard's own worker is dead (or dies mid-call),
-  the delivery is re-dispatched to a live peer: requests are
-  self-contained (they ship the frozen partition with the plan), so any
-  worker computes the identical partial.  Only when *no* worker is live
+  the delivery is re-dispatched to a live peer: a request names its
+  partition by an id of immutable content, and a worker that does not hold
+  it says so instead of guessing, so any worker computes the identical
+  partial.  Every response is stamped with the ``worker`` that gave it:
+  the Exchange loop answers ``missing`` by sending the partition *there*
+  (``execute(worker, ...)`` — a new delivery to that slot, not a retry,
+  timeout or failover of the first).  Only when *no* worker is live
   does :meth:`execute` raise :class:`~repro.engine.faults.KernelFault`,
   handing the query to the existing degrade ladder in
   :mod:`repro.engine.exchange` — single-site fallback, answer unchanged.
@@ -59,7 +63,7 @@ import sys
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.engine import faults
@@ -91,16 +95,12 @@ class RpcCounters:
     failovers: int = 0
     duplicates: int = 0
     wire_bytes: int = 0
+    #: Partitions sent to a worker that answered ``missing`` (counted by
+    #: the Exchange loop, on either backend).
+    reseeds: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "calls": self.calls,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "failovers": self.failovers,
-            "duplicates": self.duplicates,
-            "wire_bytes": self.wire_bytes,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -399,31 +399,31 @@ class ShardPool:
     # -- the RPC layer ----------------------------------------------------
 
     def execute(self, index: int, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Deliver one shard execution, retrying and failing over.
+        """Deliver one shard execution, retrying and failing over; the
+        response says which ``worker`` gave it.
 
-        ``request`` must be self-contained (table + plan + config) and is
-        stamped with a fresh idempotency UUID here — retries and injected
-        duplicates reuse the same ID, so the worker's response cache
-        guarantees at-most-once execution per delivery.
+        ``request`` is stamped with a fresh idempotency UUID here — retries
+        and injected duplicates reuse the same ID, so the worker's response
+        cache guarantees at-most-once execution per delivery.
         """
         request = dict(request)
         request.setdefault("request_id", uuid.uuid4().hex)
-        # Try the assigned worker first, then every live peer (requests
-        # are self-contained, so any worker computes the same partial).
-        order = [self.workers[index]] + [
-            w for i, w in enumerate(self.workers) if i != index
-        ]
+        # Try the assigned worker first, then every live peer (a worker
+        # without the partition answers ``missing``, never a wrong partial).
+        order = [index] + [i for i in range(len(self.workers)) if i != index]
         last_error: Optional[Exception] = None
-        for attempt_index, worker in enumerate(order):
+        for position in order:
+            worker = self.workers[position]
             if not worker.alive:
                 continue
-            if attempt_index > 0:
+            if position != index:
                 self.counters.failovers += 1
             try:
                 response = self._call_with_retries(worker, request)
             except (ShardUnavailable, WireFormatError) as error:
                 last_error = error
                 continue
+            response["worker"] = position
             return response
         raise faults.KernelFault(
             f"shard-{index}: no live worker could serve the delivery "

@@ -62,6 +62,10 @@ class ExchangeStats:
     rpc_timeouts: int = 0
     rpc_failovers: int = 0
     wire_bytes: int = 0
+    #: Partitions loaded into a worker that answered ``missing`` (either
+    #: wire): 0 on a warm store, one per shard on a cold one, and on every
+    #: statement when the store thrashes.
+    reseeds: int = 0
     #: Per-shard health after the exchange, e.g. ``("shard-0: healthy",)``.
     shard_health: Tuple[str, ...] = ()
 
@@ -75,7 +79,7 @@ class ExchangeStats:
                 f" [transport={self.transport}, retries={self.rpc_retries}, "
                 f"timeouts={self.rpc_timeouts}, "
                 f"failovers={self.rpc_failovers}, "
-                f"wire_bytes={self.wire_bytes}]"
+                f"wire_bytes={self.wire_bytes}, reseeds={self.reseeds}]"
             )
         if self.shard_health:
             text += " health: " + ", ".join(self.shard_health)

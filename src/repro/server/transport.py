@@ -47,17 +47,22 @@ connection at a time.  Operations:
 
 * ``hello`` — handshake: version check, returns pid + wire version;
 * ``ping`` — health probe (heartbeats), returns served/duplicate counts;
-* ``execute`` — hand the request to
-  :func:`repro.engine.exchange.run_shard` (that module owns what a shard
-  request and its response hold) and return its response block.  The
-  latest responses are cached by **request ID**: a retried or duplicated
-  request is answered from the cache without re-executing, so
-  retransmitted partials can never double-count.
+* ``execute`` — hand the request and this worker's
+  :class:`PartitionStore` to :func:`repro.engine.exchange.run_shard` (that
+  module owns what a shard request and its response hold) and return its
+  response block.  The latest ``result`` responses are cached by **request
+  ID**: a retried or duplicated request is answered from the cache without
+  re-executing, so retransmitted partials can never double-count.  A
+  ``missing`` reply is never cached — it describes the store, not the
+  request.
 * ``shutdown`` — drain: stop serving after the reply flushes.
 
-Workers are stateless between requests (each ``execute`` ships its own
-partition), which is what makes retry-elsewhere failover sound: any
-worker can serve any delivery, bit-identically.
+A worker's only state between requests is its bounded
+:class:`PartitionStore`: frozen partition twins keyed by an id that names
+immutable content.  A request names its partition by id; a worker that does
+not hold it says ``missing`` and is sent the twin.  That is what keeps
+retry-elsewhere failover sound: any worker can serve any delivery,
+bit-identically, and none can serve it from the wrong rows.
 """
 
 from __future__ import annotations
@@ -67,13 +72,14 @@ import pickle
 import socket
 import struct
 import sys
+import threading
 import zlib
 from typing import Any, BinaryIO, Dict, Optional, Tuple
 
 from repro.errors import ReproError, WireFormatError
 
 #: Pinned framing version; bumped on any incompatible frame/payload change.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Pinned pickle protocol for every payload on the wire.  Protocol 4 is
 #: supported by every interpreter this project targets; pinning (rather
@@ -209,22 +215,59 @@ def recv_frame(stream: BinaryIO) -> Tuple[Dict[str, Any], int]:
 #: most the other coordinator threads' deliveries in between; a response
 #: holds a whole shard result, so keeping every one grew the worker by its
 #: answers for as long as it lived.  A retransmission that does arrive
-#: after its response was dropped re-runs the plan over the table it
-#: carries and gets the same answer.
+#: after its response was dropped re-runs the plan over the partition it
+#: names and gets the same answer.
 RESPONSE_CACHE_SIZE = 64
+
+#: Partition twins a worker keeps resident.  A worker serves one partition
+#: per live (table, version, spec); the rest is room for several sharded
+#: tables, readers pinned to older epochs and a dead peer's deliveries.  A
+#: twin holds its rows and whatever the engine derived from them (columnar
+#: batches), so the bound is what caps a long-lived worker under writes.
+PARTITION_STORE_SIZE = 8
+
+
+class PartitionStore:
+    """The resident partitions of one worker: id → frozen twin, at most
+    :data:`PARTITION_STORE_SIZE` of them, the oldest evicted first.
+
+    An id names immutable content (see :mod:`repro.storage.partition`), so
+    an entry is never stale, only absent — and an absent one is re-sent.
+    The in-process store is shared by every server session's thread:
+    :meth:`get` is one atomic ``dict.get``, insertion and eviction hold the
+    lock.
+    """
+
+    def __init__(self) -> None:
+        self._twins: Dict[str, Any] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._twins)
+
+    def get(self, partition_id: str) -> Optional[Any]:
+        return self._twins.get(partition_id)
+
+    def put(self, partition_id: str, twin: Any) -> None:
+        with self._lock:
+            if partition_id not in self._twins:
+                while len(self._twins) >= PARTITION_STORE_SIZE:
+                    del self._twins[next(iter(self._twins))]  # the oldest
+            self._twins[partition_id] = twin
 
 
 class ShardWorker:
     """One shard worker process' serving loop (testable in-process).
 
-    Holds the idempotency cache: the latest :data:`RESPONSE_CACHE_SIZE`
-    completed ``execute`` responses keyed by request ID.  A retransmitted
-    request — a retry after a lost response, or an injected duplicate — is
-    served from the cache without running the plan again, so retried
-    partials can never double-count.
+    Holds the resident partitions and the idempotency cache: the latest
+    :data:`RESPONSE_CACHE_SIZE` completed ``execute`` results keyed by
+    request ID.  A retransmitted request — a retry after a lost response,
+    or an injected duplicate — is served from the cache without running the
+    plan again, so retried partials can never double-count.
     """
 
     def __init__(self) -> None:
+        self.partitions = PartitionStore()
         self._responses: Dict[str, Dict[str, Any]] = {}
         self.served = 0
         self.duplicates = 0
@@ -279,11 +322,12 @@ class ShardWorker:
         if cached is not None:
             self.duplicates += 1
             return cached
-        response = run_shard(request)
-        self._responses[request_id] = response
-        if len(self._responses) > RESPONSE_CACHE_SIZE:
-            del self._responses[next(iter(self._responses))]  # the oldest
-        self.served += 1
+        response = run_shard(request, self.partitions)
+        if response["op"] == "result":
+            self._responses[request_id] = response
+            if len(self._responses) > RESPONSE_CACHE_SIZE:
+                del self._responses[next(iter(self._responses))]  # the oldest
+            self.served += 1
         return response
 
     # -- the serving loop -------------------------------------------------

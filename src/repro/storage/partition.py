@@ -26,12 +26,21 @@ Partitioning composes with MVCC: the partitions of one spec are a
 :meth:`~repro.storage.table.Table.derived` value of the table, so a
 mutation (version bump) invalidates them and snapshot readers of a frozen
 version keep getting the partitions of *that* version.
+
+Each twin is minted with an **id** in the same derived entry
+(:func:`identified_partitions`), so the id is exactly as fresh as the twin: it
+names that immutable content and nothing else.  A shard worker keeps a
+twin resident under its id (:mod:`repro.engine.exchange`), which is why an
+id is random rather than ``(table name, version, spec)`` — two databases in
+one process may both hold an ``A`` at version 3000 and share one worker
+pool.
 """
 
 from __future__ import annotations
 
 import decimal
 import hashlib
+import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -157,10 +166,20 @@ def partition_table(table: Table, spec: PartitionSpec) -> Tuple[Table, ...]:
     Every row lands in exactly one shard; the concatenation of the shards
     in shard order, re-sorted by rowid, is exactly the parent's row list.
     """
+    return identified_partitions(table, spec)[1]
+
+
+def identified_partitions(
+    table: Table, spec: PartitionSpec
+) -> Tuple[Tuple[str, ...], Tuple[Table, ...]]:
+    """``(ids, twins)`` of :func:`partition_table`'s split, in shard order:
+    one derived entry, so an id is minted with its twin and dropped with it."""
     return table.derived(("partitions", spec), lambda: _split(table, spec))
 
 
-def _split(table: Table, spec: PartitionSpec) -> Tuple[Table, ...]:
+def _split(
+    table: Table, spec: PartitionSpec
+) -> Tuple[Tuple[str, ...], Tuple[Table, ...]]:
     shards = spec.shards
     buckets: List[List] = [[] for __ in range(shards)]
     if spec.column is None:
@@ -184,7 +203,8 @@ def _split(table: Table, spec: PartitionSpec) -> Tuple[Table, ...]:
                 buckets[_range_shard(row.values[index], bounds, shards)].append(
                     row
                 )
-    return tuple(_shard_twin(table, bucket) for bucket in buckets)
+    twins = tuple(_shard_twin(table, bucket) for bucket in buckets)
+    return tuple(os.urandom(16).hex() for __ in twins), twins
 
 
 @dataclass

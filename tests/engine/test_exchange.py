@@ -22,6 +22,7 @@ from repro.catalog.catalog import Database
 from repro.catalog.schema import Column, TableSchema
 from repro.engine import exchange, faults, shardrpc
 from repro.engine.exchange import SHARD_CONFIG_FIELDS, decompose_aggregates
+from repro.engine.faults import KernelFault
 from repro.engine.executor import Executor, ExecutorConfig, execute
 from repro.engine.governor import CancellationToken, ResourceGovernor, unlimited
 from repro.engine.stats import ExecutionStats
@@ -34,7 +35,8 @@ from repro.errors import (
 )
 from repro.expressions.builder import avg, col, count, gt, max_, min_, sum_
 from repro.sqltypes.datatypes import BOOLEAN, INTEGER
-from repro.storage.partition import PartitionSpec
+from repro.server.transport import PartitionStore
+from repro.storage.partition import PartitionSpec, identified_partitions
 
 
 def make_db(rows=50, keys=7):
@@ -231,6 +233,18 @@ class TestEdges:
             (row, type(row[1])) for row in base.rows
         ]
 
+    def test_ship_all_over_a_one_column_table(self):
+        """Stripping the ordinal leaves one column: rows must stay
+        1-tuples (``operator.itemgetter`` of one index returns a scalar)."""
+        db = Database()
+        db.create_table(TableSchema("T", [Column("k", INTEGER)]))
+        for i in range(9):
+            db.table("T").insert([i % 4])
+        base, __ = execute(db, Relation("T", "T"))
+        sharded, __ = execute(db, wrap(Relation("T", "T"), shards=2))
+        assert sharded.columns == base.columns
+        assert sharded.rows == base.rows and isinstance(sharded.rows[0], tuple)
+
     def test_merge_requires_group_apply_child(self):
         db = make_db()
         with pytest.raises(ExecutionError):
@@ -273,18 +287,36 @@ TRANSPORTS = ("memory", "socket")
 
 
 @pytest.fixture
-def shard_runs(monkeypatch):
-    """Every ``run_shard`` call below: ``(request, keyword arguments)``.
+def cold_store(monkeypatch):
+    """Empties the in-process partition store, now and whenever called."""
+    def empty():
+        store = PartitionStore()
+        monkeypatch.setattr(exchange, "_RESIDENT", store)
+        return store
+
+    empty()
+    return empty
+
+
+@pytest.fixture
+def shard_runs(monkeypatch, cold_store):
+    """Every ``run_shard`` call below, once it returned or raised:
+    ``(request, keyword arguments, the reply's op)``.
 
     The socket transport's pool is replaced by the real in-process
     backend, so what the coordinator does on either transport is under
-    test and no worker process is needed."""
+    test and no worker process is needed.  The store starts cold."""
     calls = []
     run_shard = exchange.run_shard
 
-    def counting(request, **coordinator_state):
-        calls.append((request, coordinator_state))
-        return run_shard(request, **coordinator_state)
+    def counting(request, store, **coordinator_state):
+        op = "raised"
+        try:
+            response = run_shard(request, store, **coordinator_state)
+            op = response["op"]
+            return response
+        finally:
+            calls.append((request, coordinator_state, op))
 
     monkeypatch.setattr(exchange, "run_shard", counting)
     monkeypatch.setattr(
@@ -332,8 +364,9 @@ class TestShardConfigWhitelist:
             ),
         )
         assert sharded.rows == base.rows
-        assert len(shard_runs) == 2
-        for request, __ in shard_runs:
+        # A cold store: each shard is asked, says "missing", is sent its twin.
+        assert [op for __, __, op in shard_runs] == ["missing", "result"] * 2
+        for request, __, __ in shard_runs:
             assert set(request["config"]) == SHARD_CONFIG_FIELDS
         # What is not on the list is pinned below the wire, on both wires.
         assert [
@@ -343,26 +376,60 @@ class TestShardConfigWhitelist:
 
 
 class TestOneDeliveryPath:
-    """Both transports send the same request to the same ``run_shard``."""
+    """Both transports send the same sequence to the same ``run_shard``."""
 
-    def test_both_transports_send_one_request(self, shard_runs):
+    def test_both_transports_send_one_request(self, shard_runs, cold_store):
+        """Cold: id only → ``missing`` → id + twin → ``result``, per shard.
+        Warm: id only → ``result``.  The twin rides in no other message."""
         db = make_db()
+        node = wrap(group_plan(), shards=2, merge=True)
+        ids, twins = identified_partitions(
+            db.table("T"), PartitionSpec("hash", "k", 2)
+        )
         sent = {}
         for transport in TRANSPORTS:
-            del shard_runs[:]
-            execute(
-                db,
-                wrap(group_plan(), shards=2, merge=True),
-                ExecutorConfig(transport=transport),
-            )
-            sent[transport] = [
-                {k: v for k, v in request.items() if k != "request_id"}
-                for request, __ in shard_runs
+            cold_store()
+            for temperature in ("cold", "warm"):
+                del shard_runs[:]
+                execute(db, node, ExecutorConfig(transport=transport))
+                sent[transport, temperature] = [
+                    ({k: v for k, v in request.items() if k != "request_id"}, op)
+                    for request, __, op in shard_runs
+                ]
+            cold, warm = sent[transport, "cold"], sent[transport, "warm"]
+            assert [op for __, op in cold] == ["missing", "result"] * 2
+            assert [op for __, op in warm] == ["result"] * 2
+            assert [r["partition"] for r, __ in cold] == [
+                ids[0], ids[0], ids[1], ids[1]
             ]
-            assert len(sent[transport]) == 2
-        for memory, socket in zip(sent["memory"], sent["socket"]):
-            assert list(memory) == list(socket)
-            assert exchange.wire_dumps(memory) == exchange.wire_dumps(socket)
+            assert [r.get("table") for r, __ in cold] == [
+                None, twins[0], None, twins[1]
+            ]
+            for (asked, __), (loaded, __) in zip(cold[0::2], cold[1::2]):
+                assert list(loaded) == list(asked) + ["table"]
+                assert {**loaded, "table": None} == {**asked, "table": None}
+            assert [r for r, __ in warm] == [r for r, __ in cold[0::2]]
+        for temperature in ("cold", "warm"):
+            memory, socket = sent["memory", temperature], sent["socket", temperature]
+            assert len(memory) == len(socket)
+            for (m, m_op), (k, k_op) in zip(memory, socket):
+                assert m_op == k_op and list(m) == list(k)
+                assert exchange.wire_dumps(m) == exchange.wire_dumps(k)
+
+    def test_a_worker_that_stays_missing_is_a_fault_not_a_third_send(
+        self, shard_runs, monkeypatch
+    ):
+        run_shard = exchange.run_shard  # the counting wrapper
+
+        def forgetful(request, store, **coordinator_state):
+            run_shard(request, store, **coordinator_state)
+            return {"op": "missing", "request_id": None}
+
+        monkeypatch.setattr(exchange, "run_shard", forgetful)
+        node = wrap(group_plan(), shards=2, merge=True)
+        with pytest.raises(KernelFault, match="carried its partition"):
+            execute(make_db(), node, ExecutorConfig(degrade=False))
+        assert len(shard_runs) == 2  # asked, sent the twin, never a third time
 
     def test_forged_class_in_a_response_block_is_refused(
         self, shard_runs, monkeypatch
@@ -373,15 +440,15 @@ class TestOneDeliveryPath:
 
         run_shard = exchange.run_shard  # the counting wrapper
 
-        def forging(request, **coordinator_state):
-            response = run_shard(request, **coordinator_state)
+        def forging(request, store, **coordinator_state):
+            response = run_shard(request, store, **coordinator_state)
             response["degradation_events"] = [os.getcwd]  # posix.getcwd
             return response
 
         monkeypatch.setattr(exchange, "run_shard", forging)
         with pytest.raises(WireFormatError):
             execute(make_db(), wrap(group_plan(), shards=2, merge=True))
-        assert len(shard_runs) == 1
+        assert len(shard_runs) == 1  # a "missing" reply passes it too
 
     def test_the_transport_is_read_once_and_one_function_runs_shard_plans(self):
         """AST guard: under ``engine/`` ``config.transport`` is compared in
@@ -435,47 +502,61 @@ class TestOneBudget:
         )
 
     def test_deadline_spans_the_deliveries(self, shard_runs, monkeypatch):
+        """One clock for the round: the message that loads a partition runs
+        under what the one that found it missing left over."""
         now = [0.0]
         run_shard = exchange.run_shard
-        seconds_per_shard = 4.0
+        seconds_per_message = 2.0
 
-        def slow(request, **coordinator_state):
-            now[0] += seconds_per_shard
-            return run_shard(request, **coordinator_state)
+        def slow(request, store, **coordinator_state):
+            now[0] += seconds_per_message
+            return run_shard(request, store, **coordinator_state)
 
         monkeypatch.setattr(exchange, "run_shard", slow)
         self.run(ResourceGovernor(timeout_seconds=10.0, clock=lambda: now[0]))
-        assert [kw["timeout_seconds"] for __, kw in shard_runs] == [10.0, 6.0]
+        assert [op for __, __, op in shard_runs] == ["missing", "result"] * 2
+        assert [kw["timeout_seconds"] for __, kw, __ in shard_runs] == [
+            10.0, 8.0, 6.0, 4.0,
+        ]
 
-        # Shard 0 takes the clock past the deadline: shard 1 never runs.
+        # Shard 0's "missing" takes the clock past the deadline: its
+        # partition is never sent, shard 1 never asked.
         del shard_runs[:]
-        seconds_per_shard = 11.0
+        seconds_per_message = 11.0
         governor = ResourceGovernor(timeout_seconds=10.0, clock=lambda: now[0])
         with pytest.raises(QueryTimeout) as excinfo:
             self.run(governor)
-        assert len(shard_runs) == 1
+        assert [op for __, __, op in shard_runs] == ["missing"]
         assert any("Exchange[" in frame for frame in operator_path(excinfo.value))
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_cancellation_stops_the_next_delivery(
         self, shard_runs, monkeypatch, transport
     ):
-        token = CancellationToken()
+        """Cancelled while shard 0 says ``missing``: no twin is sent.
+        Cancelled while it computes: shard 1 is never asked."""
         run_shard = exchange.run_shard
+        for cancel_at, sequence in [
+            ("missing", ["missing"]), ("result", ["missing", "result"]),
+        ]:
+            token = CancellationToken()
 
-        def cancelling(request, **coordinator_state):
-            response = run_shard(request, **coordinator_state)
-            token.cancel("during shard 0")
-            return response
+            def cancelling(request, store, **coordinator_state):
+                response = run_shard(request, store, **coordinator_state)
+                if response["op"] == cancel_at:
+                    token.cancel("during shard 0")
+                return response
 
-        monkeypatch.setattr(exchange, "run_shard", cancelling)
-        with pytest.raises(QueryCancelled):
-            self.run(
-                ResourceGovernor(token=token), ExecutorConfig(transport=transport)
-            )
-        assert len(shard_runs) == 1
-        if transport == "memory":
-            assert shard_runs[0][1]["cancellation"] is token
+            monkeypatch.setattr(exchange, "run_shard", cancelling)
+            del shard_runs[:]
+            with pytest.raises(QueryCancelled):
+                self.run(
+                    ResourceGovernor(token=token),
+                    ExecutorConfig(transport=transport),
+                )
+            assert [op for __, __, op in shard_runs] == sequence
+            if transport == "memory":
+                assert shard_runs[0][1]["cancellation"] is token
 
     def test_single_site_fallback_inherits_the_budget(self, executor_configs):
         now = [4.0]

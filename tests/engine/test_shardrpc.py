@@ -18,7 +18,18 @@ contracts under test, in rough dependency order:
   queries of one session;
 * failover — a SIGKILLed worker's delivery lands on a live peer; with
   *no* live peer the Exchange degrades to single-site and the answer
-  still never changes.
+  still never changes;
+* residency — a delivery names its partition and ships it only to a
+  worker that says ``missing``: a respawned worker is re-seeded once, a
+  dead primary's peer is re-seeded at the cost of one failover, every
+  network fault kind is survived on the message that carries the twin,
+  and a write between two reads re-seeds the new version while a reader
+  pinned to the old epoch still finds the old one resident.
+
+Occurrence-window schedules (``NetFaultSpec(kind, op="execute")`` fires on
+the first ``execute`` message) keep meaning "a delivery that runs the
+plan": those tests warm the store first.  ``TestResidency`` wants the other
+message and says which one it indexes.
 """
 
 from __future__ import annotations
@@ -182,6 +193,7 @@ class TestSocketDeliveries:
 class TestNetworkFaults:
     @pytest.mark.parametrize("kind", ["drop", "delay", "duplicate", "garble"])
     def test_single_fault_survived(self, db, node, baseline, socket_config, kind):
+        run_socket(db, node, socket_config)  # warm: the fault hits a delivery
         with faults.inject(NetFaultSpec(kind, op="execute")) as injector:
             result, stats = run_socket(db, node, socket_config)
         assert list(result.rows) == list(baseline.rows)
@@ -233,7 +245,8 @@ class TestNetworkFaults:
         from dataclasses import replace
 
         # A dropped message costs one full RPC timeout; keep it short so
-        # the seeded schedule replays quickly.
+        # the seeded schedule replays quickly.  Both replays start from a
+        # new pool, so both draw over the same cold-store message sequence.
         config = replace(socket_config, rpc_timeout_seconds=0.3)
         fired = []
         for __ in range(2):
@@ -347,6 +360,154 @@ class TestSigkillMidQuery:
             pool.execute = original_execute
         assert killed["done"]
         assert list(result.rows) == list(baseline.rows)
+
+
+def fresh_copy(db):
+    """The same rows in a new table object: new partition ids, so every
+    worker's store is cold for it whatever ran before."""
+    database = Database()
+    database.create_table(db.table("T").schema)
+    for row in db.table("T"):
+        database.table("T").insert(list(row.values))
+    return database
+
+
+class TestResidency:
+    def test_warm_store_ships_no_partition(self, db, node, baseline,
+                                           socket_config):
+        __, cold = run_socket(fresh_copy(db), node, socket_config)
+        copy = fresh_copy(db)
+        __, first = run_socket(copy, node, socket_config)
+        result, second = run_socket(copy, node, socket_config)
+        assert list(result.rows) == list(baseline.rows)
+        first, second = first.exchanges[-1], second.exchanges[-1]
+        assert (first.reseeds, second.reseeds) == (2, 0)
+        # Ids are of one length: a cold statement frames the same bytes
+        # whichever table object it is; a warm one frames no partition.
+        assert first.wire_bytes == cold.exchanges[-1].wire_bytes
+        assert second.wire_bytes < first.wire_bytes
+
+    def test_killed_worker_is_reseeded_once(self, db, node, baseline,
+                                            socket_config):
+        """SIGKILL between two statements: the respawned worker's store is
+        empty and it says so — one partition loaded, nothing failed over."""
+        run_socket(db, node, socket_config)
+        active_pool().kill(1)
+        result, stats = run_socket(db, node, socket_config)
+        assert list(result.rows) == list(baseline.rows)
+        exchange = stats.exchanges[-1]
+        assert (exchange.reseeds, exchange.rpc_failovers) == (1, 0)
+        assert (exchange.rpc_retries, stats.degradations) == (0, 0)
+        assert active_pool().workers[1].respawns >= 1
+
+    def test_dead_primary_reseeds_the_peer_with_one_failover(
+        self, db, node, baseline, socket_config
+    ):
+        """The primary dies after the pool was checked: its delivery fails
+        over to the peer, which lacks the partition.  The twin goes to the
+        peer that said so — one failover, not a second trip through the
+        failover order."""
+        run_socket(db, node, socket_config)
+        pool = active_pool()
+        execute_ = pool.execute
+        calls = []
+
+        def killing_execute(index, request):
+            if not calls:
+                pool.kill(0)
+            calls.append((index, "table" in request))
+            return execute_(index, request)
+
+        pool.execute = killing_execute
+        try:
+            result, stats = run_socket(db, node, socket_config)
+        finally:
+            del pool.execute
+        assert list(result.rows) == list(baseline.rows)
+        # shard 0 asked of worker 0, its twin sent to worker 1, shard 1.
+        assert calls == [(0, False), (1, True), (1, False)]
+        exchange = stats.exchanges[-1]
+        assert (exchange.reseeds, exchange.rpc_failovers) == (1, 1)
+        assert stats.degradations == 0
+
+    @pytest.mark.parametrize(
+        "kind, count",
+        [("drop", 1), ("delay", 1), ("duplicate", 1), ("garble", 1),
+         ("partition", 1), ("partition", 50)],
+    )
+    def test_faults_on_the_message_that_carries_the_twin(
+        self, db, node, baseline, socket_config, kind, count
+    ):
+        """Re-indexed, not warmed: on a cold store worker 0's ``execute``
+        messages are "asked" (0) and "sent its twin" (1, and its retries);
+        the fault is planted on 1."""
+        from dataclasses import replace
+
+        config = replace(socket_config, rpc_timeout_seconds=0.3)
+        run_socket(db, node, config)  # a live pool; the copy below is cold
+        duplicates = active_pool().execute(0, {"op": "ping"})["duplicates"]
+        spec = NetFaultSpec(
+            kind, shard="shard-0", op="execute", occurrence=1, count=count
+        )
+        with faults.inject(spec) as injector:
+            result, stats = run_socket(fresh_copy(db), node, config)
+        assert list(result.rows) == list(baseline.rows)
+        assert injector.net_fired[0] == (spec, "shard-0", "execute")
+        exchange = stats.exchanges[-1]
+        assert (exchange.reseeds, stats.degradations) == (2, 0)
+        # A short partition is retried on the same worker; one that
+        # outlasts the retries sends twin and plan to the peer.
+        assert exchange.rpc_failovers == (1 if count > 1 else 0)
+        if kind in ("drop", "garble", "partition"):
+            assert exchange.rpc_retries >= 1
+        if kind == "duplicate":
+            # The second copy is answered from the request-ID cache: the
+            # twin was stored once and the plan ran once.
+            pong = active_pool().execute(0, {"op": "ping"})
+            assert pong["duplicates"] == duplicates + 1
+
+    def test_write_between_two_reads(self, socket_config):
+        """The chaos oracle on a fixed schedule: read, write, read in one
+        server session over socket shards, then a reader still pinned to
+        the first read's epoch.  The write publishes a new version — new
+        twins, new ids, two re-seeds — and the old version's partitions
+        stay resident for the pinned reader, under their own ids."""
+        from repro.server import chaos
+        from repro.server.server import Server
+        from repro.session import Session
+
+        database, setup_sql = chaos._seed_database()
+        server = Server(database, executor_config=socket_config)
+        session = server.open_session()
+        for emp in range(40):
+            session.execute(
+                f"INSERT INTO Emp VALUES ({emp}, {emp % chaos.N_DEPTS}, {100 + emp})"
+            )
+        sql = chaos.READ_SQL[2]  # grouped MIN/MAX over Emp alone
+
+        before = session.report(sql)
+        pinned = session.snapshot()
+        assert pinned.epoch == before.snapshot_epoch
+        session.execute("INSERT INTO Emp VALUES (1000, 0, 99999)")
+        after = session.report(sql)
+        old_reader = Session(pinned.database, executor_config=socket_config)
+        old = old_reader.report(sql)
+
+        reseeds = [
+            sum(e.reseeds for e in report.stats.exchanges)
+            for report in (before, after, old)
+        ]
+        assert reseeds == [2, 2, 0]
+        assert sorted(old.result.rows) == sorted(before.result.rows)
+        assert sorted(after.result.rows) != sorted(before.result.rows)
+        observed = [
+            (sql, before.snapshot_epoch, tuple(before.result.rows)),
+            (sql, after.snapshot_epoch, tuple(after.result.rows)),
+            (sql, pinned.epoch, tuple(old.result.rows)),
+        ]
+        outcome = chaos.ChaosResult(sessions=1, operations=3)
+        chaos._check_serial_replay(server, setup_sql, observed, socket_config, outcome)
+        assert outcome.ok, outcome.mismatches
 
 
 @pytest.mark.skipif(

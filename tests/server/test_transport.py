@@ -158,7 +158,9 @@ class TestRestrictedUnpickler:
         assert loader.find_class("builtins", "set") is set
 
 
-def make_execute_request(request_id="req-1"):
+def make_execute_request(request_id="req-1", attach=True):
+    """A shard request for partition ``"p"``; ``attach=False`` names the
+    partition only, as every request but the one answering ``missing``."""
     from repro.algebra.ops import AggregateSpec, GroupApply, Relation
     from repro.catalog.catalog import Database
     from repro.catalog.schema import Column, TableSchema
@@ -176,15 +178,25 @@ def make_execute_request(request_id="req-1"):
         Relation("T", "T"), ("T.k",),
         (AggregateSpec("c", count("T.v")), AggregateSpec("s", sum_("T.v"))),
     )
-    return {
+    request = {
         "op": "execute",
         "request_id": request_id,
-        "table": table,
+        "partition": "p",
         "table_name": "T",
         "plan": plan,
         "params": None,
         "config": {"engine": "row"},
     }
+    if attach:
+        request["table"] = table
+    return request
+
+
+def warm_worker():
+    """A worker that already holds partition ``"p"``."""
+    worker = ShardWorker()
+    worker.partitions.put("p", make_execute_request()["table"])
+    return worker
 
 
 class TestShardWorker:
@@ -207,45 +219,71 @@ class TestShardWorker:
         assert response == {"op": "pong", "served": 0, "duplicates": 0}
 
     def test_execute_returns_result_block(self):
+        # Cold: named only, the partition is missing; sent, it stays.
         worker = ShardWorker()
-        response = worker.handle(make_execute_request())
+        assert worker.handle(make_execute_request("ask", attach=False)) == {
+            "op": "missing", "request_id": "ask",
+        }
+        assert worker.served == 0 and len(worker.partitions) == 0
+        response = worker.handle(make_execute_request("load"))
         assert response["op"] == "result"
         assert set(response["columns"]) >= {"T.k", "c", "s"}
         assert len(response["rows"]) == 3
-        assert worker.served == 1
+        assert worker.served == 1 and len(worker.partitions) == 1
+        warm = worker.handle(make_execute_request("again", attach=False))
+        assert {**warm, "request_id": "load"} == response
+        assert worker.served == 2
+
+    def test_missing_reply_is_never_cached(self):
+        # It describes the store, not the request: the same request ID,
+        # arriving again with the twin, must run — not hear "missing" again.
+        worker = ShardWorker()
+        assert worker.handle(make_execute_request("r", attach=False))["op"] == "missing"
+        assert worker.handle(make_execute_request("r"))["op"] == "result"
+        assert (worker.served, worker.duplicates) == (1, 0)
+
+    def test_store_keeps_only_the_latest_partitions(self):
+        from repro.server.transport import PARTITION_STORE_SIZE, PartitionStore
+
+        store = PartitionStore()
+        for i in range(PARTITION_STORE_SIZE + 3):
+            store.put(f"p{i}", object())
+            assert len(store) <= PARTITION_STORE_SIZE
+        assert store.get("p0") is None and store.get("p2") is None
+        assert store.get("p3") is not None
 
     def test_duplicate_request_served_from_cache(self):
         # The idempotency contract: a retransmitted request (same ID) is
         # answered byte-identically without re-executing the plan.
-        worker = ShardWorker()
-        first = worker.handle(make_execute_request("dup"))
-        second = worker.handle(make_execute_request("dup"))
+        worker = warm_worker()
+        first = worker.handle(make_execute_request("dup", attach=False))
+        second = worker.handle(make_execute_request("dup", attach=False))
         assert second is first  # the cached object, not a re-computation
         assert worker.served == 1
         assert worker.duplicates == 1
 
     def test_distinct_request_ids_execute_separately(self):
-        worker = ShardWorker()
-        worker.handle(make_execute_request("a"))
-        worker.handle(make_execute_request("b"))
+        worker = warm_worker()
+        worker.handle(make_execute_request("a", attach=False))
+        worker.handle(make_execute_request("b", attach=False))
         assert worker.served == 2
         assert worker.duplicates == 0
 
     def test_response_cache_keeps_only_the_latest(self):
         # A worker must not grow by every answer it ever gave; a
-        # retransmission older than the window is simply run again and,
-        # the request being self-contained, answers the same.
+        # retransmission older than the window is simply run again over
+        # the partition it names and answers the same.
         from repro.server.transport import RESPONSE_CACHE_SIZE
 
-        worker = ShardWorker()
-        first = worker.handle(make_execute_request("old"))
+        worker = warm_worker()
+        first = worker.handle(make_execute_request("old", attach=False))
         for i in range(RESPONSE_CACHE_SIZE):
-            worker.handle(make_execute_request(f"r{i}"))
+            worker.handle(make_execute_request(f"r{i}", attach=False))
         assert len(worker._responses) == RESPONSE_CACHE_SIZE
         latest = f"r{RESPONSE_CACHE_SIZE - 1}"
-        assert worker.handle(make_execute_request(latest)) is not None
+        assert worker.handle(make_execute_request(latest, attach=False)) is not None
         assert worker.duplicates == 1
-        again = worker.handle(make_execute_request("old"))
+        again = worker.handle(make_execute_request("old", attach=False))
         assert worker.duplicates == 1  # dropped: executed a second time
         assert again == first
 
@@ -266,9 +304,9 @@ class TestShardWorker:
         assert worker.draining
 
     def test_execution_error_is_reported_not_fatal(self):
-        request = make_execute_request()
+        request = make_execute_request(attach=False)
         request["config"] = {"engine": "row", "max_rows": 1}
-        response = ShardWorker().handle(request)
+        response = warm_worker().handle(request)
         assert response["op"] == "error"
         assert response["error_type"] == "RowLimitExceeded"
         assert response["retryable"] is False

@@ -19,6 +19,7 @@ from repro.sqltypes.values import NULL
 from repro.storage.partition import (
     PartitionCatalog,
     PartitionSpec,
+    identified_partitions,
     partition_table,
     range_bounds,
     stable_shard,
@@ -135,10 +136,17 @@ class TestPartitionTable:
         spec = PartitionSpec("hash", "k", 2)
         first = partition_table(table, spec)
         assert partition_table(table, spec) is first
+        ids, twins = identified_partitions(table, spec)
+        assert twins is first and len(set(ids)) == 2
+        # An id is as fresh as its twin, and names no other table's: a
+        # clone has the same name, version and rows, and its own ids.
+        assert identified_partitions(table, spec)[0] is ids
+        assert not set(identified_partitions(table.clone(), spec)[0]) & set(ids)
         table.insert([99, "new"])  # version bump
         second = partition_table(table, spec)
         assert second is not first
         assert sum(len(t) for t in second) == len(table)
+        assert not set(identified_partitions(table, spec)[0]) & set(ids)
 
     def test_single_shard_degenerates_to_the_whole_table(self):
         table = make_table()
