@@ -10,13 +10,13 @@ from __future__ import annotations
 import pytest
 
 from repro.algebra.ops import AggregateSpec
-from repro.core.main_theorem import evaluate_both
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.testfd import test_fd
 from repro.core.transform import build_eager_plan, expand_predicates
 from repro.engine.executor import execute
 from repro.expressions.builder import and_, col, eq, lit, max_, min_, sum_
 from repro.fd.derivation import TableBinding
+from repro.main_theorem import evaluate_both
 
 
 def example3_query():

@@ -12,10 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.transform import build_eager_plan, build_standard_plan, reverse
-from repro.core.viewmerge import merge_aggregated_view
 from repro.engine.executor import execute
 from repro.parser.binder import execute_statement
 from repro.parser.parser import parse_statement
+from repro.parser.viewmerge import merge_aggregated_view
 
 VIEW_SQL = (
     "CREATE VIEW UserInfo (UserId, Machine, TotUsage, MaxSpeed, MinSpeed) AS "

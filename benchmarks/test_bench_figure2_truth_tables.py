@@ -14,11 +14,10 @@ from repro.sqltypes.truth import (
     UNKNOWN,
     ceil_interpret,
     floor_interpret,
-    null_equal,
     truth_and,
     truth_or,
 )
-from repro.sqltypes.values import NULL
+from repro.sqltypes.values import NULL, null_equal
 
 VALUES = (TRUE, UNKNOWN, FALSE)
 LABEL = {TRUE: "true", UNKNOWN: "unknown", FALSE: "false"}

@@ -148,7 +148,7 @@ def test_completeness_containment():
 
 def test_liberal_mode_is_genuinely_unsound():
     """The instance from tests/fd: liberal says YES, plans disagree."""
-    from repro.core.main_theorem import evaluate_both
+    from repro.main_theorem import evaluate_both
     from repro.sqltypes.values import NULL
 
     db = make_db()

@@ -7,12 +7,12 @@ aggregated view.
 Run:  python examples/printer_accounting.py
 """
 
+from repro.core.partition import to_group_by_join_query
 from repro.core.testfd import test_fd
 from repro.core.transform import expand_predicates
-from repro.core.viewmerge import merge_aggregated_view
 from repro.parser.binder import bind_select, execute_statement
 from repro.parser.parser import parse_statement
-from repro.core.partition import to_group_by_join_query
+from repro.parser.viewmerge import merge_aggregated_view
 from repro.session import Session
 from repro.workloads.generators import populate_printer_accounting
 from repro.workloads.schemas import make_printer_schema

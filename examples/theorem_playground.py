@@ -11,11 +11,11 @@ Run:  python examples/theorem_playground.py
 from repro.algebra.notation import to_paper_notation
 from repro.algebra.ops import AggregateSpec
 from repro.catalog import Column, Database, PrimaryKeyConstraint, TableSchema
-from repro.core.main_theorem import verdict
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.transform import build_eager_plan, build_standard_plan
 from repro.expressions.builder import col, eq, sum_
 from repro.fd.derivation import TableBinding
+from repro.main_theorem import verdict
 from repro.sqltypes import INTEGER, VARCHAR
 
 

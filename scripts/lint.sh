@@ -1,12 +1,16 @@
 #!/bin/sh
 # Local mirror of the CI lint job.  ruff/mypy are optional dev tools:
 # when one is missing it is skipped with a note rather than failing, so
-# the script works in minimal environments; the plan-verifier self-lint
-# (repro lint) always runs since it needs only the library itself.
+# the script works in minimal environments; the layer-order check
+# (tests/test_layering.py: stdlib ast, needs only pytest) and the
+# plan-verifier self-lint (repro lint) always run.
 set -e
 cd "$(dirname "$0")/.."
 
 status=0
+
+echo "== layer order =="
+PYTHONPATH=src python -m pytest tests/test_layering.py -q || status=1
 
 if python -c "import ruff" 2>/dev/null || command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="

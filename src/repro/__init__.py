@@ -12,10 +12,11 @@ Typical entry points:
   plan choice;
 * :class:`GroupByJoinQuery` + :func:`test_fd` / :func:`transform` — the
   programmatic transformation API;
-* :mod:`repro.core.main_theorem` — instance-level verification of the
+* :mod:`repro.main_theorem` — instance-level verification of the
   theorem.
 """
 
+from repro.analysis.verifier import transform
 from repro.catalog import (
     Assertion,
     CheckConstraint,
@@ -36,7 +37,6 @@ from repro.core import (
     build_standard_plan,
     check_transformable,
     test_fd,
-    transform,
 )
 from repro.engine import DataSet, Executor, ExecutorConfig, execute
 from repro.errors import (

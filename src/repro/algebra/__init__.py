@@ -16,10 +16,12 @@ from repro.algebra.ops import (
     Sort,
     fuse_group_apply,
     walk_plan,
+    with_children,
 )
 
 __all__ = [
     "AggregateSpec", "Apply", "Group", "GroupApply", "Join", "PlanNode",
     "Product", "Project", "Relation", "Select", "Sort", "fuse_group_apply",
-    "walk_plan", "render_annotated", "render_plan", "to_paper_notation",
+    "walk_plan", "with_children", "render_annotated", "render_plan",
+    "to_paper_notation",
 ]

@@ -21,9 +21,9 @@ so the executor can pick a join algorithm).  The transformation theory in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.expressions.ast import Expression
+from repro.expressions.ast import Aggregate, Expression
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,7 @@ class Exchange(PlanNode):
     Not part of the paper's algebra — this is Section 7's distributed
     argument made executable.  The child subtree executes once per shard
     against that shard's partition of its base table; the parent sees one
-    merged stream, byte-metered through the spill codec (the "wire").
+    merged stream, byte-metered as :mod:`repro.engine.wire` serializes it.
 
     ``mode`` prices the wire in the cost model and the stats:
 
@@ -337,10 +337,11 @@ def fuse_group_apply(plan: PlanNode) -> PlanNode:
     rebuilt_children = tuple(fuse_group_apply(child) for child in plan.children())
     if rebuilt_children == plan.children():
         return plan
-    return _with_children(plan, rebuilt_children)
+    return with_children(plan, rebuilt_children)
 
 
-def _with_children(plan: PlanNode, children: Tuple[PlanNode, ...]) -> PlanNode:
+def with_children(plan: PlanNode, children: Tuple[PlanNode, ...]) -> PlanNode:
+    """``plan``'s operator over ``children``: the one way to rebuild a node."""
     if isinstance(plan, Select):
         return Select(children[0], plan.condition)
     if isinstance(plan, Project):
@@ -376,6 +377,58 @@ def scan_chain_relation(plan: PlanNode) -> Optional[Relation]:
     while isinstance(cursor, Select):
         cursor = cursor.child
     return cursor if isinstance(cursor, Relation) else None
+
+
+class DecomposedSpec:
+    """One original aggregate and the partial column(s) it merges from."""
+
+    __slots__ = ("name", "function", "partial_names")
+
+    def __init__(self, name: str, function: str, partial_names: Tuple[str, ...]):
+        self.name = name
+        self.function = function
+        self.partial_names = partial_names
+
+
+def decompose_aggregates(
+    specs: Sequence[AggregateSpec],
+) -> "Optional[Tuple[List[AggregateSpec], List[DecomposedSpec]]]":
+    """Split ``specs`` into shard-local partials plus a global merge recipe.
+
+    Returns ``None`` when any spec is not decomposable: only *bare*,
+    non-DISTINCT aggregates qualify (COUNT/SUM/MIN/MAX partials merge by
+    sum/sum/min/max; AVG becomes a hidden SUM + COUNT pair finalized
+    exactly like :func:`repro.engine.aggregation.compute_aggregate`).
+    DISTINCT and arithmetic-over-aggregate specs are rejected — their
+    partials don't merge — and the planner falls back to ship-all.  The
+    Exchange runner splits with it, the distribution planner and the R704
+    check ask it whether a split exists.
+    """
+    partials: List[AggregateSpec] = []
+    merged: List[DecomposedSpec] = []
+    for i, spec in enumerate(specs):
+        expression = spec.expression
+        if not isinstance(expression, Aggregate) or expression.distinct:
+            return None
+        function = expression.function
+        if function in ("COUNT", "SUM", "MIN", "MAX"):
+            partial_name = f"__p{i}"
+            partials.append(AggregateSpec(partial_name, expression))
+            merged.append(DecomposedSpec(spec.name, function, (partial_name,)))
+        elif function == "AVG":
+            sum_name, count_name = f"__p{i}s", f"__p{i}c"
+            partials.append(
+                AggregateSpec(sum_name, Aggregate("SUM", expression.argument))
+            )
+            partials.append(
+                AggregateSpec(count_name, Aggregate("COUNT", expression.argument))
+            )
+            merged.append(
+                DecomposedSpec(spec.name, "AVG", (sum_name, count_name))
+            )
+        else:
+            return None
+    return partials, merged
 
 
 def walk_plan(plan: PlanNode):

@@ -7,21 +7,24 @@ records (rule id, severity, plan path, message, fix hint).
 
 Layers:
 
-* :mod:`repro.analysis.schema` — output-schema inference for every
-  operator of :mod:`repro.algebra.ops` (typed, nullability-aware);
+* :mod:`repro.analysis.columns` — the vocabulary of inferred schemas;
 * :mod:`repro.analysis.typecheck` — expression type checking against an
   inferred schema, including 3VL/null-literal hazards;
+* :mod:`repro.analysis.schema` — output-schema inference for every
+  operator of :mod:`repro.algebra.ops` (typed, nullability-aware);
 * :mod:`repro.analysis.verifier` — the analysis passes over a plan tree
   (scope resolution, grouped-table discipline, duplicate-sensitive
   aggregate pushdown, null-safety, typing);
 * :mod:`repro.analysis.certificates` — machine-checkable *rewrite
-  certificates* issued by :func:`repro.core.transform.transform` and
-  independently re-validated by :func:`audit_certificate`;
+  certificates* issued by :func:`transform` and independently
+  re-validated by :func:`audit_certificate`, the :class:`RuleCertificate`
+  of the certified rewrite rules, and :func:`carry_evidence` for what a
+  plan root carries;
 * :mod:`repro.analysis.nullability` — a three-valued-logic abstract
   interpreter over predicates (which truth values are reachable when a
   column is NULL), shared by the rewriter and the checker;
 * :mod:`repro.analysis.equivalence` — the *plan-equivalence checker*:
-  independently re-verifies every :class:`~repro.optimizer.rewrites.RuleCertificate`
+  independently re-verifies every :class:`~repro.analysis.certificates.RuleCertificate`
   issued by the certified rewrite pass (R700–R703 diagnostics);
 * :mod:`repro.analysis.linter` — drives the analyzer over SQL scripts and
   the built-in workloads (the ``repro lint`` CLI).
@@ -29,8 +32,10 @@ Layers:
 
 from repro.analysis.certificates import (
     RewriteCertificate,
+    RuleCertificate,
     attach_certificate,
     audit_certificate,
+    carry_evidence,
     get_certificate,
     issue_certificate,
 )
@@ -43,7 +48,7 @@ from repro.analysis.nullability import (
     rejects_null,
 )
 from repro.analysis.schema import ColumnInfo, PlanSchema, infer_schema
-from repro.analysis.verifier import analyze_plan, analyze_query
+from repro.analysis.verifier import analyze_plan, analyze_query, transform
 
 __all__ = [
     "RULES",
@@ -52,11 +57,13 @@ __all__ = [
     "LintReport",
     "PlanSchema",
     "RewriteCertificate",
+    "RuleCertificate",
     "Severity",
     "analyze_plan",
     "analyze_query",
     "attach_certificate",
     "audit_certificate",
+    "carry_evidence",
     "get_certificate",
     "infer_schema",
     "issue_certificate",
@@ -65,5 +72,6 @@ __all__ = [
     "null_rejected_columns",
     "possible_truth_values",
     "rejects_null",
+    "transform",
     "verify_rewrite",
 ]

@@ -17,25 +17,40 @@ independently of the code that produced it:
 * the E1 and E2 plans are rebuilt and their inferred output schemas must
   agree with each other and with the recorded ones (C502).
 
-:func:`repro.core.transform.transform` issues and audits a certificate on
+:func:`repro.analysis.verifier.transform` issues and audits a certificate on
 every rewrite, then attaches it to the returned plan root
-(:func:`attach_certificate` / :func:`get_certificate`).
+(:func:`attach_certificate` / :func:`get_certificate`;
+:func:`carry_evidence` when a later pass rebuilds that root).
+
+:class:`RuleCertificate` is the evidence for one application of one certified
+rewrite rule (R700–R704): the rewriter and the distribution planner issue it,
+:func:`repro.analysis.equivalence.verify_rewrite` audits it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, DiagnosticSink
+from repro.algebra.display import render_plan
 from repro.algebra.ops import PlanNode
+from repro.analysis.diagnostics import Diagnostic, DiagnosticSink
+from repro.analysis.schema import infer_schema
 from repro.catalog.catalog import Database
+from repro.core.transform import build_eager_plan, build_standard_plan
 from repro.errors import CatalogError
 from repro.fd.closure import closure as fd_closure
 from repro.fd.dependency import FunctionalDependency
+from repro.fd.derivation import candidate_keys
 
-#: Attribute name used to stash a certificate on a frozen plan root.
-_CERTIFICATE_ATTR = "_rewrite_certificate"
+#: Evidence stashed on a frozen plan root, by attribute: the eager rewrite's
+#: certificate (:func:`attach_certificate`), the certified rewrite set the
+#: root already went through (:func:`repro.optimizer.rewrites.rewrites_applied`)
+#: and the R704 shard-exchange certificate
+#: (:func:`repro.optimizer.distribute.distribution_certificate`).
+CERTIFICATE_ATTR = "_rewrite_certificate"
+APPLIED_REWRITES_ATTR = "_certified_rewrites"
+DISTRIBUTION_ATTR = "_distribution_certificate"
 
 
 @dataclass(frozen=True)
@@ -137,6 +152,44 @@ class RewriteCertificate:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class RuleCertificate:
+    """Evidence for one application of one rewrite rule.
+
+    ``before`` and ``after`` are the *full* plans around the application
+    (so the checker can audit context, not just the rewritten site);
+    ``path`` is the operator breadcrumb of the rewritten site using the
+    same ``$.i:label`` notation as the schema analyzer; ``premises`` are
+    (name, value) facts the rewriter claims and the checker re-derives.
+    """
+
+    rule: str
+    path: str
+    before: PlanNode
+    after: PlanNode
+    premises: Tuple[Tuple[str, str], ...]
+
+    def premise_values(self, name: str) -> Tuple[str, ...]:
+        return tuple(value for key, value in self.premises if key == name)
+
+    def to_dict(self) -> dict:
+        return {
+            "rule": self.rule,
+            "path": self.path,
+            "before": render_plan(self.before),
+            "after": render_plan(self.after),
+            "premises": [
+                {"name": name, "value": value} for name, value in self.premises
+            ],
+        }
+
+    def render(self) -> str:
+        lines = [f"rewrite {self.rule} at {self.path}"]
+        for name, value in self.premises:
+            lines.append(f"  {name}: {value}")
+        return "\n".join(lines)
+
+
 def issue_certificate(
     database: Database,
     query: "object",
@@ -149,11 +202,7 @@ def issue_certificate(
     component traces carry the structured atoms; the E1/E2 output schemas
     are inferred from freshly built plans.
     """
-    from repro.analysis.schema import infer_schema
-    from repro.core.testfd import _candidate_keys
-    from repro.core.transform import build_eager_plan, build_standard_plan
-
-    keys = _candidate_keys(database, query.all_bindings, assume_unique_keys)
+    keys = candidate_keys(database, query.all_bindings, assume_unique_keys)
     keys_by_alias = tuple(
         (alias, tuple(tuple(sorted(key)) for key in keys[alias]))
         for alias in sorted(keys)
@@ -227,10 +276,9 @@ def audit_certificate(
     # -- keys must match the catalog's current declarations -----------------
     columns_by_alias: Dict[str, frozenset] = {}
     current_keys: Dict[str, Tuple[Tuple[str, ...], ...]] = {}
-    from repro.core.testfd import _candidate_keys
 
     try:
-        raw = _candidate_keys(
+        raw = candidate_keys(
             database, query.all_bindings, certificate.assume_unique_keys
         )
     except CatalogError as error:
@@ -302,9 +350,6 @@ def audit_certificate(
                 )
 
     # -- E1/E2 output schemas must agree ------------------------------------
-    from repro.analysis.schema import infer_schema
-    from repro.core.transform import build_eager_plan, build_standard_plan
-
     e1_columns = infer_schema(build_standard_plan(query), database).names()
     e2_columns = infer_schema(build_eager_plan(query), database).names()
     if e1_columns != tuple(certificate.e1_columns) or e2_columns != tuple(
@@ -332,10 +377,21 @@ def audit_certificate(
 def attach_certificate(plan: PlanNode, certificate: RewriteCertificate) -> PlanNode:
     """Stash ``certificate`` on the plan root (frozen dataclasses allow
     ``object.__setattr__``; the attribute takes no part in ``==``/``hash``)."""
-    object.__setattr__(plan, _CERTIFICATE_ATTR, certificate)
+    object.__setattr__(plan, CERTIFICATE_ATTR, certificate)
     return plan
 
 
 def get_certificate(plan: PlanNode) -> Optional[RewriteCertificate]:
     """The certificate attached to ``plan``'s root, if any."""
-    return getattr(plan, _CERTIFICATE_ATTR, None)
+    return getattr(plan, CERTIFICATE_ATTR, None)
+
+
+def carry_evidence(old_root: PlanNode, new_root: PlanNode) -> PlanNode:
+    """Re-attach what ``old_root`` carried to the root that replaced it
+    (fusing, a rewrite and an Exchange wrap each rebuild the root); what
+    ``new_root`` already carries stays."""
+    for attr in (CERTIFICATE_ATTR, APPLIED_REWRITES_ATTR, DISTRIBUTION_ATTR):
+        evidence = getattr(old_root, attr, None)
+        if evidence is not None and getattr(new_root, attr, None) is None:
+            object.__setattr__(new_root, attr, evidence)
+    return new_root

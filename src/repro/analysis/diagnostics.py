@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
+
+from repro.errors import TransformationError
 
 
 class Severity(enum.IntEnum):
@@ -237,3 +239,12 @@ def render_diagnostics(diagnostics: Sequence[Diagnostic]) -> str:
         enumerate(diagnostics), key=lambda pair: (-pair[1].severity, pair[0])
     )
     return "\n".join(str(d) for __, d in ordered)
+
+
+def raise_on_errors(diagnostics: Iterable[Diagnostic], headline: str) -> None:
+    """How every self-auditing pass ends: ERROR findings abort the pass
+    with :class:`~repro.errors.TransformationError` (``headline`` over
+    their rendering) rather than hand out an unproven plan."""
+    problems = [d for d in diagnostics if d.severity >= Severity.ERROR]
+    if problems:
+        raise TransformationError(f"{headline}:\n" + render_diagnostics(problems))

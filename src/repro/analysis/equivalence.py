@@ -1,6 +1,6 @@
 """Independent plan-equivalence checker for certified rewrites.
 
-:func:`verify_rewrite` audits one :class:`~repro.optimizer.rewrites.RuleCertificate`
+:func:`verify_rewrite` audits one :class:`~repro.analysis.certificates.RuleCertificate`
 without trusting the code that produced it.  The checker shares only the
 *analysis* libraries with the rewriter (schema inference, 3VL
 null-rejection, the cost model) — never its decision logic:
@@ -42,16 +42,21 @@ from repro.algebra.ops import (
     Relation,
     Select,
     Sort,
+    decompose_aggregates,
+    with_children,
 )
 from repro.analysis.diagnostics import Diagnostic, DiagnosticSink, Severity
+from repro.analysis.nullability import null_rejection_premises
 from repro.analysis.schema import (
     AmbiguousColumn,
     PlanSchema,
     infer_schema,
     infer_schemas,
 )
+from repro.analysis.verifier import analyze_plan
 from repro.catalog.catalog import Database
 from repro.expressions.ast import (
+    Aggregate,
     ColumnRef,
     Expression,
     column_refs,
@@ -59,6 +64,7 @@ from repro.expressions.ast import (
     transform_expression,
 )
 from repro.expressions.normalize import split_conjuncts
+from repro.sqltypes.datatypes import IntegerType, SmallIntType
 
 
 def verify_rewrite(database: Database, certificate) -> List[Diagnostic]:
@@ -135,8 +141,6 @@ def _check_no_new_findings(
     path: str,
     sink: DiagnosticSink,
 ) -> None:
-    from repro.analysis.verifier import analyze_plan
-
     try:
         old = analyze_plan(before, database, min_severity=Severity.ERROR)
         new = analyze_plan(after, database, min_severity=Severity.ERROR)
@@ -168,8 +172,6 @@ def _divergence(
     ``stop(before)`` may force the walk to treat a differing node as the
     divergence unit without descending (used to keep join regions whole).
     """
-    from repro.algebra.ops import _with_children
-
     if before == after:
         return None
     if stop is not None and stop(before):
@@ -179,7 +181,7 @@ def _divergence(
     headers_match = (
         type(before) is type(after)
         and len(children_before) == len(children_after)
-        and _with_children(before, children_after) == after
+        and with_children(before, children_after) == after
     )
     if headers_match:
         differing = [
@@ -412,8 +414,6 @@ def _check_pushdown(database: Database, certificate, sink: DiagnosticSink) -> No
                     return
 
     # -- 3VL premises must re-derive exactly -----------------------------
-    from repro.optimizer.rewrites import null_rejection_premises
-
     recorded = Counter(certificate.premise_values("null-rejection"))
     rederived = Counter(
         value
@@ -443,9 +443,29 @@ def _check_pushdown(database: Database, certificate, sink: DiagnosticSink) -> No
 # ---------------------------------------------------------------------------
 
 
-def _check_reorder(database: Database, certificate, sink: DiagnosticSink) -> None:
-    from repro.optimizer.rewrites import collect_join_region
+def collect_join_region(plan: PlanNode) -> Tuple[List[PlanNode], List[Expression]]:
+    """Flatten a join/product/filter region into (leaves, conjuncts).
 
+    The reordering rewrite reads its regions with this grammar, and the
+    check below proves with it that a reordered region preserves the leaf
+    and conjunct multisets.
+    """
+    if isinstance(plan, Join):
+        left_leaves, left_conjuncts = collect_join_region(plan.left)
+        right_leaves, right_conjuncts = collect_join_region(plan.right)
+        here = list(split_conjuncts(plan.condition)) if plan.condition else []
+        return left_leaves + right_leaves, left_conjuncts + right_conjuncts + here
+    if isinstance(plan, Product):
+        left_leaves, left_conjuncts = collect_join_region(plan.left)
+        right_leaves, right_conjuncts = collect_join_region(plan.right)
+        return left_leaves + right_leaves, left_conjuncts + right_conjuncts
+    if isinstance(plan, Select):
+        leaves, conjuncts = collect_join_region(plan.child)
+        return leaves, conjuncts + list(split_conjuncts(plan.condition))
+    return [plan], []
+
+
+def _check_reorder(database: Database, certificate, sink: DiagnosticSink) -> None:
     path = certificate.path
     located = _divergence(
         certificate.before,
@@ -499,11 +519,7 @@ def _check_reorder(database: Database, certificate, sink: DiagnosticSink) -> Non
     algorithms = certificate.premise_values("join-algorithm")
     algorithm = algorithms[0] if algorithms else "hash"
     try:
-        from repro.optimizer.cardinality import CardinalityEstimator
-        from repro.optimizer.cost import CostModel
-
-        estimator = CardinalityEstimator(database)
-        model = CostModel(estimator, join_algorithm=algorithm)
+        model = _fresh_cost_model(database, algorithm)
         cost_before = model.cost(region_before).total
         cost_after = model.cost(region_after).total
     except Exception as error:
@@ -528,6 +544,17 @@ def _check_reorder(database: Database, certificate, sink: DiagnosticSink) -> Non
             f"reordering is not an improvement: {cost_before:.6f} → "
             f"{cost_after:.6f}",
         )
+
+
+def _fresh_cost_model(database: Database, join_algorithm: str = "hash"):
+    """A new cost model over a new estimator: the checker prices with the
+    optimizer's arithmetic, never with the rewriter's instances.  Deferred
+    because :mod:`repro.optimizer.rewrites` imports this module
+    (``tests/test_layering.py`` lists the edge and what would remove it)."""
+    from repro.optimizer.cardinality import CardinalityEstimator
+    from repro.optimizer.cost import CostModel
+
+    return CostModel(CardinalityEstimator(database), join_algorithm=join_algorithm)
 
 
 def _is_insulated(root: PlanNode, target: PlanNode) -> bool:
@@ -556,8 +583,6 @@ def _is_insulated(root: PlanNode, target: PlanNode) -> bool:
 
 def _strip_projections(plan: PlanNode) -> PlanNode:
     """Remove every non-distinct π, the only operator pruning may touch."""
-    from repro.algebra.ops import _with_children
-
     if isinstance(plan, Project) and not plan.distinct:
         return _strip_projections(plan.child)
     children = plan.children()
@@ -566,7 +591,7 @@ def _strip_projections(plan: PlanNode) -> PlanNode:
     rebuilt = tuple(_strip_projections(child) for child in children)
     if all(new is old for new, old in zip(rebuilt, children)):
         return plan
-    return _with_children(plan, rebuilt)
+    return with_children(plan, rebuilt)
 
 
 def _skip_projections(plan: PlanNode) -> PlanNode:
@@ -714,10 +739,6 @@ def exact_decomposition_reason(
     same values the one-phase fold produces.  MIN/MAX/COUNT need no type
     guard: they merge by the same comparator / by exact integer addition.
     """
-    from repro.engine.exchange import decompose_aggregates
-    from repro.expressions.ast import Aggregate
-    from repro.sqltypes.datatypes import IntegerType, SmallIntType
-
     if decompose_aggregates(group.aggregates) is None:
         return "aggregates are not decomposable into mergeable partials"
     try:
@@ -851,9 +872,7 @@ def _check_shard_exchange(
         )
         return
     try:
-        from repro.optimizer.cardinality import CardinalityEstimator
-
-        estimator = CardinalityEstimator(database)
+        estimator = _fresh_cost_model(database).estimator
         derived = estimator.rows(site_after.child) * site_after.fanout
     except Exception as error:
         sink.report(

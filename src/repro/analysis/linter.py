@@ -16,9 +16,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, DiagnosticSink, Severity
+from repro.algebra.ops import Apply, Group, Project, fuse_group_apply
+from repro.analysis.diagnostics import (
+    Diagnostic,
+    DiagnosticSink,
+    Severity,
+    render_diagnostics,
+)
+from repro.analysis.equivalence import verify_rewrite
+from repro.analysis.verifier import analyze_plan, analyze_query
 from repro.catalog.catalog import Database
+from repro.core.having import grouped_plan_with_having
+from repro.core.partition import to_group_by_join_query
+from repro.core.planbuild import build_join_tree
+from repro.core.transform import build_standard_plan
 from repro.errors import ReproError, TransformationError
+from repro.parser.ast_nodes import SelectStatement, SetOperationStatement
+from repro.parser.binder import bind_select, execute_statement
+from repro.parser.parser import parse_statement
+from repro.parser.viewmerge import merge_aggregated_view
+from repro.workloads.schemas import (
+    make_employee_department,
+    make_part_supplier,
+    make_printer_schema,
+)
 
 
 @dataclass
@@ -79,8 +100,6 @@ class LintReport:
         return payload
 
     def render(self) -> str:
-        from repro.analysis.diagnostics import render_diagnostics
-
         summary = (
             f"{self.statements} statements, {self.selects} queries analyzed: "
         )
@@ -109,8 +128,7 @@ def _lint_plan_rewrites(database: Database, plan: "object", emit) -> int:
     Returns the number of certificates that were issued (each one is
     audited; a failed audit shows up as ERROR diagnostics, so an
     uncertified rewrite can never lint clean)."""
-    from repro.algebra.ops import fuse_group_apply
-    from repro.analysis.equivalence import verify_rewrite
+    # Deferred: the pass imports this package (tests/test_layering.py).
     from repro.optimizer.rewrites import apply_rewrites
 
     try:
@@ -152,10 +170,6 @@ def _analyze_select(
     With ``rewrites=True`` the certified rewrite pass also runs over the
     executed-shape plan and every certificate is independently re-verified;
     returns the number of certificates issued (0 otherwise)."""
-    from repro.analysis.verifier import analyze_plan, analyze_query
-    from repro.core.partition import to_group_by_join_query
-    from repro.core.planbuild import build_join_tree
-    from repro.parser.binder import bind_select
 
     def emit(diagnostic: Diagnostic) -> None:
         sink.add(
@@ -171,9 +185,6 @@ def _analyze_select(
     if any(t.name in database.views for t in statement.from_tables):
         # A view in FROM: merge it back into one grouped query, the same
         # normalization the session applies before planning (§8).
-        from repro.core.transform import build_standard_plan
-        from repro.core.viewmerge import merge_aggregated_view
-
         merged = merge_aggregated_view(database, statement)
         for diagnostic in analyze_query(
             database, merged, min_severity=min_severity
@@ -192,8 +203,6 @@ def _analyze_select(
         except TransformationError:
             query = None
         if query is not None:
-            from repro.core.transform import build_standard_plan
-
             for diagnostic in analyze_query(
                 database, query, min_severity=min_severity
             ):
@@ -205,16 +214,11 @@ def _analyze_select(
             return 0
     # Ungrouped (or unpartitionable grouped) query: analyze the plan the
     # session would run, built the same way but never executed.
-    from repro.algebra.ops import Project
-    from repro.core.having import grouped_plan_with_having
-
     tree = build_join_tree(flat.bindings, flat.where)
     if flat.group_by or flat.aggregates:
         columns = flat.select_group_columns + tuple(
             spec.name for spec in flat.aggregates
         )
-        from repro.algebra.ops import Apply, Group
-
         if flat.group_by:
             plan = grouped_plan_with_having(
                 tree, flat.group_by, flat.aggregates, flat.having,
@@ -303,10 +307,6 @@ def lint_sql(
     additionally runs over every query plan and each certificate is
     re-verified by the independent equivalence checker (rule ids R7xx).
     """
-    from repro.parser.ast_nodes import SelectStatement, SetOperationStatement
-    from repro.parser.binder import execute_statement
-    from repro.parser.parser import parse_statement
-
     report = LintReport(path=path, rewrites_checked=rewrites)
     sink = DiagnosticSink()
     db = database if database is not None else Database()
@@ -343,43 +343,36 @@ def lint_sql(
 #: name -> (schema builder, representative paper queries).  These are the
 #: ``repro lint --workloads`` targets: the paper's example schemas with
 #: their canonical queries, which must always lint clean.
-def _workload_registry() -> "dict":
-    from repro.workloads.schemas import (
+_WORKLOADS = {
+    "example1": (
         make_employee_department,
+        (
+            "SELECT D.DeptID, D.Name, COUNT(E.EmpID) AS headcount "
+            "FROM Employee E, Department D "
+            "WHERE E.DeptID = D.DeptID GROUP BY D.DeptID, D.Name",
+        ),
+    ),
+    "example2": (
         make_part_supplier,
+        (
+            "SELECT P.ClassCode, S.SupplierNo, S.Name, "
+            "COUNT(P.PartNo) AS parts "
+            "FROM Part P, Supplier S "
+            "WHERE P.SupplierNo = S.SupplierNo "
+            "GROUP BY P.ClassCode, S.SupplierNo, S.Name",
+        ),
+    ),
+    "example3": (
         make_printer_schema,
-    )
-
-    return {
-        "example1": (
-            make_employee_department,
-            (
-                "SELECT D.DeptID, D.Name, COUNT(E.EmpID) AS headcount "
-                "FROM Employee E, Department D "
-                "WHERE E.DeptID = D.DeptID GROUP BY D.DeptID, D.Name",
-            ),
+        (
+            "SELECT U.UserName, SUM(A.Usage) AS pages "
+            "FROM UserAccount U, PrinterAuth A "
+            "WHERE U.UserId = A.UserId AND U.Machine = A.Machine "
+            "AND U.Machine = 'dragon' "
+            "GROUP BY A.UserId, A.Machine, U.UserName",
         ),
-        "example2": (
-            make_part_supplier,
-            (
-                "SELECT P.ClassCode, S.SupplierNo, S.Name, "
-                "COUNT(P.PartNo) AS parts "
-                "FROM Part P, Supplier S "
-                "WHERE P.SupplierNo = S.SupplierNo "
-                "GROUP BY P.ClassCode, S.SupplierNo, S.Name",
-            ),
-        ),
-        "example3": (
-            make_printer_schema,
-            (
-                "SELECT U.UserName, SUM(A.Usage) AS pages "
-                "FROM UserAccount U, PrinterAuth A "
-                "WHERE U.UserId = A.UserId AND U.Machine = A.Machine "
-                "AND U.Machine = 'dragon' "
-                "GROUP BY A.UserId, A.Machine, U.UserName",
-            ),
-        ),
-    }
+    ),
+}
 
 
 def lint_workloads(
@@ -393,7 +386,7 @@ def lint_workloads(
     """
     report = LintReport(rewrites_checked=rewrites)
     sink = DiagnosticSink()
-    for name, (builder, queries) in sorted(_workload_registry().items()):
+    for name, (builder, queries) in sorted(_WORKLOADS.items()):
         database = builder()
         for qi, sql in enumerate(queries):
             report.statements += 1

@@ -20,7 +20,7 @@ checker re-derives them here rather than trusting the rewriter.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.expressions.ast import (
     Aggregate,
@@ -39,6 +39,7 @@ from repro.expressions.ast import (
     Negate,
     Not,
     Or,
+    column_refs,
 )
 from repro.sqltypes.values import is_null as _value_is_null
 
@@ -212,3 +213,23 @@ def null_rejected_columns(
 ) -> Tuple[str, ...]:
     """The subset of ``columns`` on which ``predicate`` rejects NULLs."""
     return tuple(c for c in columns if rejects_null(predicate, c))
+
+
+def null_rejection_premises(
+    pushed: Sequence[Expression], canonical_keys: Sequence[str]
+) -> Tuple[Tuple[str, str], ...]:
+    """3VL verdicts for each pushed conjunct against each key it touches.
+
+    The pushdown rewrite records them as certificate premises; the
+    equivalence checker re-derives the very same facts and compares.
+    """
+    premises: List[Tuple[str, str]] = []
+    key_set = set(canonical_keys)
+    for conjunct in pushed:
+        touched = sorted(
+            {ref.qualified for ref in column_refs(conjunct)} & key_set
+        )
+        for key in touched:
+            verdict = "rejecting" if rejects_null(conjunct, key) else "preserving"
+            premises.append(("null-rejection", f"{conjunct} on {key}: {verdict}"))
+    return tuple(premises)

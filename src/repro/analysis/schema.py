@@ -6,9 +6,6 @@ plan.  This is the foundation the verifier's scope-resolution pass stands
 on: a column reference is *bound* iff the child's inferred schema resolves
 it.
 
-Name resolution follows the executor's :meth:`DataSet.index_of` rules
-exactly (an exact qualified match wins, otherwise a unique bare-name
-suffix match), so "statically bound" and "resolvable at runtime" coincide.
 Structural problems found during inference (unknown tables, unbound
 projection/grouping columns, Apply over a non-grouped input) are reported
 into an optional :class:`~repro.analysis.diagnostics.DiagnosticSink`; the
@@ -18,7 +15,6 @@ defect does not mask every defect above it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.ops import (
@@ -35,70 +31,11 @@ from repro.algebra.ops import (
     Select,
     Sort,
 )
+from repro.analysis.columns import AmbiguousColumn, ColumnInfo, PlanSchema
 from repro.analysis.diagnostics import DiagnosticSink
+from repro.analysis.typecheck import aggregate_output
 from repro.catalog.catalog import Database
 from repro.errors import CatalogError
-from repro.sqltypes.datatypes import DataType
-
-
-@dataclass(frozen=True)
-class ColumnInfo:
-    """One inferred output column: name, SQL type (when known), nullability.
-
-    ``datatype`` is ``None`` for columns whose type cannot be derived
-    statically (e.g. outputs of an aggregate over an unbound column); the
-    type checker treats unknown types as unconstrained rather than wrong.
-    """
-
-    name: str
-    datatype: Optional[DataType] = None
-    nullable: bool = True
-
-    @property
-    def bare(self) -> str:
-        return self.name.rsplit(".", 1)[-1]
-
-    def __str__(self) -> str:
-        typename = str(self.datatype) if self.datatype is not None else "?"
-        suffix = "" if self.nullable else " NOT NULL"
-        return f"{self.name} {typename}{suffix}"
-
-
-class AmbiguousColumn(Exception):
-    """A bare name matched more than one column (resolution must fail)."""
-
-
-@dataclass(frozen=True)
-class PlanSchema:
-    """The ordered output columns of one operator."""
-
-    columns: Tuple[ColumnInfo, ...]
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(column.name for column in self.columns)
-
-    def resolve(self, name: str) -> Optional[ColumnInfo]:
-        """Resolve ``name`` like the executor would; ``None`` if unbound.
-
-        Raises :class:`AmbiguousColumn` when a bare name matches several
-        qualified columns — callers report that as its own rule (A004).
-        """
-        for column in self.columns:
-            if column.name == name:
-                return column
-        matches = [column for column in self.columns if column.bare == name]
-        if len(matches) > 1:
-            raise AmbiguousColumn(name)
-        return matches[0] if matches else None
-
-    def duplicate_names(self) -> Tuple[str, ...]:
-        seen: Dict[str, int] = {}
-        for column in self.columns:
-            seen[column.name] = seen.get(column.name, 0) + 1
-        return tuple(sorted(name for name, count in seen.items() if count > 1))
-
-    def describe(self) -> str:
-        return ", ".join(str(column) for column in self.columns)
 
 
 def relation_schema(node: Relation, database: Database) -> PlanSchema:
@@ -118,7 +55,8 @@ def relation_schema(node: Relation, database: Database) -> PlanSchema:
     )
 
 
-def _node_path(prefix: str, node: PlanNode) -> str:
+def node_path(prefix: str, node: PlanNode) -> str:
+    """The ``$.i:label`` breadcrumb diagnostics and certificates name a node by."""
     label = node.label()
     if len(label) > 60:
         label = label[:57] + "..."
@@ -129,8 +67,6 @@ def _aggregate_columns(
     specs: Sequence[AggregateSpec], input_schema: PlanSchema
 ) -> Tuple[ColumnInfo, ...]:
     """Output columns contributed by F[AA], typed via the type checker."""
-    from repro.analysis.typecheck import aggregate_output
-
     return tuple(aggregate_output(spec, input_schema) for spec in specs)
 
 
@@ -180,7 +116,7 @@ def infer_schemas(
     schemas: Dict[int, PlanSchema] = {}
 
     def recurse(node: PlanNode, prefix: str) -> PlanSchema:
-        path = _node_path(prefix, node)
+        path = node_path(prefix, node)
         child_schemas = [
             recurse(child, f"{prefix}.{i}")
             for i, child in enumerate(node.children())

@@ -24,8 +24,8 @@ import decimal
 from typing import Optional
 
 from repro.algebra.ops import AggregateSpec
+from repro.analysis.columns import AmbiguousColumn, ColumnInfo, PlanSchema
 from repro.analysis.diagnostics import DiagnosticSink
-from repro.analysis.schema import AmbiguousColumn, ColumnInfo, PlanSchema
 from repro.expressions.ast import (
     Aggregate,
     Arithmetic,
@@ -40,6 +40,7 @@ from repro.expressions.ast import (
     Like,
     Literal,
     Negate,
+    aggregates as collect_aggregates,
 )
 from repro.sqltypes.datatypes import (
     BOOLEAN,
@@ -323,8 +324,6 @@ def aggregate_output(spec: AggregateSpec, input_schema: PlanSchema) -> ColumnInf
     Inference only — defects in the aggregate expression are reported by
     the verifier's own pass, not here (this runs with a throwaway sink).
     """
-    from repro.expressions.ast import aggregates as collect_aggregates
-
     checker = TypeChecker(input_schema, DiagnosticSink(), "")
     datatype = checker.infer(spec.expression)
     # COUNT never yields NULL; every other aggregate does on an empty group

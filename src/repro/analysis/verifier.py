@@ -20,11 +20,10 @@ without executing it and returns typed diagnostics from five passes:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.algebra.ops import (
     Apply,
-    Group,
     GroupApply,
     Join,
     PlanNode,
@@ -32,19 +31,41 @@ from repro.algebra.ops import (
     Select,
     Sort,
 )
-from repro.analysis.diagnostics import Diagnostic, DiagnosticSink, Severity
-from repro.analysis.schema import PlanSchema, _node_path, infer_schemas
+from repro.analysis.certificates import (
+    attach_certificate,
+    audit_certificate,
+    get_certificate,
+    issue_certificate,
+)
+from repro.analysis.diagnostics import (
+    Diagnostic,
+    DiagnosticSink,
+    Severity,
+    raise_on_errors,
+)
+from repro.analysis.schema import (
+    AmbiguousColumn,
+    PlanSchema,
+    infer_schemas,
+    node_path,
+)
 from repro.analysis.typecheck import check_expression
 from repro.catalog.catalog import Database
-from repro.expressions.ast import Expression, walk as walk_expression
+from repro.core.query_class import GroupByJoinQuery
+from repro.core.transform import (
+    build_eager_plan,
+    build_standard_plan,
+    check_transformable,
+)
+from repro.errors import TransformationError
+from repro.expressions.ast import Aggregate, Expression
+from repro.expressions.ast import walk as walk_expression
 
 #: Aggregate functions whose value changes under join-induced duplication.
 DUPLICATE_SENSITIVE = ("SUM", "COUNT", "AVG")
 
 
 def _has_duplicate_sensitive(expression: Expression) -> bool:
-    from repro.expressions.ast import Aggregate
-
     return any(
         isinstance(node, Aggregate)
         and node.function in DUPLICATE_SENSITIVE
@@ -63,15 +84,13 @@ def analyze_plan(
 
     ``certificate`` is the :class:`~repro.analysis.certificates.RewriteCertificate`
     covering the plan, if any; when omitted, one attached to the plan root
-    by :func:`repro.core.transform.transform` is picked up automatically.
+    by :func:`transform` is picked up automatically.
     A (valid) certificate licenses aggregation below a join, so rule G103
     is suppressed for certified plans.
 
     Returns diagnostics of at least ``min_severity`` (default WARNING —
     pass ``Severity.INFO`` for the pedantic notes as well).
     """
-    from repro.analysis.certificates import get_certificate
-
     if certificate is None:
         certificate = get_certificate(plan)
 
@@ -94,13 +113,6 @@ def analyze_query(
     rewrite valid, in which case its certificate is issued and audited as
     part of the analysis.
     """
-    from repro.analysis.certificates import audit_certificate, issue_certificate
-    from repro.core.transform import (
-        build_eager_plan,
-        build_standard_plan,
-        check_transformable,
-    )
-
     diagnostics: List[Diagnostic] = []
     standard = build_standard_plan(query)
     diagnostics.extend(analyze_plan(standard, database, min_severity=min_severity))
@@ -118,6 +130,43 @@ def analyze_query(
     return diagnostics
 
 
+def transform(
+    database: Database,
+    query: GroupByJoinQuery,
+    assume_unique_keys: bool = False,
+    paper_strict: bool = False,
+) -> PlanNode:
+    """Return the eager (E2) plan, or raise if validity cannot be shown.
+
+    The returned plan carries a
+    :class:`~repro.analysis.certificates.RewriteCertificate` recording the
+    keys, equality classes and closures that establish FD1/FD2.  The
+    certificate is independently re-validated and the plan statically
+    verified before being returned — a defect in either (which would mean a
+    bug in TestFD or the plan builders) raises :class:`TransformationError`
+    rather than handing out an unsound plan.  It lives here, not beside the
+    plan builders in :mod:`repro.core.transform`, because it calls the checker.
+    """
+    decision = check_transformable(
+        database, query,
+        assume_unique_keys=assume_unique_keys,
+        paper_strict=paper_strict,
+    )
+    if not decision.valid:
+        raise TransformationError(decision.reason)
+    plan = build_eager_plan(query)
+    assert decision.testfd is not None
+    certificate = issue_certificate(
+        database, query, decision.testfd, assume_unique_keys=assume_unique_keys
+    )
+    raise_on_errors(
+        audit_certificate(database, query, certificate)
+        + analyze_plan(plan, database, certificate=certificate),
+        "rewrite failed self-verification",
+    )
+    return attach_certificate(plan, certificate)
+
+
 # -- pass: expression scope / types / null-safety ---------------------------
 
 
@@ -127,7 +176,7 @@ def _check_expressions(
     sink: DiagnosticSink,
     prefix: str,
 ) -> None:
-    path = _node_path(prefix, plan)
+    path = node_path(prefix, plan)
     if isinstance(plan, Select) and plan.condition is not None:
         child_schema = schemas[id(plan.child)]
         check_expression(plan.condition, child_schema, sink, path)
@@ -151,8 +200,6 @@ def _check_expressions(
 def _resolve_or_report(
     name: str, schema: PlanSchema, sink: DiagnosticSink, path: str
 ) -> None:
-    from repro.analysis.schema import AmbiguousColumn
-
     try:
         info = schema.resolve(name)
     except AmbiguousColumn:
@@ -187,7 +234,7 @@ def _check_pushdown(
             if _has_duplicate_sensitive(spec.expression)
         ]
         if sensitive and certificate is None:
-            path = _node_path(prefix, plan)
+            path = node_path(prefix, plan)
             names = ", ".join(spec.name for spec in sensitive)
             sink.report(
                 "G103",

@@ -19,8 +19,8 @@ from repro.catalog.constraints import (
 from repro.catalog.schema import Column, TableSchema
 from repro.errors import CatalogError, ConstraintViolation
 from repro.expressions.analysis import referenced_tables
-from repro.expressions.ast import Expression
-from repro.expressions.eval import RowScope, evaluate_predicate
+from repro.expressions.ast import ColumnRef, Expression, transform_expression
+from repro.expressions.eval import RowScope, evaluate_predicate, evaluate_scalar
 from repro.sqltypes.values import SqlValue, is_null
 from repro.storage.table import Table
 
@@ -275,8 +275,6 @@ class Database:
         table's foreign key still references raises
         :class:`ConstraintViolation` and nothing is deleted.
         """
-        from repro.expressions.eval import evaluate_predicate as _evaluate
-
         table = self.table(table_name)
         doomed = []
         for row in table:
@@ -287,7 +285,7 @@ class Database:
                 (f"{table_name}.{c}" for c in table.schema.column_names()),
                 row.values,
             )
-            if _evaluate(condition, scope, params).is_true():
+            if evaluate_predicate(condition, scope, params).is_true():
                 doomed.append(row)
         if not doomed:
             return 0
@@ -309,9 +307,6 @@ class Database:
         columns still referenced by other tables' foreign keys is refused
         (RESTRICT).
         """
-        from repro.expressions.eval import evaluate_predicate as _evaluate
-        from repro.expressions.eval import evaluate_scalar as _scalar
-
         table = self.table(table_name)
         for column in assignments:
             table.schema.index_of(column)  # raises on unknown column
@@ -322,10 +317,13 @@ class Database:
                 (f"{table_name}.{c}" for c in table.schema.column_names()),
                 row.values,
             )
-            if condition is None or _evaluate(condition, scope, params).is_true():
+            if (
+                condition is None
+                or evaluate_predicate(condition, scope, params).is_true()
+            ):
                 new_values = list(row.values)
                 for column, expression in assignments.items():
-                    new_values[table.schema.index_of(column)] = _scalar(
+                    new_values[table.schema.index_of(column)] = evaluate_scalar(
                         expression, scope, params
                     )
                 targets.append((row, tuple(new_values)))
@@ -430,7 +428,6 @@ def _requalify(expression: Expression, old_table: str, new_table: str) -> Expres
     Unqualified references are assumed to belong to ``old_table`` (they came
     from a single-table constraint definition).
     """
-    from repro.expressions.ast import ColumnRef, transform_expression
 
     def visit(node: Expression):
         if isinstance(node, ColumnRef):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import ConstraintViolation
-from repro.expressions.ast import ColumnRef, Expression
+from repro.expressions.ast import ColumnRef, Expression, transform_expression
 from repro.expressions.eval import RowScope, evaluate_predicate
 from repro.sqltypes.datatypes import DataType
 from repro.sqltypes.values import is_null
@@ -172,7 +172,6 @@ class Assertion:
 
 def _substitute_value(expression: Expression, replacement: ColumnRef) -> Expression:
     """Replace the VALUE pseudo-column in a domain CHECK."""
-    from repro.expressions.ast import transform_expression
 
     def visit(node: Expression):
         if isinstance(node, ColumnRef):

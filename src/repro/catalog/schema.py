@@ -12,6 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.catalog.constraints import (
+    CheckConstraint,
+    ForeignKeyConstraint,
+    PrimaryKeyConstraint,
+    UniqueConstraint,
+)
 from repro.errors import CatalogError
 from repro.sqltypes.datatypes import DataType
 
@@ -59,8 +65,6 @@ class TableSchema:
     def _apply_key_nullability(self) -> None:
         """Primary-key columns reject NULL (SQL2: a key definition implies
         no column of the key can be NULL)."""
-        from repro.catalog.constraints import PrimaryKeyConstraint
-
         pk_columns: set = set()
         for constraint in self.constraints:
             if isinstance(constraint, PrimaryKeyConstraint):
@@ -105,8 +109,6 @@ class TableSchema:
 
     def primary_key(self) -> Optional[Tuple[str, ...]]:
         """The PRIMARY KEY columns, or ``None`` when no PK is declared."""
-        from repro.catalog.constraints import PrimaryKeyConstraint
-
         for constraint in self.constraints:
             if isinstance(constraint, PrimaryKeyConstraint):
                 return constraint.columns
@@ -118,8 +120,6 @@ class TableSchema:
         These are the ``Ki(R)`` of Section 6 — the inputs to TestFD's
         key-based closure steps.
         """
-        from repro.catalog.constraints import PrimaryKeyConstraint, UniqueConstraint
-
         keys: list[Tuple[str, ...]] = []
         for constraint in self.constraints:
             if isinstance(constraint, (PrimaryKeyConstraint, UniqueConstraint)):
@@ -127,13 +127,9 @@ class TableSchema:
         return tuple(keys)
 
     def check_constraints(self) -> Tuple["object", ...]:
-        from repro.catalog.constraints import CheckConstraint
-
         return tuple(c for c in self.constraints if isinstance(c, CheckConstraint))
 
     def foreign_keys(self) -> Tuple["object", ...]:
-        from repro.catalog.constraints import ForeignKeyConstraint
-
         return tuple(c for c in self.constraints if isinstance(c, ForeignKeyConstraint))
 
     def not_null_columns(self) -> Tuple[str, ...]:

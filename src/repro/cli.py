@@ -41,11 +41,16 @@ from __future__ import annotations
 import sys
 from typing import Iterable, Optional, TextIO
 
+from repro.analysis.diagnostics import RULES, Severity
+from repro.analysis.linter import lint_sql, lint_workloads
 from repro.catalog.catalog import Database
+from repro.engine.executor import ExecutorConfig
 from repro.errors import ReproError, error_exit_code
+from repro.optimizer.cost import resolve_workers
 from repro.optimizer.planner import POLICIES
 from repro.parser.ast_nodes import SelectStatement, SetOperationStatement
 from repro.parser.binder import execute_statement
+from repro.parser.dump import dump_database, load_database, table_ddl
 from repro.parser.parser import parse_script, parse_statement
 from repro.session import Session
 
@@ -198,8 +203,6 @@ class Shell:
             self.write(f"error: bad workers {spec!r}: {error}")
             return
         if count == 0:
-            from repro.engine.vector.parallel import resolve_workers
-
             self.write(f"workers set to auto ({resolve_workers(0)} on this host)")
         else:
             self.write(f"workers set to {count}")
@@ -297,20 +300,16 @@ class Shell:
         )
 
     def _schema(self, table_name: str) -> None:
-        from repro.catalog.dump import _table_ddl
-
         db = self.session.database
         names = [table_name] if table_name else sorted(db.tables)
         for name in names:
             try:
-                self.write(_table_ddl(db.table(name).schema) + ";")
+                self.write(table_ddl(db.table(name).schema) + ";")
             except ReproError as error:
                 self.write(f"error: {error}")
                 return
 
     def _dump(self, path: str) -> None:
-        from repro.catalog.dump import dump_database
-
         try:
             script = dump_database(self.session.database)
         except ReproError as error:
@@ -328,8 +327,6 @@ class Shell:
         self.write(f"dumped to {path}")
 
     def _open(self, path: str) -> None:
-        from repro.catalog.dump import load_database
-
         if not path:
             self.write("usage: .open <path>")
             return
@@ -427,9 +424,6 @@ def _lint_command(arguments: list, out: TextIO = sys.stdout) -> int:
     """``repro lint``: statically analyze SQL scripts; nonzero on errors."""
     import json
 
-    from repro.analysis.diagnostics import RULES, Severity
-    from repro.analysis.linter import lint_sql, lint_workloads
-
     def write(text: str) -> None:
         out.write(text + "\n")
 
@@ -484,10 +478,6 @@ def _lint_command(arguments: list, out: TextIO = sys.stdout) -> int:
 
 def _explain_command(arguments: list, out: TextIO = sys.stdout) -> int:
     """``repro explain``: run scripts, print plan reports instead of rows."""
-    from repro.parser.ast_nodes import SelectStatement, SetOperationStatement
-    from repro.parser.binder import execute_statement
-    from repro.parser.parser import parse_script
-
     def write(text: str) -> None:
         out.write(text + "\n")
 
@@ -498,8 +488,6 @@ def _explain_command(arguments: list, out: TextIO = sys.stdout) -> int:
         write("usage: repro explain [--certify] [--rewrites] <script.sql>...")
         return 2
     if rewrites:
-        from repro.engine.executor import ExecutorConfig
-
         session = Session(executor_config=ExecutorConfig(rewrites="all"))
     else:
         session = Session()
@@ -555,7 +543,7 @@ def _take_flags(arguments: list, parsers: dict):
 def parse_workers(text: str) -> int:
     """Parse a ``--workers`` / ``.workers`` value; ``auto`` means the
     autotuner sentinel 0 (resolved to ``os.cpu_count()``, clamped, by
-    :func:`repro.engine.vector.parallel.resolve_workers`)."""
+    :func:`repro.optimizer.cost.resolve_workers`)."""
     if text == "auto":
         return 0
     count = int(text)
@@ -573,7 +561,6 @@ def _serve_command(arguments: list, out: TextIO = sys.stdout) -> int:
     line-protocol clients (see :mod:`repro.server.net`) until
     interrupted.
     """
-    from repro.engine.executor import ExecutorConfig
     from repro.server.net import ReproServer
     from repro.server.server import Server
 
@@ -669,8 +656,6 @@ def _extract_budget_flags(arguments: list):
     ``transport``); a malformed value raises ``ValueError`` with a usage
     message.
     """
-    from repro.engine.executor import ExecutorConfig
-
     overrides, remaining = _take_flags(
         arguments,
         {

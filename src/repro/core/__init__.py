@@ -1,15 +1,6 @@
 """The paper's contribution: query class, theorems, TestFD, transformation."""
 
 from repro.core.having import grouped_plan_with_having, rewrite_having
-from repro.core.main_theorem import (
-    TheoremVerdict,
-    check_equivalence,
-    evaluate_both,
-    fd1_holds,
-    fd2_holds,
-    join_result,
-    verdict,
-)
 from repro.core.partition import (
     FlatQuery,
     default_partition,
@@ -22,7 +13,6 @@ from repro.core.query_class import GroupByJoinQuery
 from repro.core.sqlgen import eager_sql, render_expression, standard_sql
 from repro.core.substitution import equivalent_queries, find_transformable
 from repro.core.testfd import ComponentTrace, TestFDResult, test_fd
-from repro.core.viewmerge import merge_aggregated_view
 from repro.core.transform import (
     TransformationDecision,
     build_eager_plan,
@@ -30,20 +20,16 @@ from repro.core.transform import (
     check_transformable,
     expand_predicates,
     reverse,
-    transform,
 )
 
 __all__ = [
-    "TheoremVerdict", "check_equivalence", "evaluate_both", "fd1_holds",
-    "fd2_holds", "join_result", "verdict",
     "FlatQuery", "default_partition", "enumerate_partitions",
     "to_group_by_join_query", "build_join_tree", "GroupByJoinQuery",
     "equivalent_queries", "find_transformable",
     "ComponentTrace", "TestFDResult", "test_fd",
     "TransformationDecision", "build_eager_plan", "build_standard_plan",
-    "check_transformable", "expand_predicates", "reverse", "transform",
+    "check_transformable", "expand_predicates", "reverse",
     "grouped_plan_with_having", "rewrite_having",
     "dayal_condition", "pipelined_standard_plan",
     "eager_sql", "render_expression", "standard_sql",
-    "merge_aggregated_view",
 ]

@@ -26,11 +26,7 @@ from repro.algebra.ops import (
     Project,
     Select,
 )
-from repro.expressions.ast import (
-    Aggregate,
-    ColumnRef,
-    Expression,
-)
+from repro.expressions.ast import Aggregate, ColumnRef, Expression, transform_expression
 
 HIDDEN_PREFIX = "#having"
 
@@ -55,8 +51,6 @@ def rewrite_having(
         hidden.append(AggregateSpec(name, aggregate))
         by_expression[aggregate] = name
         return name
-
-    from repro.expressions.ast import transform_expression
 
     def visit(node: Expression):
         if isinstance(node, Aggregate):

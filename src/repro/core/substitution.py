@@ -31,6 +31,9 @@ from repro.expressions.ast import (
     Aggregate,
     ColumnRef,
     Expression,
+    aggregates,
+    column_refs,
+    transform_expression,
 )
 from repro.expressions.normalize import split_conjuncts
 
@@ -66,7 +69,6 @@ def _substitute_in_expression(
     expression: Expression, mapping: Dict[str, str]
 ) -> Expression:
     """Rewrite column references per ``mapping`` (qualified -> qualified)."""
-    from repro.expressions.ast import transform_expression
 
     def visit(node: Expression):
         if isinstance(node, ColumnRef):
@@ -96,10 +98,10 @@ def equivalent_queries(
     produced = 1
     classes = _equality_classes(flat.where)
     for spec_index, spec in enumerate(flat.aggregates):
-        for aggregate in _aggregates_of(spec.expression):
+        for aggregate in aggregates(spec.expression):
             if aggregate.argument is None:
                 continue
-            for ref in _column_refs_of(aggregate.argument):
+            for ref in column_refs(aggregate.argument):
                 peers = classes.get(ref.qualified, set())
                 for peer in sorted(peers - {ref.qualified}):
                     if produced >= max_variants:
@@ -120,18 +122,6 @@ def equivalent_queries(
                         flat.having,
                     )
                     produced += 1
-
-
-def _aggregates_of(expression: Expression):
-    from repro.expressions.ast import aggregates
-
-    return aggregates(expression)
-
-
-def _column_refs_of(expression: Expression):
-    from repro.expressions.ast import column_refs
-
-    return column_refs(expression)
 
 
 def find_transformable(

@@ -46,8 +46,8 @@ from repro.expressions.analysis import (
     classify_atomic,
 )
 from repro.expressions.ast import Expression
-from repro.expressions.normalize import conjoin, to_cnf, to_dnf
-from repro.fd.derivation import TableBinding
+from repro.expressions.normalize import conjoin, disjoin, to_cnf, to_dnf
+from repro.fd.derivation import TableBinding, candidate_keys
 
 
 @dataclass
@@ -94,30 +94,6 @@ def _gather_constraints(
             database.table_condition(binding.table_name, binding.alias)
         )
     return conditions
-
-
-def _candidate_keys(
-    database: Database,
-    bindings: Sequence[TableBinding],
-    assume_unique_keys: bool,
-) -> dict:
-    """alias -> tuple of candidate keys (frozensets of qualified columns).
-
-    UNIQUE keys with nullable columns are excluded unless
-    ``assume_unique_keys`` — see :mod:`repro.fd.derivation` for why.
-    """
-    keys: dict = {}
-    for binding in bindings:
-        schema = database.table(binding.table_name).schema
-        primary = schema.primary_key()
-        qualified: List[FrozenSet[str]] = []
-        for key in schema.candidate_keys():
-            if key != primary and not assume_unique_keys:
-                if any(schema.column(c).nullable for c in key):
-                    continue
-            qualified.append(frozenset(f"{binding.alias}.{c}" for c in key))
-        keys[binding.alias] = tuple(qualified)
-    return keys
 
 
 def _columns_by_alias(database: Database, bindings: Sequence[TableBinding]) -> dict:
@@ -199,7 +175,7 @@ def test_fd(
         list(query.split().conjuncts()) + constraint_conditions
     )
 
-    keys_by_alias = _candidate_keys(database, query.all_bindings, assume_unique_keys)
+    keys_by_alias = candidate_keys(database, query.all_bindings, assume_unique_keys)
     columns_by_alias = _columns_by_alias(database, query.all_bindings)
     r2_aliases = sorted(query.r2_aliases)
 
@@ -298,8 +274,6 @@ test_fd.__test__ = False  # type: ignore[attr-defined]
 
 
 def _disjoin_clause(clause: Sequence[Expression]) -> Expression:
-    from repro.expressions.normalize import disjoin
-
     result = disjoin(list(clause))
     assert result is not None
     return result

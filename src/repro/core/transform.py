@@ -6,8 +6,10 @@
   Figure 1): aggregate the R1 group on GA1+ under C1, project the R2 group
   to GA2+ under C2 (Lemma 1 says the projection is harmless), join on C0,
   and project the final SELECT list.
-* :func:`check_transformable` / :func:`transform` — gate the rewrite behind
-  TestFD (Theorem 4: YES ⇒ valid).
+* :func:`check_transformable` — gate the rewrite behind TestFD (Theorem 4:
+  YES ⇒ valid).  The certified entry point, which also issues and audits
+  the rewrite certificate, sits above the checker it calls:
+  :func:`repro.analysis.verifier.transform`.
 * :func:`expand_predicates` — the *predicate expansion* noted at the end of
   Example 3: propagate constant bindings across C0 equalities so the eager
   R1 block filters early (e.g. add ``A.Machine = 'dragon'``).
@@ -30,12 +32,13 @@ from repro.algebra.ops import (
     Project,
 )
 from repro.catalog.catalog import Database
+from repro.core.having import grouped_plan_with_having
 from repro.core.planbuild import build_join_tree
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.testfd import TestFDResult, test_fd
 from repro.errors import TransformationError
 from repro.expressions.analysis import classify_atomic, Type1Condition, Type2Condition
-from repro.expressions.ast import ColumnRef, Comparison, Expression
+from repro.expressions.ast import ColumnRef, Comparison, Expression, contains_aggregate
 from repro.expressions.normalize import conjoin, split_conjuncts
 
 
@@ -46,8 +49,6 @@ def build_standard_plan(query: GroupByJoinQuery) -> PlanNode:
     is applied as a filter over the grouped rows, with any aggregates it
     mentions computed alongside and projected away afterwards.
     """
-    from repro.core.having import grouped_plan_with_having
-
     tree = build_join_tree(query.all_bindings, query.where)
     return grouped_plan_with_having(
         tree,
@@ -101,7 +102,7 @@ def check_transformable(
     """Is pushing the group-by below the join guaranteed valid?
 
     Wraps TestFD; a YES is sound (Theorem 4), a NO is inconclusive —
-    :func:`repro.core.main_theorem.check_equivalence` can still confirm
+    :func:`repro.main_theorem.check_equivalence` can still confirm
     equivalence on a *specific* instance, but not for all instances.
     """
     result = test_fd(
@@ -111,58 +112,6 @@ def check_transformable(
         paper_strict=paper_strict,
     )
     return TransformationDecision(result.decision, result.reason, result)
-
-
-def transform(
-    database: Database,
-    query: GroupByJoinQuery,
-    assume_unique_keys: bool = False,
-    paper_strict: bool = False,
-) -> PlanNode:
-    """Return the eager (E2) plan, or raise if validity cannot be shown.
-
-    The returned plan carries a
-    :class:`~repro.analysis.certificates.RewriteCertificate` recording the
-    keys, equality classes and closures that establish FD1/FD2.  The
-    certificate is independently re-validated and the plan statically
-    verified before being returned — a defect in either (which would mean a
-    bug in TestFD or the plan builders) raises :class:`TransformationError`
-    rather than handing out an unsound plan.
-    """
-    # Lazy imports: repro.analysis imports the plan builders from here.
-    from repro.analysis.certificates import (
-        attach_certificate,
-        audit_certificate,
-        issue_certificate,
-    )
-    from repro.analysis.diagnostics import Severity, render_diagnostics
-    from repro.analysis.verifier import analyze_plan
-
-    decision = check_transformable(
-        database, query,
-        assume_unique_keys=assume_unique_keys,
-        paper_strict=paper_strict,
-    )
-    if not decision.valid:
-        raise TransformationError(decision.reason)
-    plan = build_eager_plan(query)
-    assert decision.testfd is not None
-    certificate = issue_certificate(
-        database, query, decision.testfd, assume_unique_keys=assume_unique_keys
-    )
-    problems = list(audit_certificate(database, query, certificate))
-    problems.extend(
-        analyze_plan(
-            plan, database,
-            certificate=certificate,
-            min_severity=Severity.ERROR,
-        )
-    )
-    if problems:
-        raise TransformationError(
-            "rewrite failed self-verification:\n" + render_diagnostics(problems)
-        )
-    return attach_certificate(plan, certificate)
 
 
 def reverse(
@@ -198,8 +147,6 @@ def normalize_having(query: GroupByJoinQuery) -> GroupByJoinQuery:
     conditions touching aggregates are left alone (they genuinely need the
     post-aggregation filter).
     """
-    from repro.expressions.ast import contains_aggregate
-
     if query.having is None or contains_aggregate(query.having):
         return query
     new_where = conjoin(

@@ -16,7 +16,12 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import BindingError
 from repro.expressions.eval import RowScope
-from repro.sqltypes.values import SqlValue, group_key
+from repro.sqltypes.values import SqlValue, group_key, sort_key
+
+
+def rowid_column(correlation: str) -> str:
+    """Name of the hidden RowID column exposed for correlation ``corr``."""
+    return f"{correlation}.#rowid"
 
 
 class DataSet:
@@ -127,8 +132,6 @@ class DataSet:
 
     def sorted_rows(self) -> List[Tuple[SqlValue, ...]]:
         """Rows in a deterministic order (NULLS FIRST) for display/tests."""
-        from repro.sqltypes.values import sort_key
-
         return sorted(self.rows, key=sort_key)
 
     def to_pretty(self, limit: int = 20) -> str:

@@ -23,9 +23,9 @@ merges the shard streams back into one deterministic result:
   group order included.
 
 The wire is deterministic and measured, not estimated: the rows of every
-shard delivery are serialized at the transport's pinned pickle protocol
-(:data:`repro.server.transport.WIRE_PICKLE_PROTOCOL`) and the byte
-length of the actual blob is what the governor's transfer meter and
+shard delivery are serialized at the wire's pinned pickle protocol
+(:data:`repro.engine.wire.WIRE_PICKLE_PROTOCOL`) and the byte length of the
+actual blob is what the governor's transfer meter and
 :class:`~repro.engine.stats.ExchangeStats` record, multiplied by the
 node's :attr:`~repro.algebra.ops.Exchange.fanout`.
 
@@ -45,7 +45,7 @@ response — and ``config.transport`` only picks who carries it:
 * ``"memory"`` (default) — :class:`InProcessShards`, the worker loop
   without a socket: calls :func:`run_shard` over the process's own
   partition store (a twin is attached by reference) and passes its
-  response through the transport's **restricted unpickler**, so a forged
+  response through the wire's **restricted unpickler**, so a forged
   payload is a typed :class:`~repro.errors.WireFormatError` on this wire
   too.  Byte accounting is real, failure independence is not.
 * ``"socket"`` — :class:`~repro.engine.shardrpc.ShardPool`: one OS process
@@ -64,86 +64,35 @@ from __future__ import annotations
 
 from dataclasses import replace
 from operator import itemgetter
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.algebra.ops import (
     AggregateSpec,
+    DecomposedSpec,
     Exchange,
     GroupApply,
     PlanNode,
     Relation,
+    decompose_aggregates,
     scan_chain_relation,
 )
 from repro.catalog.catalog import Database
 from repro.engine import faults, shardrpc
 from repro.engine.aggregation import finish_average
-from repro.engine.dataset import DataSet
+from repro.engine.dataset import DataSet, rowid_column
 from repro.engine.executor import Executor, ExecutorConfig
 from repro.engine.faults import KernelFault
 from repro.engine.governor import CancellationToken, ResourceGovernor
-from repro.engine.operators import evaluate, rowid_column
+from repro.engine.operators import evaluate
 from repro.engine.stats import ExchangeStats, ExecutionStats
+from repro.engine.wire import PartitionStore, restricted_loads, wire_dumps
 from repro.errors import ExecutionError, ShardUnavailable
 from repro.expressions.ast import Aggregate, ColumnRef
-from repro.server.transport import PartitionStore, restricted_loads, wire_dumps
 from repro.sqltypes.values import SqlValue, sort_key
 from repro.storage.partition import PartitionSpec, identified_partitions
 
 #: Hidden partial column carrying each group's first-appearance RowID.
 ORDINAL_COLUMN = "__ord"
-
-
-# -- aggregate decomposition -------------------------------------------------
-
-
-class DecomposedSpec:
-    """One original aggregate and the partial column(s) it merges from."""
-
-    __slots__ = ("name", "function", "partial_names")
-
-    def __init__(self, name: str, function: str, partial_names: Tuple[str, ...]):
-        self.name = name
-        self.function = function
-        self.partial_names = partial_names
-
-
-def decompose_aggregates(
-    specs: Sequence[AggregateSpec],
-) -> "Optional[Tuple[List[AggregateSpec], List[DecomposedSpec]]]":
-    """Split ``specs`` into shard-local partials plus a global merge recipe.
-
-    Returns ``None`` when any spec is not decomposable: only *bare*,
-    non-DISTINCT aggregates qualify (COUNT/SUM/MIN/MAX partials merge by
-    sum/sum/min/max; AVG becomes a hidden SUM + COUNT pair finalized
-    exactly like :func:`repro.engine.aggregation.compute_aggregate`).
-    DISTINCT and arithmetic-over-aggregate specs are rejected — their
-    partials don't merge — and the planner falls back to ship-all.
-    """
-    partials: List[AggregateSpec] = []
-    merged: List[DecomposedSpec] = []
-    for i, spec in enumerate(specs):
-        expression = spec.expression
-        if not isinstance(expression, Aggregate) or expression.distinct:
-            return None
-        function = expression.function
-        if function in ("COUNT", "SUM", "MIN", "MAX"):
-            partial_name = f"__p{i}"
-            partials.append(AggregateSpec(partial_name, expression))
-            merged.append(DecomposedSpec(spec.name, function, (partial_name,)))
-        elif function == "AVG":
-            sum_name, count_name = f"__p{i}s", f"__p{i}c"
-            partials.append(
-                AggregateSpec(sum_name, Aggregate("SUM", expression.argument))
-            )
-            partials.append(
-                AggregateSpec(count_name, Aggregate("COUNT", expression.argument))
-            )
-            merged.append(
-                DecomposedSpec(spec.name, "AVG", (sum_name, count_name))
-            )
-        else:
-            return None
-    return partials, merged
 
 
 # -- below the wire ----------------------------------------------------------

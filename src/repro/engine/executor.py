@@ -20,17 +20,18 @@ from typing import Mapping, Optional, Tuple
 
 from repro.algebra.ops import Exchange, PlanNode, fuse_group_apply, walk_plan
 from repro.algebra.rewrite_rules import normalize_rewrites
+from repro.analysis.certificates import get_certificate
+from repro.analysis.diagnostics import Severity, render_diagnostics
+from repro.analysis.verifier import analyze_plan
 from repro.catalog.catalog import Database
 from repro.engine import faults
 from repro.engine.dataset import DataSet
 from repro.engine.governor import CancellationToken, ResourceGovernor
-from repro.engine.operators import (  # noqa: F401  (rowid_column re-exported)
-    child_frames,
-    operator_for,
-    rowid_column,
-)
+from repro.engine.operators import child_frames, operator_for
 from repro.engine.stats import ExecutionStats
-from repro.errors import ReproError, raise_through_frames
+from repro.engine.vector.executor import VectorExecutor
+from repro.errors import PlanVerificationError, ReproError, raise_through_frames
+from repro.optimizer.rewrites import apply_configured_rewrites, rewrites_applied
 from repro.sqltypes.values import SqlValue
 
 
@@ -50,8 +51,8 @@ class ExecutorConfig:
       findings raise :class:`~repro.errors.PlanVerificationError`.
     * ``engine``: ``"row"`` (tuple-at-a-time interpreter) or ``"vector"``
       (columnar batches + compiled kernels,
-      :class:`repro.engine.vector.VectorExecutor`).  Both backends produce
-      ``=ⁿ``-identical results and identical :class:`ExecutionStats`.
+      :class:`repro.engine.vector.executor.VectorExecutor`).  Both backends
+      produce ``=ⁿ``-identical results and identical :class:`ExecutionStats`.
 
     Resource budget (enforced by the per-execution
     :class:`~repro.engine.governor.ResourceGovernor`; all optional):
@@ -88,7 +89,7 @@ class ExecutorConfig:
       (:mod:`repro.engine.vector.parallel`).  ``1`` keeps everything
       serial; ``0`` means *auto* — the worker-count autotuner picks
       ``os.cpu_count()`` (clamped, see
-      :func:`repro.engine.vector.parallel.resolve_workers`).  Results are
+      :func:`repro.optimizer.cost.resolve_workers`).  Results are
       bit-identical whatever the count.  Below an Exchange wire it is
       pinned to ``1`` on either transport: a shard never forks further.
 
@@ -110,11 +111,12 @@ class ExecutorConfig:
       (:mod:`repro.storage.partition`); either way every row lands in
       exactly one shard, so this never changes results either.
     * ``transport``: ``"memory"`` (shards run in-process, the wire is a
-      pickle round-trip) or ``"socket"`` (one OS process per shard behind
-      the framed RPC of :mod:`repro.server.transport`, with retries,
-      health-checked failover, and idempotent request IDs — see
-      :mod:`repro.engine.shardrpc`).  Both send the same requests to the
-      same :func:`repro.engine.exchange.run_shard`, which takes that
+      pickle round-trip) or ``"socket"`` (one OS process per shard —
+      :mod:`repro.server.transport` — behind the framed codec of
+      :mod:`repro.engine.wire`, with retries, health-checked failover, and
+      idempotent request IDs — see :mod:`repro.engine.shardrpc`).  Both
+      send the same requests to the same
+      :func:`repro.engine.exchange.run_shard`, which takes that
       module's ``SHARD_CONFIG_FIELDS`` from this config and pins the
       rest; the cancellation token, ``spill_dir`` and the remaining
       deadline reach in-process shards only (no frame carries them).
@@ -199,18 +201,14 @@ class Executor:
     def run(self, plan: PlanNode) -> Tuple[DataSet, ExecutionStats]:
         """Execute ``plan``; returns the result and per-operator statistics."""
         fused = fuse_group_apply(plan)
-        if self.config.rewrites:
-            from repro.optimizer.rewrites import (
-                apply_configured_rewrites,
-                rewrites_applied,
-            )
-
-            if rewrites_applied(fused) is None:
-                fused = apply_configured_rewrites(
-                    fused, self.database, self.config
-                ).plan
+        if self.config.rewrites and rewrites_applied(fused) is None:
+            fused = apply_configured_rewrites(
+                fused, self.database, self.config
+            ).plan
         if self.config.shards > 1 and self.config.exchange != "off":
             if not any(isinstance(n, Exchange) for n in walk_plan(fused)):
+                # Deferred, like run_exchange below (tests/test_layering.py):
+                # only a sharded query pays for the partitioner and the wire.
                 from repro.optimizer.distribute import distribute_plan
 
                 fused = distribute_plan(fused, self.database, self.config)
@@ -220,8 +218,6 @@ class Executor:
         # session picks this up so explain() shows Exchange wrapping.
         self.executed_plan = fused
         if self.config.engine == "vector":
-            from repro.engine.vector.executor import VectorExecutor
-
             return VectorExecutor(self.database, self.config, self.params).run(fused)
         stats = ExecutionStats()
         governor = ResourceGovernor.from_config(self.config)
@@ -239,11 +235,6 @@ class Executor:
         The *fused* plan is what executes, so that is what gets analyzed;
         a rewrite certificate attached to the original root still counts.
         """
-        from repro.analysis.certificates import get_certificate
-        from repro.analysis.diagnostics import Severity, render_diagnostics
-        from repro.analysis.verifier import analyze_plan
-        from repro.errors import PlanVerificationError
-
         diagnostics = analyze_plan(
             fused,
             self.database,

@@ -21,6 +21,8 @@ from repro.engine.governor import (
     estimate_table_bytes,
     external_sort_rows,
 )
+from repro.engine.sorting import is_sorted_on
+from repro.errors import BindingError
 from repro.expressions.analysis import classify_atomic, Type2Condition
 from repro.expressions.ast import Expression
 from repro.expressions.eval import ReusableRowScope, evaluate_predicate
@@ -34,8 +36,6 @@ def _combined(left: DataSet, right: DataSet) -> Tuple[str, ...]:
 
 def _side_index(dataset: DataSet, name: str) -> Optional[int]:
     """The column's index when it binds on this side, else ``None``."""
-    from repro.errors import BindingError
-
     try:
         return dataset.index_of(name)
     except BindingError:
@@ -263,8 +263,6 @@ def sort_merge_join(
     # Exploit interesting orders (§7): an input already sorted on its join
     # keys — e.g. the output of an eager aggregation on GA1+ — skips its
     # sort phase.  NULL-key filtering preserves order.
-    from repro.engine.sorting import is_sorted_on
-
     left_presorted = is_sorted_on(left, [left.columns[i] for i in left_keys])
     right_presorted = is_sorted_on(right, [right.columns[i] for i in right_keys])
 

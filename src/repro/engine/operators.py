@@ -24,9 +24,6 @@ row bodies, :meth:`repro.engine.vector.executor.VectorExecutor.apply` runs
 the kernels with the row body as spill route and degradation fallback, and
 the morsel driver replays segments through that same ``apply``.
 :func:`evaluate` is the frameless entry the Exchange merge uses.
-
-The vector backend is imported on first use: a row-only session never
-loads numpy, and :mod:`repro.engine.vector` itself imports this module.
 """
 
 from __future__ import annotations
@@ -48,22 +45,14 @@ from repro.algebra.ops import (
 )
 from repro.engine import joins
 from repro.engine.aggregation import distinct, hash_group, sort_group
-from repro.engine.dataset import DataSet
+from repro.engine.dataset import DataSet, rowid_column
 from repro.engine.governor import estimate_table_bytes
 from repro.engine.sorting import is_sorted_on, sort_dataset
+from repro.engine.vector import kernels
+from repro.engine.vector.batch import ColumnBatch
+from repro.engine.vector.columnar import table_to_batch
 from repro.errors import ExecutionError
 from repro.expressions.eval import ReusableRowScope, evaluate_predicate
-
-
-def rowid_column(correlation: str) -> str:
-    """Name of the hidden RowID column exposed for correlation ``corr``."""
-    return f"{correlation}.#rowid"
-
-
-def _kernels():
-    from repro.engine.vector import kernels
-
-    return kernels
 
 
 @dataclass(frozen=True)
@@ -93,8 +82,6 @@ def _scan_rows(node: Relation, inputs, env, governor):
 
 
 def _scan_batch(node: Relation, inputs, env):
-    from repro.storage.columnar import table_to_batch
-
     batch = table_to_batch(
         env.database.table(node.table_name),
         node.correlation,
@@ -121,7 +108,7 @@ def _select_rows(node: Select, inputs, env, governor):
 
 
 def _select_batch(node: Select, inputs, env):
-    return _kernels().filter_batch(inputs[0], node.condition, env.params)
+    return kernels.filter_batch(inputs[0], node.condition, env.params)
 
 
 def _project_rows(node: Project, inputs, env, governor):
@@ -137,7 +124,7 @@ def _project_rows(node: Project, inputs, env, governor):
 def project_columns(node: Project, batch):
     """π without its DISTINCT — streamed projections dedup across morsels
     themselves (:class:`repro.engine.vector.morsel._ProjectStage`)."""
-    return _kernels().project_batch(batch, node.columns)
+    return kernels.project_batch(batch, node.columns)
 
 
 def _project_batch(node: Project, inputs, env):
@@ -145,7 +132,7 @@ def _project_batch(node: Project, inputs, env):
     batch = project_columns(node, child)
     work = child.length
     if node.distinct:
-        batch, distinct_work = _kernels().distinct_batch(batch)
+        batch, distinct_work = kernels.distinct_batch(batch)
         work += distinct_work
     return batch, work
 
@@ -175,7 +162,6 @@ def _join_batch(node, inputs, env):
     left, right = inputs
     condition = _join_condition(node)
     algorithm = env.config.join_algorithm
-    kernels = _kernels()
     if condition is None:
         return kernels.cartesian_product_batch(left, right)
     if algorithm == "nested_loop":
@@ -238,7 +224,7 @@ def _group_rows(node: GroupApply, inputs, env, governor):
 
 def _group_batch(node: GroupApply, inputs, env):
     (child,) = inputs
-    return _kernels().grouped_aggregate(
+    return kernels.grouped_aggregate(
         child, node.grouping_columns, node.aggregates, env.params,
         mode=env.config.aggregation,
         presorted=_presorted(node, child, env.config),
@@ -269,7 +255,7 @@ def _sort_rows(node, inputs, env, governor):
 
 
 def _sort_batch(node, inputs, env):
-    return _kernels().sort_batch(inputs[0], *_sort_keys(node))
+    return kernels.sort_batch(inputs[0], *_sort_keys(node))
 
 
 def _sort_spills(node, inputs, env, governor) -> bool:
@@ -319,8 +305,6 @@ def evaluate(node: PlanNode, inputs, env, governor=None):
     operator = operator_for(node)
     if env.config.engine != "vector":
         return operator.row(node, inputs, env, governor)
-    from repro.engine.vector.batch import ColumnBatch
-
     batches = tuple(ColumnBatch.from_dataset(dataset) for dataset in inputs)
     batch, work = operator.vector(node, batches, env)
     return batch.to_dataset(), work

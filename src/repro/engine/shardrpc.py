@@ -1,10 +1,10 @@
 """Fault-tolerant shard RPC: worker pool, health ledger, retry + failover.
 
-:mod:`repro.server.transport` defines *how* bytes move (framing,
-restricted unpickling, the worker loop); this module decides *when and
-where* they move; *what* a delivery holds is opaque here (the request
-and response format is :mod:`repro.engine.exchange`'s).  The
-:class:`ShardPool` owns one OS worker process per shard slot — spawn
+:mod:`repro.engine.wire` defines *how* bytes move (framing, restricted
+unpickling) and :mod:`repro.server.transport` is the worker loop on the far
+end; this module decides *when and where* they move; *what* a delivery
+holds is opaque here (the request and response format is
+:mod:`repro.engine.exchange`'s).  The :class:`ShardPool` owns one OS worker process per shard slot — spawn
 (``repro shard-worker`` as a subprocess, parsing its ``READY`` line for
 the ephemeral port), handshake (``hello`` with a wire-version check),
 heartbeat (``ping`` RTTs feed the planner's per-site latency term),
@@ -19,7 +19,7 @@ layers the fault-tolerance contract over the raw wire:
   socket time; a silent worker raises
   :class:`~repro.errors.ShardUnavailable` instead of hanging the query;
 * **jittered-exponential retries** — via the same
-  :func:`repro.server.retry.call_with_backoff` helper the admission
+  :func:`repro.engine.retry.call_with_backoff` helper the admission
   client uses, with ``retry_on=(ShardUnavailable, WireFormatError)``
   and an ``on_retry`` hook metering every backoff into the RPC counters;
 * **idempotent request IDs** — each delivery carries a UUID; the worker
@@ -67,15 +67,15 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.engine import faults
-from repro.errors import ShardUnavailable, WireFormatError
-from repro.server.retry import call_with_backoff
-from repro.server.transport import (
+from repro.engine.retry import call_with_backoff
+from repro.engine.wire import (
     READY_PREFIX,
     WIRE_VERSION,
     pack_frame,
     recv_frame,
     send_frame,
 )
+from repro.errors import ShardUnavailable, WireFormatError
 
 #: Consecutive failures that move a shard healthy → suspect.
 SUSPECT_AFTER = 1

@@ -12,6 +12,7 @@ from repro.engine.governor import (
     estimate_table_bytes,
     external_sort_rows,
 )
+from repro.errors import BindingError
 from repro.sqltypes.values import sort_key
 
 
@@ -68,8 +69,6 @@ def is_sorted_on(dataset: DataSet, columns: Sequence[str]) -> bool:
     (as a set): rows equal on the prefix are then contiguous, which is all
     grouping and merge-joining need.
     """
-    from repro.errors import BindingError
-
     try:
         wanted = set(dataset.indexes_of(columns))
     except BindingError:

@@ -40,9 +40,10 @@ class ExchangeStats:
     """Wire counters for one Exchange operator during one execution.
 
     ``rows_shipped``/``bytes_shipped`` are *measured* on the serialized
-    stream (the spill codec is the wire format), already multiplied by the
-    mode's fan-out — a broadcast of 10 rows to 4 shards ships 40.  One
-    entry per Exchange node, in execution order, mirroring
+    stream (:func:`repro.engine.wire.wire_dumps`, pickle pinned at protocol
+    4 — not the spill files' codec), already multiplied by the mode's
+    fan-out — a broadcast of 10 rows to 4 shards ships 40.  One entry per
+    Exchange node, in execution order, mirroring
     :attr:`ExecutionStats.pipelines`.
     """
 

@@ -4,12 +4,7 @@ Selected with ``ExecutorConfig(engine="vector")``; the default row backend
 stays untouched.  Operators consume and produce :class:`ColumnBatch`
 (column-major data with per-column validity information), predicates and
 scalar expressions are compiled once per operator to closures over whole
-columns (:mod:`repro.expressions.compile`), and every kernel reports the
+columns (:mod:`repro.engine.vector.compile`), and every kernel reports the
 same :class:`~repro.engine.stats.ExecutionStats` counters as the row
 engine so the paper's §7 cost study is backend-independent.
 """
-
-from repro.engine.vector.batch import ColumnBatch
-from repro.engine.vector.executor import VectorExecutor
-
-__all__ = ["ColumnBatch", "VectorExecutor"]

@@ -22,13 +22,16 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.engine.dataset import DataSet
 from repro.errors import BindingError
-from repro.sqltypes.values import NULL, SqlValue, _Null
+from repro.sqltypes.values import NULL, SqlValue
 
 try:  # numpy accelerates index math (selection vectors, sorts, group folds);
     import numpy as _np  # the engine stays fully functional without it.
 except ImportError:  # pragma: no cover - the toolchain ships numpy
     _np = None
+
+_NULL_TYPE = type(NULL)
 
 
 class _Repeat:
@@ -223,8 +226,6 @@ class ColumnBatch:
 
     def to_dataset(self):
         """Materialize as a row-major DataSet (the executor's result type)."""
-        from repro.engine.dataset import DataSet
-
         if self.columns:
             rows: Iterable[Tuple[SqlValue, ...]] = zip(*self.columns)
         else:
@@ -288,7 +289,7 @@ class ColumnBatch:
         return kinds
 
     def has_nulls(self, index: int) -> bool:
-        return _Null in self.column_kinds(index)
+        return _NULL_TYPE in self.column_kinds(index)
 
     def validity(self, index: int) -> List[bool]:
         """The validity mask of a column: True where the value is non-NULL."""
@@ -373,7 +374,7 @@ class ColumnBatch:
         :func:`~repro.sqltypes.values.group_key`).
         """
         return not any(
-            _Null in self.column_kinds(i) or bool in self.column_kinds(i)
+            _NULL_TYPE in self.column_kinds(i) or bool in self.column_kinds(i)
             for i in indexes
         )
 

@@ -17,6 +17,7 @@ data in place.
 
 from __future__ import annotations
 
+from repro.engine.dataset import rowid_column
 from repro.engine.vector.batch import ColumnBatch
 from repro.storage.table import Table
 
@@ -32,8 +33,6 @@ def table_to_batch(
 
 
 def _transpose(table: Table, correlation: str, expose_rowids: bool) -> ColumnBatch:
-    from repro.engine.executor import rowid_column
-
     names = [f"{correlation}.{c}" for c in table.column_names()]
     stored = table.rows()
     if stored:

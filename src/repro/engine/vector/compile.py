@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.engine.vector.batch import _Repeat
 from repro.errors import BindingError, ExecutionError
 from repro.expressions.ast import (
     Aggregate,
@@ -48,6 +49,7 @@ from repro.expressions.ast import (
     Negate,
     Not,
     Or,
+    aggregates as collect_aggregates,
 )
 from repro.expressions.eval import like_regex
 from repro.sqltypes.truth import FALSE, TRUE, UNKNOWN, Truth
@@ -119,8 +121,6 @@ def resolve_column(names: Sequence[str], ref: ColumnRef) -> int:
 
 
 def _broadcast(value: SqlValue) -> ScalarKernel:
-    from repro.engine.vector.batch import _Repeat
-
     return lambda batch, params: _Repeat(value, batch.length)
 
 
@@ -137,8 +137,6 @@ def compile_scalar(expression: Expression, names: Sequence[str]) -> ScalarKernel
         def host(batch, params):
             if params is None or name not in params:
                 raise ExecutionError(f"unbound host variable :{name}")
-            from repro.engine.vector.batch import _Repeat
-
             return _Repeat(params[name], batch.length)
 
         return host
@@ -336,8 +334,6 @@ def compile_aggregate_arguments(
     Textually identical aggregates (``Aggregate`` is a frozen dataclass)
     share one slot, so ``SUM(v) + SUM(v)`` scans its argument once.
     """
-    from repro.expressions.ast import aggregates as collect_aggregates
-
     compiled: List[CompiledAggregate] = []
     slots: Dict[Aggregate, int] = {}
     for spec in specs:

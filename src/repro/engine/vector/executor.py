@@ -6,7 +6,7 @@ the same work formulas, and returns the same result type (a
 :class:`~repro.engine.dataset.DataSet`, materialized from the root batch) —
 only the per-operator inner loops differ.  That contract is what keeps the
 §7 cost study backend-independent, and the differential harness
-(:mod:`repro.engine.vector.differential`) holds it to account.
+(:mod:`tests.engine.differential`) holds it to account.
 
 Resilience rides on the same contract in two ways:
 
@@ -35,6 +35,7 @@ from repro.engine.governor import ResourceGovernor
 from repro.engine.operators import child_frames, operator_for
 from repro.engine.stats import ExecutionStats
 from repro.engine.vector.batch import ColumnBatch
+from repro.engine.vector.morsel import MorselDriver
 from repro.errors import ResourceError, raise_through_frames
 from repro.sqltypes.values import SqlValue
 
@@ -69,8 +70,6 @@ class VectorExecutor:
         stats = ExecutionStats()
         governor = ResourceGovernor.from_config(self.config)
         if self.config.morsel_size is not None:
-            from repro.engine.vector.morsel import MorselDriver
-
             driver = MorselDriver(self)
             self._recurse = driver.execute_node
             stats.pipelines = driver.pipeline

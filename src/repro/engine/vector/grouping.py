@@ -35,12 +35,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.aggregation import finish_average
 from repro.engine.vector.batch import ColumnBatch, _np, _sequence_array
-from repro.errors import ExecutionError
-from repro.expressions.compile import (
+from repro.engine.vector.compile import (
     GroupVectors,
     compile_aggregate_arguments,
     compile_group_expression,
 )
+from repro.errors import ExecutionError
 from repro.sqltypes.values import NULL, SqlValue, group_key, sql_add
 
 # -- group identity ----------------------------------------------------------

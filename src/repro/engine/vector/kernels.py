@@ -5,7 +5,7 @@ Each kernel mirrors one row-engine operator (``engine/joins.py``,
 ``(result, work)`` pair computing the *identical* work formula — the §7
 cost study must not be able to tell the backends apart.  What changes is
 the inner loop: predicates and aggregate arguments are compiled once per
-operator (:mod:`repro.expressions.compile`) and applied to whole columns,
+operator (:mod:`repro.engine.vector.compile`) and applied to whole columns,
 selection vectors replace row copying, and grouped aggregation folds
 per-group accumulators (:mod:`.grouping`) instead of row lists per group.
 
@@ -21,10 +21,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.ops import AggregateSpec
 from repro.engine.joins import extract_equi_keys
+from repro.engine.sorting import is_sorted_on
 from repro.engine.vector.batch import ColumnBatch, _Gather, _Repeat, _np
+from repro.engine.vector.compile import TRUE_CODE, compile_predicate
 from repro.engine.vector.grouping import GroupedFold
 from repro.expressions.ast import Expression
-from repro.expressions.compile import TRUE_CODE, compile_predicate
 from repro.sqltypes.values import NULL, SqlValue, group_key, sort_key
 
 Params = Optional[Mapping[str, SqlValue]]
@@ -299,8 +300,6 @@ def sort_merge_join_batch(
     pairs, residual = extract_equi_keys(condition, left, right)
     if not pairs:
         return nested_loop_join_batch(left, right, condition, params)
-
-    from repro.engine.sorting import is_sorted_on
 
     left_keys = [p[0] for p in pairs]
     right_keys = [p[1] for p in pairs]

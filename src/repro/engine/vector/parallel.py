@@ -35,35 +35,11 @@ except ImportError:  # pragma: no cover
     _mp = None
 
 from repro.engine.governor import ResourceGovernor
-from repro.engine.vector.morsel import SegmentKernelError, _reset_stage, run_morsel
+from repro.engine.vector.stages import SegmentKernelError, _reset_stage, run_morsel
 
 #: The segment being executed, published for forked workers to inherit.
 #: (chain stages bottom-up, agg stage, source batch, morsel size).
 _TASK = None
-
-
-#: Ceiling for the autotuner: past this many forked workers the per-worker
-#: partial-merge and pool-teardown overheads dominate the morsel counts our
-#: segments produce, so ``auto`` never picks more even on larger hosts.
-MAX_AUTO_WORKERS = 16
-
-
-def resolve_workers(workers: int) -> int:
-    """The effective worker count for a configured ``workers`` value.
-
-    ``0`` is the *auto* sentinel (``ExecutorConfig(workers=0)``, CLI
-    ``--workers auto``): use every core the host reports, clamped to
-    ``os.cpu_count()`` (and :data:`MAX_AUTO_WORKERS`).  Explicit positive
-    counts are honored as-is — oversubscription is sometimes wanted in
-    tests — and a single-core host resolves auto to 1, which disables
-    parallel dispatch entirely (forked workers timesharing one core are
-    pure overhead).
-    """
-    if workers > 0:
-        return workers
-    import os
-
-    return max(1, min(os.cpu_count() or 1, MAX_AUTO_WORKERS))
 
 
 def fork_available() -> bool:

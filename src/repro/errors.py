@@ -87,7 +87,7 @@ class AdmissionRejected(ResourceError):
     Carries which ``resource`` was exhausted (``"slots"``, ``"memory"``,
     ``"tenant-slots"``, ``"tenant-memory"``) and a ``retry_after`` hint in
     seconds — the contract the client-side backoff helper
-    (:func:`repro.server.retry.call_with_backoff`) builds on.  Shares the
+    (:func:`repro.engine.retry.call_with_backoff`) builds on.  Shares the
     resource exit-code family (5).
     """
 
@@ -191,7 +191,7 @@ class WireFormatError(TransportError):
 class ShardUnavailable(TransportError):
     """A shard worker did not answer: timeout, connection loss, or a
     network partition.  Retryable — carries an optional ``retry_after``
-    hint honoured by :func:`repro.server.retry.call_with_backoff`."""
+    hint honoured by :func:`repro.engine.retry.call_with_backoff`."""
 
     def __init__(self, message: str, retry_after: float = 0.0) -> None:
         super().__init__(message)

@@ -2,10 +2,9 @@
 
 These helpers make tests, examples and benchmarks readable::
 
-    from repro.expressions.builder import col, lit, eq, and_
-
-    predicate = and_(eq(col("E.DeptID"), col("D.DeptID")),
-                     eq(col("U.Machine"), lit("dragon")))
+    >>> from repro.expressions.builder import col, lit, eq, and_
+    >>> predicate = and_(eq(col("E.DeptID"), col("D.DeptID")),
+    ...                  eq(col("U.Machine"), lit("dragon")))
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ from repro.expressions.ast import (
 from repro.sqltypes.truth import (
     FALSE,
     TRUE,
+    UNKNOWN,
     Truth,
     from_bool,
     truth_and,
@@ -275,8 +276,6 @@ def evaluate_predicate(
     if isinstance(expression, Like):
         operand = evaluate_scalar(expression.operand, scope, params)
         if is_null(operand):
-            from repro.sqltypes.truth import UNKNOWN
-
             return UNKNOWN
         if not isinstance(operand, str):
             raise ExecutionError(f"LIKE applied to non-string {operand!r}")
@@ -285,8 +284,6 @@ def evaluate_predicate(
     if isinstance(expression, Literal):
         value = expression.value
         if is_null(value):
-            from repro.sqltypes.truth import UNKNOWN
-
             return UNKNOWN
         if isinstance(value, bool):
             return from_bool(value)
@@ -294,8 +291,6 @@ def evaluate_predicate(
     # Anything value-shaped in predicate position (e.g. a BOOLEAN column).
     value = evaluate_scalar(expression, scope, params)
     if is_null(value):
-        from repro.sqltypes.truth import UNKNOWN
-
         return UNKNOWN
     if isinstance(value, bool):
         return from_bool(value)

@@ -6,6 +6,7 @@ from repro.fd.derivation import (
     KnowledgeBase,
     TableBinding,
     build_knowledge_base,
+    candidate_keys,
     derived_keys,
     key_dependencies,
     predicate_dependencies,
@@ -14,6 +15,6 @@ from repro.fd.derivation import (
 __all__ = [
     "closure", "implies", "minimal_keys",
     "FunctionalDependency", "fd_holds_in", "violating_pair",
-    "KnowledgeBase", "TableBinding", "build_knowledge_base", "derived_keys",
-    "key_dependencies", "predicate_dependencies",
+    "KnowledgeBase", "TableBinding", "build_knowledge_base", "candidate_keys",
+    "derived_keys", "key_dependencies", "predicate_dependencies",
 ]

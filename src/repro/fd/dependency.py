@@ -13,10 +13,12 @@ and FD2 are verified on concrete instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from repro.engine.dataset import DataSet
 from repro.sqltypes.values import group_key
+
+if TYPE_CHECKING:
+    from repro.engine.dataset import DataSet
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from repro.expressions.analysis import (
 )
 from repro.expressions.ast import Expression
 from repro.expressions.normalize import split_conjuncts
+from repro.fd.closure import closure
 from repro.fd.dependency import FunctionalDependency
 
 
@@ -63,25 +64,41 @@ class KnowledgeBase:
         return tuple(self.dependencies)
 
 
+def candidate_keys(
+    database: Database,
+    bindings: Sequence[TableBinding],
+    assume_unique_keys: bool = False,
+) -> Dict[str, Tuple[FrozenSet[str], ...]]:
+    """alias -> the candidate keys of its table, as sets of qualified columns.
+
+    These are the ``Ki(R)`` of Section 6.  A UNIQUE key with a nullable
+    column is left out unless ``assume_unique_keys`` (see the module
+    docstring: UNIQUE + NULLs is not a key FD).
+    """
+    keys: Dict[str, Tuple[FrozenSet[str], ...]] = {}
+    for binding in bindings:
+        schema = database.table(binding.table_name).schema
+        primary = schema.primary_key()
+        keys[binding.alias] = tuple(
+            frozenset(f"{binding.alias}.{c}" for c in key)
+            for key in schema.candidate_keys()
+            if key == primary
+            or assume_unique_keys
+            or not any(schema.column(c).nullable for c in key)
+        )
+    return keys
+
+
 def key_dependencies(
     database: Database,
     binding: TableBinding,
     assume_unique_keys: bool = False,
 ) -> Tuple[FunctionalDependency, ...]:
     """Key dependencies of one bound table, qualified by its alias."""
-    table = database.table(binding.table_name)
-    schema = table.schema
+    schema = database.table(binding.table_name).schema
     all_columns = frozenset(f"{binding.alias}.{c}" for c in schema.column_names())
-    dependencies: List[FunctionalDependency] = []
-    primary = schema.primary_key()
-    for key in schema.candidate_keys():
-        if key != primary and not assume_unique_keys:
-            nullable = [c for c in key if schema.column(c).nullable]
-            if nullable:
-                continue  # see module docstring: UNIQUE + NULLs is not a key FD
-        lhs = frozenset(f"{binding.alias}.{c}" for c in key)
-        dependencies.append(FunctionalDependency(lhs, all_columns))
-    return tuple(dependencies)
+    keys = candidate_keys(database, (binding,), assume_unique_keys)[binding.alias]
+    return tuple(FunctionalDependency(key, all_columns) for key in keys)
 
 
 def predicate_dependencies(
@@ -116,24 +133,14 @@ def build_knowledge_base(
     :mod:`repro.core.testfd`.)
     """
     kb = KnowledgeBase()
+    kb.keys_by_alias = candidate_keys(database, bindings, assume_unique_keys)
     for binding in bindings:
-        table = database.table(binding.table_name)
-        schema = table.schema
-        kb.columns_by_alias[binding.alias] = frozenset(
-            f"{binding.alias}.{c}" for c in schema.column_names()
-        )
-        qualified_keys = []
-        primary = schema.primary_key()
-        for key in schema.candidate_keys():
-            if key != primary and not assume_unique_keys:
-                if any(schema.column(c).nullable for c in key):
-                    continue
-            qualified_keys.append(
-                frozenset(f"{binding.alias}.{c}" for c in key)
-            )
-        kb.keys_by_alias[binding.alias] = tuple(qualified_keys)
+        schema = database.table(binding.table_name).schema
+        columns = frozenset(f"{binding.alias}.{c}" for c in schema.column_names())
+        kb.columns_by_alias[binding.alias] = columns
         kb.dependencies.extend(
-            key_dependencies(database, binding, assume_unique_keys)
+            FunctionalDependency(key, columns)
+            for key in kb.keys_by_alias[binding.alias]
         )
     kb.dependencies.extend(predicate_dependencies(split_conjuncts(where)))
     return kb
@@ -149,8 +156,6 @@ def derived_keys(
     Part ⋈ Supplier derived table because the knowledge base's FDs close
     ``{P.PartNo}`` over every visible column.
     """
-    from repro.fd.closure import closure
-
     visible = tuple(sorted(set(visible_columns)))
     universe = frozenset(visible)
     keys: List[FrozenSet[str]] = []

@@ -26,13 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.algebra.ops import Select
 from repro.catalog.catalog import Database
 from repro.core.planbuild import build_join_tree
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.transform import build_eager_plan, build_standard_plan
-from repro.engine.dataset import DataSet
-from repro.engine.executor import Executor, ExecutorConfig, rowid_column
+from repro.engine.dataset import DataSet, rowid_column
+from repro.engine.executor import Executor, ExecutorConfig
 from repro.fd.dependency import fd_holds_in
 
 

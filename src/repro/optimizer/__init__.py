@@ -20,7 +20,6 @@ from repro.optimizer.planner import POLICIES, PlanChoice, Planner
 from repro.optimizer.rewrites import (
     REWRITE_RULES,
     RewriteOutcome,
-    RuleCertificate,
     apply_rewrites,
     normalize_rewrites,
     rewrites_applied,
@@ -32,6 +31,6 @@ __all__ = [
     "CostModel", "CostWeights", "DistributedCostModel", "NetworkWeights",
     "PlanCost", "Histogram",
     "POLICIES", "PlanChoice", "Planner",
-    "REWRITE_RULES", "RewriteOutcome", "RuleCertificate",
+    "REWRITE_RULES", "RewriteOutcome",
     "apply_rewrites", "normalize_rewrites", "rewrites_applied",
 ]

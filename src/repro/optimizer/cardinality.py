@@ -36,9 +36,19 @@ from repro.algebra.ops import (
 )
 from repro.catalog.catalog import Database
 from repro.expressions.analysis import classify_atomic, Type1Condition, Type2Condition
-from repro.expressions.ast import Comparison, Expression, IsNull
+from repro.expressions.ast import (
+    Between,
+    ColumnRef,
+    Comparison,
+    Expression,
+    InList,
+    IsNull,
+    Like,
+    Literal,
+)
 from repro.expressions.normalize import split_conjuncts
-from repro.sqltypes.values import group_key
+from repro.optimizer.histogram import Histogram
+from repro.sqltypes.values import group_key, is_null
 from repro.storage.table import Table
 
 #: Selectivity guesses for predicates we cannot analyse (System R defaults).
@@ -114,8 +124,6 @@ def _table_statistics(table: Table, histogram_buckets: int) -> TableStats:
 def _scan_table(table: Table, histogram_buckets: int) -> TableStats:
     """One pass over ``table``: row count, per-column NDV under the
     null-aware duplicate equality ``=ⁿ`` (``group_key``), histograms."""
-    from repro.optimizer.histogram import Histogram
-
     names = table.schema.column_names()
     rows = table.rows()
     values_by_column = (
@@ -308,8 +316,6 @@ class CardinalityEstimator:
             return 1.0 - DEFAULT_EQ_SELECTIVITY
         if isinstance(conjunct, IsNull):
             return DEFAULT_EQ_SELECTIVITY
-        from repro.expressions.ast import Between, ColumnRef, InList, Like
-
         if isinstance(conjunct, InList) and isinstance(conjunct.operand, ColumnRef):
             per_item = 1.0 / combined.column_ndv(conjunct.operand.qualified)
             selectivity = min(1.0, len(conjunct.items) * per_item)
@@ -334,9 +340,6 @@ class CardinalityEstimator:
 
 def _constant_value(expression: Expression) -> "float | None":
     """The numeric value of a literal expression, else None."""
-    from repro.expressions.ast import Literal
-    from repro.sqltypes.values import is_null
-
     if isinstance(expression, Literal):
         value = expression.value
         if not is_null(value) and isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -348,8 +351,6 @@ def _histogram_range_selectivity(
     conjunct: Comparison, combined: EstimateContext
 ) -> "float | None":
     """Histogram-based selectivity for ``col op constant`` (either order)."""
-    from repro.expressions.ast import ColumnRef
-
     left, right = conjunct.left, conjunct.right
     op = conjunct.op
     if isinstance(right, ColumnRef) and not isinstance(left, ColumnRef):

@@ -18,6 +18,7 @@ Costs are abstract units, not seconds: the reproduction targets the
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -33,6 +34,7 @@ from repro.algebra.ops import (
     Relation,
     Select,
     Sort,
+    walk_plan,
 )
 from repro.optimizer.cardinality import CardinalityEstimator, EstimateContext
 
@@ -56,6 +58,27 @@ class CostWeights:
 #: crossover falls) are backend-independent: switching engines rescales
 #: every candidate's cost by the same constant and never flips a choice.
 ENGINE_CPU_FACTORS: Dict[str, float] = {"row": 1.0, "vector": 0.3}
+
+#: Ceiling for the autotuner: past this many forked workers the per-worker
+#: partial-merge and pool-teardown overheads dominate the morsel counts our
+#: segments produce, so ``auto`` never picks more even on larger hosts.
+MAX_AUTO_WORKERS = 16
+
+
+def resolve_workers(workers: int) -> int:
+    """The effective worker count for a configured ``workers`` value.
+
+    ``0`` is the *auto* sentinel (``ExecutorConfig(workers=0)``, CLI
+    ``--workers auto``): use every core the host reports, clamped to
+    ``os.cpu_count()`` (and :data:`MAX_AUTO_WORKERS`).  Explicit positive
+    counts are honored as-is — oversubscription is sometimes wanted in
+    tests — and a single-core host resolves auto to 1, which disables
+    parallel dispatch entirely (forked workers timesharing one core are
+    pure overhead).
+    """
+    if workers > 0:
+        return workers
+    return max(1, min(os.cpu_count() or 1, MAX_AUTO_WORKERS))
 
 
 @dataclass
@@ -215,8 +238,6 @@ class CostModel:
 
     def estimated_transfer_rows(self, plan: PlanNode) -> float:
         """Estimated rows crossing the wire, summed over Exchange nodes."""
-        from repro.algebra.ops import walk_plan
-
         total = 0.0
         for node in walk_plan(plan):
             if isinstance(node, Exchange):

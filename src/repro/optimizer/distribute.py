@@ -32,22 +32,25 @@ from repro.algebra.ops import (
     PlanNode,
     Relation,
     Select,
-    _with_children,
     scan_chain_relation,
+    with_children,
 )
+from repro.analysis.certificates import (
+    DISTRIBUTION_ATTR,
+    RuleCertificate,
+    carry_evidence,
+)
+from repro.analysis.diagnostics import raise_on_errors
+from repro.analysis.equivalence import exact_decomposition_reason, verify_rewrite
 from repro.catalog.catalog import Database
-from repro.errors import TransformationError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, NetworkWeights
 from repro.storage.partition import PartitionSpec
 
-#: Attribute carrying the shard_exchange certificate on a distributed root.
-_CERT_ATTR = "_distribution_certificate"
-
 
 def distribution_certificate(plan: PlanNode):
     """The R704 certificate attached to a distributed plan root, if any."""
-    return getattr(plan, _CERT_ATTR, None)
+    return getattr(plan, DISTRIBUTION_ATTR, None)
 
 
 class _Site:
@@ -95,7 +98,7 @@ def _replace(plan: PlanNode, target: PlanNode, replacement: PlanNode) -> PlanNod
     rebuilt = tuple(_replace(child, target, replacement) for child in children)
     if all(new is old for new, old in zip(rebuilt, children)):
         return plan
-    return _with_children(plan, rebuilt)
+    return with_children(plan, rebuilt)
 
 
 def _exchange_keys(
@@ -146,6 +149,8 @@ def distribute_plan(plan: PlanNode, database: Database, config) -> PlanNode:
     # ship-all vs two-phase choice.
     latency_weight = 0.0
     if config.transport == "socket":
+        # Deferred (tests/test_layering.py): importing the pool module loads
+        # the wire stack, which an in-memory session never needs.
         from repro.engine.shardrpc import active_pool
 
         live = active_pool()
@@ -168,23 +173,21 @@ def distribute_plan(plan: PlanNode, database: Database, config) -> PlanNode:
         (model.cost(ship_all_plan).total, ship_all_plan, site.chain, ship_all,
          "ship-all")
     )
-    if site.group is not None:
-        from repro.analysis.equivalence import exact_decomposition_reason
-
-        if exact_decomposition_reason(site.group, database) is None:
-            two_phase = Exchange(site.group, mode, shards, method, keys, True)
-            two_phase_plan = _replace(plan, site.group, two_phase)
-            candidates.append(
-                (model.cost(two_phase_plan).total, two_phase_plan, site.group,
-                 two_phase, "two-phase")
-            )
+    if (
+        site.group is not None
+        and exact_decomposition_reason(site.group, database) is None
+    ):
+        two_phase = Exchange(site.group, mode, shards, method, keys, True)
+        two_phase_plan = _replace(plan, site.group, two_phase)
+        candidates.append(
+            (model.cost(two_phase_plan).total, two_phase_plan, site.group,
+             two_phase, "two-phase")
+        )
 
     cost, chosen_plan, replaced, exchange, strategy = min(
         candidates, key=lambda item: item[0]
     )
     estimated_shipped = estimator.rows(exchange.child) * exchange.fanout
-
-    from repro.optimizer.rewrites import RuleCertificate
 
     premises: List[Tuple[str, str]] = [
         ("strategy", strategy),
@@ -209,31 +212,13 @@ def distribute_plan(plan: PlanNode, database: Database, config) -> PlanNode:
         "shard_exchange", "$", plan, chosen_plan, tuple(premises)
     )
 
-    from repro.analysis.diagnostics import Severity, render_diagnostics
-    from repro.analysis.equivalence import verify_rewrite
+    raise_on_errors(
+        verify_rewrite(database, certificate),
+        "shard exchange failed its R704 audit",
+    )
 
-    problems = [
-        diagnostic
-        for diagnostic in verify_rewrite(database, certificate)
-        if diagnostic.severity >= Severity.ERROR
-    ]
-    if problems:
-        raise TransformationError(
-            "shard exchange failed its R704 audit:\n"
-            + render_diagnostics(problems)
-        )
-
-    if chosen_plan is not plan:
-        # Carry root-attached evidence (eager certificate, rewrite marker)
-        # over to the rebuilt root, as apply_rewrites does.
-        from repro.analysis.certificates import attach_certificate, get_certificate
-        from repro.optimizer.rewrites import _APPLIED_ATTR, rewrites_applied
-
-        eager = get_certificate(plan)
-        if eager is not None and get_certificate(chosen_plan) is None:
-            attach_certificate(chosen_plan, eager)
-        applied = rewrites_applied(plan)
-        if applied is not None:
-            object.__setattr__(chosen_plan, _APPLIED_ATTR, applied)
-    object.__setattr__(chosen_plan, _CERT_ATTR, certificate)
+    # The rebuilt root keeps what the old one carried (eager certificate,
+    # rewrite marker) and gains its own.
+    carry_evidence(plan, chosen_plan)
+    object.__setattr__(chosen_plan, DISTRIBUTION_ATTR, certificate)
     return chosen_plan

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.algebra.ops import PlanNode
+from repro.analysis.certificates import attach_certificate, issue_certificate
 from repro.catalog.catalog import Database
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.transform import (
@@ -24,10 +25,11 @@ from repro.core.transform import (
     build_eager_plan,
     build_standard_plan,
     check_transformable,
+    normalize_having,
 )
 from repro.errors import PlanningError
 from repro.optimizer.cardinality import CardinalityEstimator, Statistics
-from repro.optimizer.cost import CostModel, CostWeights
+from repro.optimizer.cost import CostModel, CostWeights, resolve_workers
 
 POLICIES = ("cost", "always_eager", "never_eager")
 
@@ -66,8 +68,6 @@ class Planner:
     ) -> None:
         if policy not in POLICIES:
             raise PlanningError(f"unknown policy {policy!r}; pick one of {POLICIES}")
-        from repro.engine.vector.parallel import resolve_workers
-
         self.database = database
         self.estimator = CardinalityEstimator(database, statistics)
         # workers=0 is the auto sentinel: cost plans with the autotuned
@@ -86,8 +86,6 @@ class Planner:
         (:func:`repro.core.transform.normalize_having`), which can re-admit
         the query to the transformable class.
         """
-        from repro.core.transform import normalize_having
-
         query = normalize_having(query)
         standard = build_standard_plan(query)
         standard_cost = self.cost_model.cost(standard).total
@@ -119,11 +117,8 @@ class Planner:
 
         The certificate is what licenses the plan's below-join aggregation
         to the static verifier (rule G103) and what ``explain --certify``
-        renders.  Lazy import: :mod:`repro.analysis` imports the plan
-        builders from :mod:`repro.core.transform`.
+        renders.
         """
-        from repro.analysis.certificates import attach_certificate, issue_certificate
-
         if decision.testfd is not None:
             attach_certificate(
                 eager,

@@ -46,22 +46,27 @@ from repro.algebra.ops import (
     Relation,
     Select,
     Sort,
-    _with_children,
     fuse_group_apply,
     walk_plan,
+    with_children,
 )
 from repro.algebra.rewrite_rules import REWRITE_RULES, normalize_rewrites
-from repro.analysis.certificates import attach_certificate, get_certificate
-from repro.analysis.nullability import rejects_null
+from repro.analysis.certificates import (
+    APPLIED_REWRITES_ATTR,
+    RuleCertificate,
+    carry_evidence,
+)
+from repro.analysis.diagnostics import raise_on_errors
+from repro.analysis.equivalence import collect_join_region, verify_rewrite
+from repro.analysis.nullability import null_rejection_premises
 from repro.analysis.schema import (
     AmbiguousColumn,
     PlanSchema,
-    _node_path,
     infer_schema,
     infer_schemas,
+    node_path,
 )
 from repro.catalog.catalog import Database
-from repro.errors import TransformationError
 from repro.expressions.analysis import referenced_tables
 from repro.expressions.ast import (
     ColumnRef,
@@ -71,49 +76,8 @@ from repro.expressions.ast import (
     transform_expression,
 )
 from repro.expressions.normalize import conjoin, split_conjuncts
-
-#: Attribute set on a rewritten plan root so the executor never re-applies.
-_APPLIED_ATTR = "_certified_rewrites"
-
-
-@dataclass(frozen=True)
-class RuleCertificate:
-    """Evidence for one application of one rewrite rule.
-
-    ``before`` and ``after`` are the *full* plans around the application
-    (so the checker can audit context, not just the rewritten site);
-    ``path`` is the operator breadcrumb of the rewritten site using the
-    same ``$.i:label`` notation as the schema analyzer; ``premises`` are
-    (name, value) facts the rewriter claims and the checker re-derives.
-    """
-
-    rule: str
-    path: str
-    before: PlanNode
-    after: PlanNode
-    premises: Tuple[Tuple[str, str], ...]
-
-    def premise_values(self, name: str) -> Tuple[str, ...]:
-        return tuple(value for key, value in self.premises if key == name)
-
-    def to_dict(self) -> dict:
-        from repro.algebra.display import render_plan
-
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "before": render_plan(self.before),
-            "after": render_plan(self.after),
-            "premises": [
-                {"name": name, "value": value} for name, value in self.premises
-            ],
-        }
-
-    def render(self) -> str:
-        lines = [f"rewrite {self.rule} at {self.path}"]
-        for name, value in self.premises:
-            lines.append(f"  {name}: {value}")
-        return "\n".join(lines)
+from repro.optimizer.cardinality import CardinalityEstimator
+from repro.optimizer.cost import CostModel
 
 
 @dataclass(frozen=True)
@@ -130,7 +94,7 @@ class RewriteOutcome:
 
 def rewrites_applied(plan: PlanNode) -> Optional[Tuple[str, ...]]:
     """The rewrite set already applied to ``plan``'s root, if any."""
-    return getattr(plan, _APPLIED_ATTR, None)
+    return getattr(plan, APPLIED_REWRITES_ATTR, None)
 
 
 # ---------------------------------------------------------------------------
@@ -197,26 +161,6 @@ def _canonical_keys(
             info = None
         resolved.append(info.name if info is not None else key)
     return tuple(resolved)
-
-
-def null_rejection_premises(
-    pushed: Sequence[Expression], canonical_keys: Sequence[str]
-) -> Tuple[Tuple[str, str], ...]:
-    """3VL verdicts for each pushed conjunct against each key it touches.
-
-    Shared with the equivalence checker, which re-derives the very same
-    facts and compares them against the certificate.
-    """
-    premises: List[Tuple[str, str]] = []
-    key_set = set(canonical_keys)
-    for conjunct in pushed:
-        touched = sorted(
-            {ref.qualified for ref in column_refs(conjunct)} & key_set
-        )
-        for key in touched:
-            verdict = "rejecting" if rejects_null(conjunct, key) else "preserving"
-            premises.append(("null-rejection", f"{conjunct} on {key}: {verdict}"))
-    return tuple(premises)
 
 
 @dataclass
@@ -303,7 +247,7 @@ def _find_pushdown(plan: PlanNode, database: Database) -> Optional[_Step]:
             site = _pushdown_site(node, database)
             if site is not None:
                 rewritten, premises = site
-                found.append(_Step(rewritten, _node_path(prefix, node), premises))
+                found.append(_Step(rewritten, node_path(prefix, node), premises))
                 return rewritten
         children = node.children()
         if not children:
@@ -314,7 +258,7 @@ def _find_pushdown(plan: PlanNode, database: Database) -> Optional[_Step]:
         )
         if all(new is old for new, old in zip(rebuilt, children)):
             return node
-        return _with_children(node, rebuilt)
+        return with_children(node, rebuilt)
 
     new_plan = recurse(plan, "$")
     if not found:
@@ -326,27 +270,6 @@ def _find_pushdown(plan: PlanNode, database: Database) -> Optional[_Step]:
 # ---------------------------------------------------------------------------
 # cost-based join reordering
 # ---------------------------------------------------------------------------
-
-
-def collect_join_region(plan: PlanNode) -> Tuple[List[PlanNode], List[Expression]]:
-    """Flatten a join/product/filter region into (leaves, conjuncts).
-
-    The same grammar is used by the equivalence checker to prove that a
-    reordered region preserves the leaf and conjunct multisets.
-    """
-    if isinstance(plan, Join):
-        left_leaves, left_conjuncts = collect_join_region(plan.left)
-        right_leaves, right_conjuncts = collect_join_region(plan.right)
-        here = list(split_conjuncts(plan.condition)) if plan.condition else []
-        return left_leaves + right_leaves, left_conjuncts + right_conjuncts + here
-    if isinstance(plan, Product):
-        left_leaves, left_conjuncts = collect_join_region(plan.left)
-        right_leaves, right_conjuncts = collect_join_region(plan.right)
-        return left_leaves + right_leaves, left_conjuncts + right_conjuncts
-    if isinstance(plan, Select):
-        leaves, conjuncts = collect_join_region(plan.child)
-        return leaves, conjuncts + list(split_conjuncts(plan.condition))
-    return [plan], []
 
 
 def _leaf_aliases(leaf: PlanNode, database: Database) -> Optional[Set[str]]:
@@ -520,7 +443,7 @@ def _find_reorder(
             attempt = _try_reorder_region(node, database, estimator, cost_model)
             if attempt is not None:
                 rewritten, premises = attempt
-                found.append(_Step(rewritten, _node_path(prefix, node), premises))
+                found.append(_Step(rewritten, node_path(prefix, node), premises))
                 return rewritten
         children = node.children()
         if not children:
@@ -534,7 +457,7 @@ def _find_reorder(
         )
         if all(new is old for new, old in zip(rebuilt, children)):
             return node
-        return _with_children(node, rebuilt)
+        return with_children(node, rebuilt)
 
     new_plan = recurse(plan, "$", False)
     if not found:
@@ -609,7 +532,7 @@ def _prune_plan(plan: PlanNode, database: Database) -> Optional[_Step]:
         state.notes.append(
             (
                 "pruned",
-                f"{_node_path(prefix, original)}: kept [{', '.join(kept)}];"
+                f"{node_path(prefix, original)}: kept [{', '.join(kept)}];"
                 f" dropped [{', '.join(dropped)}]",
             )
         )
@@ -644,7 +567,7 @@ def _prune_plan(plan: PlanNode, database: Database) -> Optional[_Step]:
                     state.notes.append(
                         (
                             "narrowed",
-                            f"{_node_path(prefix, node)}: kept"
+                            f"{node_path(prefix, node)}: kept"
                             f" [{', '.join(columns)}]",
                         )
                     )
@@ -723,7 +646,7 @@ def _prune_plan(plan: PlanNode, database: Database) -> Optional[_Step]:
     if new_plan == plan:
         return None
     premises = tuple(state.notes) or (("pruned", "(no columns dropped)"),)
-    return _Step(new_plan, _node_path("$", plan), premises)
+    return _Step(new_plan, node_path("$", plan), premises)
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +693,6 @@ def apply_rewrites(
             current = step.plan
 
     if "join_reordering" in enabled:
-        from repro.optimizer.cardinality import CardinalityEstimator
-        from repro.optimizer.cost import CostModel
-
         try:
             estimator = CardinalityEstimator(database, statistics)
             cost_model = CostModel(estimator, join_algorithm=join_algorithm)
@@ -792,27 +712,18 @@ def apply_rewrites(
             record("projection_pruning", step, current)
             current = step.plan
 
-    if verify and certificates:
-        from repro.analysis.diagnostics import Severity, render_diagnostics
-        from repro.analysis.equivalence import verify_rewrite
+    if verify:
+        raise_on_errors(
+            (
+                diagnostic
+                for certificate in certificates
+                for diagnostic in verify_rewrite(database, certificate)
+            ),
+            "certified rewrite failed its own audit",
+        )
 
-        problems = [
-            diagnostic
-            for certificate in certificates
-            for diagnostic in verify_rewrite(database, certificate)
-            if diagnostic.severity >= Severity.ERROR
-        ]
-        if problems:
-            raise TransformationError(
-                "certified rewrite failed its own audit:\n"
-                + render_diagnostics(problems)
-            )
-
-    if current is not original:
-        eager = get_certificate(original)
-        if eager is not None and get_certificate(current) is None:
-            attach_certificate(current, eager)
-    object.__setattr__(current, _APPLIED_ATTR, enabled)
+    carry_evidence(original, current)
+    object.__setattr__(current, APPLIED_REWRITES_ATTR, enabled)
     return RewriteOutcome(current, tuple(certificates))
 
 

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.algebra.ops import AggregateSpec
 from repro.catalog.catalog import Database
 from repro.catalog.constraints import (
+    Assertion,
     CheckConstraint,
     Domain,
     ForeignKeyConstraint,
@@ -30,6 +31,7 @@ from repro.expressions.ast import (
     ColumnRef,
     Expression,
     contains_aggregate,
+    transform_expression,
 )
 from repro.fd.derivation import TableBinding
 from repro.parser.ast_nodes import (
@@ -37,9 +39,12 @@ from repro.parser.ast_nodes import (
     CreateDomainStatement,
     CreateTableStatement,
     CreateViewStatement,
+    DeleteStatement,
     InsertStatement,
+    SelectItem,
     SelectStatement,
     TableRef,
+    UpdateStatement,
 )
 from repro.sqltypes.datatypes import type_from_name
 
@@ -83,8 +88,6 @@ class NameResolver:
         )
 
     def qualify_expression(self, expression: Expression) -> Expression:
-        from repro.expressions.ast import transform_expression
-
         def visit(node: Expression):
             if isinstance(node, ColumnRef):
                 return self.qualify(node)
@@ -97,7 +100,7 @@ def bind_select(database: Database, statement: SelectStatement) -> FlatQuery:
     """Resolve a grouped SELECT into a :class:`FlatQuery`.
 
     Views in the FROM clause are not handled here — see
-    :mod:`repro.core.viewmerge` for the aggregated-view path (Section 8).
+    :mod:`repro.parser.viewmerge` for the aggregated-view path (Section 8).
     """
     for ref in statement.from_tables:
         if ref.name in database.views:
@@ -132,8 +135,6 @@ def bind_select(database: Database, statement: SelectStatement) -> FlatQuery:
     ):
         if len(items) != 1:
             raise BindingError("SELECT * cannot be mixed with other items")
-        from repro.parser.ast_nodes import SelectItem
-
         items = [
             SelectItem(ColumnRef(ref.correlation, column))
             for ref in statement.from_tables
@@ -182,11 +183,8 @@ def bind_select(database: Database, statement: SelectStatement) -> FlatQuery:
 
 def execute_statement(database: Database, statement: object) -> None:
     """Apply a DDL or DML (INSERT/UPDATE/DELETE) statement to the database."""
-    from repro.parser.ast_nodes import DeleteStatement, UpdateStatement
-    from repro.parser.ast_nodes import TableRef as _TableRef
-
     if isinstance(statement, DeleteStatement):
-        resolver = NameResolver(database, (_TableRef(statement.table),))
+        resolver = NameResolver(database, (TableRef(statement.table),))
         where = (
             resolver.qualify_expression(statement.where)
             if statement.where is not None
@@ -195,7 +193,7 @@ def execute_statement(database: Database, statement: object) -> None:
         database.delete(statement.table, where)
         return
     if isinstance(statement, UpdateStatement):
-        resolver = NameResolver(database, (_TableRef(statement.table),))
+        resolver = NameResolver(database, (TableRef(statement.table),))
         where = (
             resolver.qualify_expression(statement.where)
             if statement.where is not None
@@ -221,8 +219,6 @@ def execute_statement(database: Database, statement: object) -> None:
     elif isinstance(statement, CreateViewStatement):
         database.create_view(statement.name, statement)
     elif isinstance(statement, CreateAssertionStatement):
-        from repro.catalog.constraints import Assertion
-
         database.create_assertion(Assertion(statement.name, statement.check))
     elif isinstance(statement, InsertStatement):
         for row in statement.rows:

@@ -82,7 +82,8 @@ def render_select(statement: SelectStatement) -> str:
     return " ".join(parts)
 
 
-def _table_ddl(schema: TableSchema) -> str:
+def table_ddl(schema: TableSchema) -> str:
+    """``CREATE TABLE`` text for one schema (the shell's ``.schema`` prints it)."""
     pieces: List[str] = []
     for column in schema.columns:
         text = f"{column.name} {column.datatype.type_name}"
@@ -149,7 +150,7 @@ def dump_database(database: Database) -> str:
 
     order = _dependency_order(database)
     for name in order:
-        statements.append(_table_ddl(database.table(name).schema))
+        statements.append(table_ddl(database.table(name).schema))
 
     for view_name, definition in database.views.items():
         if isinstance(definition, CreateViewStatement):

@@ -37,6 +37,7 @@ from repro.expressions.ast import (
     ColumnRef,
     Expression,
     contains_aggregate,
+    transform_expression,
 )
 from repro.expressions.normalize import conjoin, split_conjuncts
 from repro.fd.derivation import TableBinding
@@ -120,8 +121,6 @@ def merge_aggregated_view(
     def rewrite(expression: Expression, allow_aggregates: bool) -> Expression:
         """Replace view-column references by their definitions; qualify the
         rest against the outer base tables."""
-        from repro.expressions.ast import transform_expression
-
         def visit(node: Expression):
             if isinstance(node, ColumnRef):
                 if node.table == view_correlation:

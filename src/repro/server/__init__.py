@@ -11,7 +11,7 @@ package layers four pieces on the existing single-session stack:
 * :mod:`repro.server.admission` — an :class:`AdmissionController` carving
   per-query budgets out of a server-level
   :class:`~repro.engine.governor.BudgetPool` (reject, never queue);
-* :mod:`repro.server.retry` — the client-side
+* :mod:`repro.engine.retry` — the client-side
   :func:`call_with_backoff` helper matching the admission contract;
 * :mod:`repro.server.server` — :class:`Server` / :class:`ServerSession`,
   the user-facing API tying the pieces together;
@@ -23,8 +23,8 @@ package layers four pieces on the existing single-session stack:
   line protocol (``repro serve``).
 """
 
+from repro.engine.retry import call_with_backoff
 from repro.server.admission import AdmissionController, Grant
-from repro.server.retry import call_with_backoff
 from repro.server.server import Server, ServerSession
 from repro.server.snapshot import Snapshot, VersionedCatalog
 

@@ -21,7 +21,7 @@ reject-don't-queue discipline of
 ``retry_after`` is deterministic under a fixed interleaving: the base
 hint scaled by the pool's rejected-since-last-release count, so a loaded
 server tells clients to back off longer (and
-:func:`repro.server.retry.call_with_backoff` adds client-side jitter on
+:func:`repro.engine.retry.call_with_backoff` adds client-side jitter on
 top).
 """
 

@@ -36,6 +36,7 @@ from typing import List, Optional, Tuple
 from repro.catalog.catalog import Database
 from repro.engine import faults
 from repro.engine.executor import ExecutorConfig
+from repro.engine.shardrpc import active_pool
 from repro.errors import ReproError
 from repro.parser.binder import execute_statement
 from repro.parser.parser import parse_statement
@@ -268,8 +269,6 @@ def run_chaos(
     def shard_killer() -> None:
         """SIGKILL ``kill_shards`` live workers at seeded points."""
         import time
-
-        from repro.engine.shardrpc import active_pool
 
         killer_rng = random.Random(seed * 7919 + 13)
         remaining = kill_shards

@@ -18,7 +18,7 @@ Errors answer ``ERR <exit_code> <ErrorType>: <message>`` with the same
 exit-code families the CLI uses (parse=2, bind=3, execution=4,
 resource=5) — an :class:`~repro.errors.AdmissionRejected` therefore
 reports 5 plus its retry hint, and a client can drive
-:func:`repro.server.retry.call_with_backoff` off it.
+:func:`repro.engine.retry.call_with_backoff` off it.
 
 Each connection gets its own :class:`~repro.server.server.ServerSession`
 (the threading server gives it its own thread), so concurrent clients

@@ -32,15 +32,6 @@ from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.catalog.catalog import Database
-
-# The executor resolves its backend with a *lazy* circular import
-# (``executor.run`` → ``repro.engine.vector.executor`` → back).  That is
-# fine single-threaded, but two sessions racing the first import can see
-# a partially initialized module.  Import the cycle eagerly here, while
-# the server module itself loads single-threaded, so session threads only
-# ever hit warm ``sys.modules`` entries.
-import repro.engine.vector.executor  # noqa: F401  (warm the import cache)
-import repro.analysis.certificates  # noqa: F401
 from repro.engine import faults
 from repro.engine.dataset import DataSet
 from repro.engine.executor import ExecutorConfig

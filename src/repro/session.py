@@ -3,16 +3,15 @@
 :class:`Session` ties the whole stack together — parse, bind, normalize,
 test the transformation, choose a plan cost-based, execute::
 
-    from repro import Session
-
-    session = Session()
-    session.execute("CREATE TABLE Department (DeptID INTEGER PRIMARY KEY, "
-                    "Name VARCHAR(30))")
-    session.execute("INSERT INTO Department VALUES (1, 'Engineering')")
-    result = session.query("SELECT D.DeptID, D.Name, COUNT(E.EmpID) "
-                           "FROM Employee E, Department D "
-                           "WHERE E.DeptID = D.DeptID GROUP BY D.DeptID, D.Name")
-    print(result.to_pretty())
+    >>> from repro import Session
+    >>> session = Session()
+    >>> session.execute("CREATE TABLE Department (DeptID INTEGER PRIMARY KEY, "
+    ...                 "Name VARCHAR(30))")
+    >>> session.execute("INSERT INTO Department VALUES (1, 'Engineering')")
+    >>> result = session.query("SELECT D.DeptID, D.Name, COUNT(E.EmpID) "
+    ...                        "FROM Employee E, Department D "
+    ...                        "WHERE E.DeptID = D.DeptID GROUP BY D.DeptID, D.Name")
+    >>> print(result.to_pretty())
 
 ``query`` returns a :class:`~repro.engine.dataset.DataSet`; ``explain``
 returns the full :class:`QueryReport` (chosen strategy, estimated costs,
@@ -26,22 +25,34 @@ from typing import Mapping, Optional, Tuple
 
 from repro.algebra.display import render_annotated
 from repro.algebra.ops import Apply, Group, PlanNode, Project, fuse_group_apply
+from repro.analysis.certificates import carry_evidence, get_certificate
 from repro.catalog.catalog import Database
+from repro.core.having import grouped_plan_with_having
 from repro.core.partition import FlatQuery, to_group_by_join_query
 from repro.core.planbuild import build_join_tree
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.transform import TransformationDecision
-from repro.core.viewmerge import merge_aggregated_view
 from repro.engine.aggregation import evaluate_aggregate_expression
 from repro.engine.dataset import DataSet
 from repro.engine.executor import Executor, ExecutorConfig
+from repro.engine.setops import apply_set_operation
+from repro.engine.sorting import sort_dataset
 from repro.engine.stats import ExecutionStats
-from repro.errors import ParseError, TransformationError
+from repro.errors import BindingError, ParseError, TransformationError
+from repro.expressions.ast import (
+    Expression,
+    InList,
+    InSubquery,
+    Literal,
+    transform_expression,
+)
 from repro.optimizer.planner import PlanChoice, Planner
+from repro.optimizer.rewrites import apply_configured_rewrites
 from repro.parser.ast_nodes import SelectStatement, SetOperationStatement
 from repro.parser.binder import bind_select, execute_statement
 from repro.parser.parser import parse_statement
-from repro.sqltypes.values import SqlValue
+from repro.parser.viewmerge import merge_aggregated_view
+from repro.sqltypes.values import SqlValue, group_key
 
 
 @dataclass
@@ -61,13 +72,13 @@ class QueryReport:
     @property
     def certificate(self):
         """The rewrite certificate attached to the executed plan, if any."""
-        from repro.analysis.certificates import get_certificate
-
         return get_certificate(self.plan)
 
     @property
     def distribution_certificate(self):
         """The R704 shard-exchange certificate, when the plan was sharded."""
+        # Deferred (tests/test_layering.py): the distribution planner loads
+        # the partitioner, which an unsharded session never needs.
         from repro.optimizer.distribute import distribution_certificate
 
         return distribution_certificate(self.plan)
@@ -171,9 +182,6 @@ class Session:
     ) -> QueryReport:
         """UNION/EXCEPT/INTERSECT: run both sides, combine with =ⁿ
         duplicate semantics (§4.2), apply any trailing ORDER BY."""
-        from repro.engine.setops import apply_set_operation
-        from repro.engine.sorting import sort_dataset
-
         left = self.report_statement(statement.left, params)
         right = self.report_statement(statement.right, params)
         combined, __ = apply_set_operation(
@@ -239,16 +247,6 @@ class Session:
         Correlated subqueries surface as binding errors inside the nested
         run, with a hint appended.
         """
-        from repro.errors import BindingError
-        from repro.expressions.ast import (
-            Expression,
-            InList,
-            InSubquery,
-            Literal,
-            transform_expression,
-        )
-        from repro.sqltypes.values import group_key
-
         def resolve(node: Expression):
             if not isinstance(node, InSubquery):
                 return None
@@ -305,8 +303,6 @@ class Session:
         """
         if not statement.order_by:
             return report
-        from repro.engine.sorting import sort_dataset
-
         columns = [item.column.qualified for item in statement.order_by]
         descending = [item.descending for item in statement.order_by]
         ordered, __ = sort_dataset(report.result, columns, descending)
@@ -332,8 +328,6 @@ class Session:
         """Apply configured certified rewrites; (plan, certificates)."""
         if not self.executor_config.rewrites:
             return plan, ()
-        from repro.optimizer.rewrites import apply_configured_rewrites
-
         outcome = apply_configured_rewrites(
             fuse_group_apply(plan), self.database, self.executor_config
         )
@@ -351,15 +345,9 @@ class Session:
         choice = planner.choose(query)
         # Fuse Group/Apply before running so the report's plan nodes carry
         # the executor's per-node statistics (the executor would fuse to
-        # fresh nodes otherwise and the annotations would not line up).
-        plan = fuse_group_apply(choice.plan)
-        if plan is not choice.plan:
-            # Fusing rebuilt the root: carry the rewrite certificate over.
-            from repro.analysis.certificates import attach_certificate, get_certificate
-
-            certificate = get_certificate(choice.plan)
-            if certificate is not None:
-                attach_certificate(plan, certificate)
+        # fresh nodes otherwise and the annotations would not line up); the
+        # rewrite certificate moves to the fused root with it.
+        plan = carry_evidence(choice.plan, fuse_group_apply(choice.plan))
         plan, rewrites = self._maybe_rewrite(plan)
         result, stats, plan = self._run_plan(plan, params)
         return QueryReport(result, plan, choice.strategy, stats, choice, rewrites)
@@ -367,8 +355,6 @@ class Session:
     def _run_flat_standard(
         self, flat: FlatQuery, params: Optional[Mapping[str, SqlValue]]
     ) -> QueryReport:
-        from repro.core.having import grouped_plan_with_having
-
         tree = build_join_tree(flat.bindings, flat.where)
         columns = flat.select_group_columns + tuple(s.name for s in flat.aggregates)
         plan = fuse_group_apply(

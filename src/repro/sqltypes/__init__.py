@@ -20,8 +20,6 @@ from repro.sqltypes.truth import (
     ceil_interpret,
     floor_interpret,
     from_bool,
-    null_equal,
-    null_equal_rows,
     truth_all,
     truth_and,
     truth_any,
@@ -34,6 +32,8 @@ from repro.sqltypes.values import (
     SqlValue,
     group_key,
     is_null,
+    null_equal,
+    null_equal_rows,
     sort_key,
     sql_compare_eq,
     sql_compare_ge,

@@ -5,7 +5,8 @@ connective, and the machinery of Figure 3:
 
 * the *interpretation operators* ``⌊P⌋`` (:func:`floor_interpret`, UNKNOWN
   becomes false) and ``⌈P⌉`` (:func:`ceil_interpret`, UNKNOWN becomes true),
-* the *null-aware equality* ``=ⁿ`` (:func:`null_equal`) used by all SQL2
+* the *null-aware equality* ``=ⁿ``
+  (:func:`repro.sqltypes.values.null_equal`) used by all SQL2
   duplicate operations (GROUP BY, DISTINCT, UNION, ...): two values are
   duplicates when they are equal and both non-NULL, or when both are NULL.
 
@@ -125,26 +126,3 @@ def floor_interpret(value: Truth) -> bool:
 def ceil_interpret(value: Truth) -> bool:
     """``⌈P⌉`` of Figure 3: interpret UNKNOWN as true."""
     return value is not FALSE
-
-
-def null_equal(left: object, right: object) -> bool:
-    """The ``=ⁿ`` operator of Figure 3 (duplicate semantics).
-
-    Returns a plain bool, per the paper's definition: TRUE when both operands
-    are NULL, otherwise ``⌊left = right⌋``.  Used by GROUP BY, DISTINCT and the
-    functional-dependency definitions of Section 4.3.
-    """
-    from repro.sqltypes.values import is_null, sql_compare_eq
-
-    if is_null(left) and is_null(right):
-        return True
-    return floor_interpret(sql_compare_eq(left, right))
-
-
-def null_equal_rows(left: Iterable[object], right: Iterable[object]) -> bool:
-    """Row equivalence (Definition 1): pairwise ``=ⁿ`` over column values."""
-    left_values = tuple(left)
-    right_values = tuple(right)
-    if len(left_values) != len(right_values):
-        return False
-    return all(null_equal(lv, rv) for lv, rv in zip(left_values, right_values))

@@ -7,17 +7,17 @@ results and (b) NULL renders distinctly in debug output.
 
 Comparison of SQL values returns a :class:`~repro.sqltypes.truth.Truth`:
 any comparison involving NULL yields UNKNOWN.  Equality used by *duplicate*
-operations is the separate ``=ⁿ`` (:func:`repro.sqltypes.truth.null_equal`).
+operations is the separate ``=ⁿ`` (:func:`null_equal`).
 """
 
 from __future__ import annotations
 
 import datetime
 import decimal
-from typing import Union
+from typing import Iterable, Union
 
-from repro.errors import TypeMismatchError
-from repro.sqltypes.truth import UNKNOWN, Truth, from_bool
+from repro.errors import ExecutionError, TypeMismatchError
+from repro.sqltypes.truth import UNKNOWN, Truth, floor_interpret, from_bool
 
 
 class _Null:
@@ -119,6 +119,27 @@ def sql_compare_ge(left: object, right: object) -> Truth:
     return from_bool(left >= right)
 
 
+def null_equal(left: object, right: object) -> bool:
+    """The ``=ⁿ`` operator of Figure 3 (duplicate semantics).
+
+    Returns a plain bool, per the paper's definition: TRUE when both operands
+    are NULL, otherwise ``⌊left = right⌋``.  Used by GROUP BY, DISTINCT and the
+    functional-dependency definitions of Section 4.3.
+    """
+    if is_null(left) and is_null(right):
+        return True
+    return floor_interpret(sql_compare_eq(left, right))
+
+
+def null_equal_rows(left: Iterable[object], right: Iterable[object]) -> bool:
+    """Row equivalence (Definition 1): pairwise ``=ⁿ`` over column values."""
+    left_values = tuple(left)
+    right_values = tuple(right)
+    if len(left_values) != len(right_values):
+        return False
+    return all(null_equal(lv, rv) for lv, rv in zip(left_values, right_values))
+
+
 def sql_add(left: object, right: object) -> SqlValue:
     """SQL ``+``: NULL-propagating arithmetic."""
     if is_null(left) or is_null(right):
@@ -143,8 +164,6 @@ def sql_div(left: object, right: object) -> SqlValue:
     if is_null(left) or is_null(right):
         return NULL
     if right == 0:
-        from repro.errors import ExecutionError
-
         raise ExecutionError("division by zero")
     if isinstance(left, int) and isinstance(right, int):
         # SQL integer division truncates toward zero.

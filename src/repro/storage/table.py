@@ -33,7 +33,7 @@ from repro.catalog.constraints import (
 from repro.catalog.schema import TableSchema
 from repro.errors import CatalogError, ConstraintViolation
 from repro.expressions.eval import RowScope
-from repro.sqltypes.values import SqlValue, group_key, is_null
+from repro.sqltypes.values import NULL, SqlValue, group_key, is_null
 from repro.storage.row import Row
 
 T = TypeVar("T")
@@ -257,8 +257,6 @@ class Table:
     def _order_values(
         self, values: "Sequence[SqlValue] | Mapping[str, SqlValue]"
     ) -> Tuple[SqlValue, ...]:
-        from repro.sqltypes.values import NULL
-
         if isinstance(values, Mapping):
             unknown = set(values) - set(self.schema.column_names())
             if unknown:

@@ -23,6 +23,7 @@ from typing import Tuple
 
 from repro.catalog import Column, Database, PrimaryKeyConstraint, TableSchema
 from repro.sqltypes import INTEGER, VARCHAR
+from repro.sqltypes.values import NULL
 
 
 def populate_employee_department(
@@ -150,8 +151,6 @@ def make_two_table(spec: TwoTableSpec) -> Database:
     rng = random.Random(spec.seed)
     for b_id in range(1, spec.n_b + 1):
         db.insert("B", [b_id, f"B{b_id}"])
-    from repro.sqltypes.values import NULL
-
     def maybe_null(value):
         if spec.null_fraction and rng.random() < spec.null_fraction:
             return NULL

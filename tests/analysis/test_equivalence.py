@@ -21,10 +21,11 @@ from repro.algebra.ops import (
     Relation,
     Select,
 )
+from repro.analysis.certificates import RuleCertificate
 from repro.analysis.diagnostics import Severity
 from repro.analysis.equivalence import verify_rewrite
 from repro.expressions.builder import and_, col, count, eq, gt, is_null_, lit, or_
-from repro.optimizer.rewrites import RuleCertificate, apply_rewrites
+from repro.optimizer.rewrites import apply_rewrites
 from repro.workloads.generators import populate_employee_department
 from repro.workloads.schemas import make_employee_department
 

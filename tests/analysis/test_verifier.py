@@ -18,8 +18,8 @@ from repro.algebra.ops import (
     fuse_group_apply,
 )
 from repro.analysis.diagnostics import Severity
-from repro.analysis.verifier import analyze_plan, analyze_query
-from repro.core.transform import build_eager_plan, build_standard_plan, transform
+from repro.analysis.verifier import analyze_plan, analyze_query, transform
+from repro.core.transform import build_eager_plan, build_standard_plan
 from repro.expressions.builder import col, count, eq, null, sum_
 from repro.workloads.schemas import make_employee_department
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.catalog.dump import dump_database, load_database, render_select
 from repro.errors import CatalogError, ConstraintViolation
+from repro.parser.dump import dump_database, load_database, render_select
 from repro.parser.parser import parse_statement
 from repro.session import Session
 from repro.workloads.generators import (

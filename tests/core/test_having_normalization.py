@@ -3,13 +3,13 @@
 import pytest
 
 from repro.algebra.ops import AggregateSpec
-from repro.core.main_theorem import evaluate_both
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.testfd import test_fd
 from repro.core.transform import build_standard_plan, normalize_having
 from repro.engine.executor import execute
 from repro.expressions.builder import col, count, eq, gt, sum_
 from repro.fd.derivation import TableBinding
+from repro.main_theorem import evaluate_both
 
 
 def having_query(example1_query, having):

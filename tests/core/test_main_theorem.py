@@ -9,16 +9,16 @@ import pytest
 
 from repro.algebra.ops import AggregateSpec
 from repro.catalog import Column, Database, PrimaryKeyConstraint, TableSchema
-from repro.core.main_theorem import (
+from repro.core.query_class import GroupByJoinQuery
+from repro.expressions.builder import and_, col, count, eq, lit, sum_
+from repro.fd.derivation import TableBinding
+from repro.main_theorem import (
     evaluate_both,
     fd1_holds,
     fd2_holds,
     join_result,
     verdict,
 )
-from repro.core.query_class import GroupByJoinQuery
-from repro.expressions.builder import and_, col, count, eq, lit, sum_
-from repro.fd.derivation import TableBinding
 from repro.sqltypes import INTEGER, VARCHAR
 
 
@@ -162,7 +162,7 @@ class TestJoinResultHelper:
     def test_exposes_rowids(self):
         db = make_db([(1, 10)], [(1, "x")], b_key=True)
         joined = join_result(db, query())
-        from repro.engine.executor import rowid_column
+        from repro.engine.dataset import rowid_column
 
         assert rowid_column("B") in joined.columns
         assert joined.cardinality == 1

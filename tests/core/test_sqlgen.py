@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.partition import to_group_by_join_query
 from repro.core.sqlgen import eager_sql, render_expression, standard_sql
+from repro.core.transform import build_standard_plan
+from repro.engine.executor import execute
 from repro.expressions.builder import (
     add,
     and_,
@@ -21,12 +24,9 @@ from repro.expressions.builder import (
     or_,
     sum_,
 )
+from repro.main_theorem import evaluate_both
 from repro.parser.binder import bind_select
 from repro.parser.parser import parse_statement
-from repro.core.partition import to_group_by_join_query
-from repro.core.main_theorem import evaluate_both
-from repro.engine.executor import execute
-from repro.core.transform import build_standard_plan
 
 
 class TestRenderExpression:

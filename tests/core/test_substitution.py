@@ -11,12 +11,12 @@ from repro.core.partition import (
     to_group_by_join_query,
 )
 from repro.core.substitution import equivalent_queries, find_transformable
-from repro.core.main_theorem import evaluate_both
 from repro.core.transform import build_standard_plan
 from repro.engine.executor import execute
 from repro.errors import TransformationError
 from repro.expressions.builder import and_, col, count, eq, sum_
 from repro.fd.derivation import TableBinding
+from repro.main_theorem import evaluate_both
 from repro.sqltypes import INTEGER, VARCHAR
 
 

@@ -11,7 +11,7 @@ from repro.algebra.ops import (
     Project,
     walk_plan,
 )
-from repro.core.main_theorem import evaluate_both
+from repro.analysis.verifier import transform
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.transform import (
     build_eager_plan,
@@ -19,13 +19,13 @@ from repro.core.transform import (
     check_transformable,
     expand_predicates,
     reverse,
-    transform,
 )
 from repro.engine.executor import execute
 from repro.errors import TransformationError
 from repro.expressions.builder import and_, col, count, eq, gt, lit, sum_
 from repro.expressions.normalize import split_conjuncts
 from repro.fd.derivation import TableBinding
+from repro.main_theorem import evaluate_both
 
 
 class TestPlanShapes:

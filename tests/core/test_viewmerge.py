@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.main_theorem import evaluate_both
 from repro.core.transform import build_eager_plan, build_standard_plan
-from repro.core.viewmerge import merge_aggregated_view, view_output_map
 from repro.engine.executor import execute
 from repro.errors import TransformationError
-from repro.parser.parser import parse_statement
+from repro.main_theorem import evaluate_both
 from repro.parser.binder import execute_statement
+from repro.parser.parser import parse_statement
+from repro.parser.viewmerge import merge_aggregated_view, view_output_map
 
 USERINFO_VIEW = """
 CREATE VIEW UserInfo (UserId, Machine, TotUsage, MaxSpeed, MinSpeed) AS

@@ -17,15 +17,23 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.algebra.ops import AggregateSpec, Exchange, GroupApply, Relation, Select
+from repro.algebra.ops import (
+    AggregateSpec,
+    Exchange,
+    GroupApply,
+    Relation,
+    Select,
+    decompose_aggregates,
+)
 from repro.catalog.catalog import Database
 from repro.catalog.schema import Column, TableSchema
 from repro.engine import exchange, faults, shardrpc
-from repro.engine.exchange import SHARD_CONFIG_FIELDS, decompose_aggregates
+from repro.engine.exchange import SHARD_CONFIG_FIELDS
 from repro.engine.faults import KernelFault
 from repro.engine.executor import Executor, ExecutorConfig, execute
 from repro.engine.governor import CancellationToken, ResourceGovernor, unlimited
 from repro.engine.stats import ExecutionStats
+from repro.engine.wire import PartitionStore
 from repro.errors import (
     ExecutionError,
     QueryCancelled,
@@ -35,7 +43,6 @@ from repro.errors import (
 )
 from repro.expressions.builder import avg, col, count, gt, max_, min_, sum_
 from repro.sqltypes.datatypes import BOOLEAN, INTEGER
-from repro.server.transport import PartitionStore
 from repro.storage.partition import PartitionSpec, identified_partitions
 
 

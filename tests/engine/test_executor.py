@@ -13,7 +13,8 @@ from repro.algebra.ops import (
     Select,
 )
 from repro.catalog import Column, Database, PrimaryKeyConstraint, TableSchema
-from repro.engine.executor import Executor, ExecutorConfig, execute, rowid_column
+from repro.engine.dataset import rowid_column
+from repro.engine.executor import Executor, ExecutorConfig, execute
 from repro.expressions.builder import col, count, eq, gt, host
 from repro.sqltypes import INTEGER, VARCHAR
 from repro.sqltypes.values import NULL

@@ -12,7 +12,7 @@ from repro.algebra.ops import AggregateSpec, Apply, Group, Join, Relation, Selec
 from repro.catalog import Column, Database, PrimaryKeyConstraint, TableSchema
 from repro.engine.executor import Executor, ExecutorConfig
 from repro.engine.faults import FaultSpec, KernelFault, NetFaultSpec, inject
-from repro.engine.vector.differential import (
+from tests.engine.differential import (
     fault_failures,
     render_fault_outcomes,
     run_fault_matrix,

@@ -152,8 +152,8 @@ def test_signed_zero_reads_the_same_on_every_path():
 
 
 #: Run with numpy blocked in a fresh interpreter that imports only
-#: ``repro`` (blocking it in-process breaks hypothesis): no CI job and no
-#: other test runs this configuration.  The signed-zero plan is the one
+#: ``repro`` and the harness (blocking it in-process breaks hypothesis): no
+#: CI job and no other test runs this configuration.  The signed-zero plan is the one
 #: above; the split case feeds one fold whole, batch by batch, and as
 #: merged exports, over keys and values no numpy path would have taken.
 PURE_PYTHON = """
@@ -164,11 +164,11 @@ from repro.algebra.ops import AggregateSpec, GroupApply, Relation
 from repro.catalog import Column, Database, TableSchema
 from repro.engine.executor import ExecutorConfig, execute
 from repro.engine.vector.batch import ColumnBatch, _np
-from repro.engine.vector.differential import failures, run_differential
 from repro.engine.vector.grouping import GroupedFold
 from repro.expressions.builder import avg, count_star, max_, min_, sum_
 from repro.sqltypes import FLOAT, INTEGER
 from repro.sqltypes.values import NULL
+from tests.engine.differential import failures, run_differential
 
 assert _np is None
 
@@ -223,9 +223,10 @@ def test_the_pure_python_fold_holds_without_numpy():
     import repro
 
     source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    harness_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
     done = subprocess.run(
         [sys.executable, "-c", PURE_PYTHON],
-        env={**os.environ, "PYTHONPATH": source_root},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((source_root, harness_root))},
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

@@ -26,6 +26,7 @@ from repro.engine.executor import ExecutorConfig, execute
 from repro.engine.governor import CancellationToken, ResourceGovernor
 from repro.engine.stats import ExecutionStats
 from repro.engine.vector.batch import ColumnBatch, _np
+from repro.engine.vector.columnar import table_to_batch
 from repro.errors import QueryCancelled
 from repro.expressions.builder import (
     avg,
@@ -40,7 +41,6 @@ from repro.expressions.builder import (
 )
 from repro.sqltypes import INTEGER
 from repro.sqltypes.values import NULL
-from repro.storage.columnar import table_to_batch
 
 
 def _db(rows, name="T", columns=("k", "v")):

@@ -24,7 +24,7 @@ from repro.engine import faults
 from repro.engine.executor import ExecutorConfig, execute
 from repro.engine.operators import OPERATORS
 from repro.engine.stats import NodeStats
-from repro.engine.vector.differential import stats_signature
+from tests.engine.differential import stats_signature
 from repro.expressions.builder import col, count_star, eq, gt, sum_
 from repro.sqltypes.datatypes import INTEGER
 
@@ -112,9 +112,8 @@ def test_every_path_runs_the_one_row_body(monkeypatch, node_type):
 # -- (ii) one call site per operator implementation ----------------------------
 
 ENGINE_ROOT = Path(repro.engine.__file__).parent
-#: The implementations themselves, and the harness that calls them to
-#: cross-check them.
-EXEMPT = {"joins.py", "aggregation.py", "sorting.py", "vector/differential.py"}
+#: The implementations themselves.
+EXEMPT = {"joins.py", "aggregation.py", "sorting.py"}
 SINGLE_CALL_SITE = (
     "hash_join", "sort_merge_join", "nested_loop_join", "sort_group",
     "filter_batch", "project_batch", "evaluate_predicate",

@@ -21,12 +21,11 @@ import pytest
 from repro.algebra.ops import AggregateSpec, Exchange, GroupApply, Relation
 from repro.catalog.catalog import Database
 from repro.catalog.schema import Column, TableSchema
-from repro.engine import exchange, shardrpc
+from repro.engine import exchange, shardrpc, wire
 from repro.engine.executor import ExecutorConfig, execute
+from repro.engine.wire import PARTITION_STORE_SIZE, PartitionStore
 from repro.expressions.builder import count, sum_
-from repro.server import transport
 from repro.server.server import Server
-from repro.server.transport import PARTITION_STORE_SIZE, PartitionStore
 from repro.session import Session
 from repro.sqltypes.datatypes import INTEGER
 
@@ -126,7 +125,7 @@ def test_store_insertion_and_eviction_from_four_threads(store, monkeypatch):
     """Without the store's lock this raises "dictionary changed size
     during iteration" (or evicts one key twice) within a few thousand
     insertions."""
-    monkeypatch.setattr(transport, "PARTITION_STORE_SIZE", 4)
+    monkeypatch.setattr(wire, "PARTITION_STORE_SIZE", 4)
     problems = []
 
     def hammer(thread):
@@ -149,7 +148,7 @@ def test_two_sessions_over_more_partitions_than_the_bound(store, monkeypatch):
     bound of four — in opposite orders, so every read inserts and evicts
     while the other thread does: no lost answer, no error out of the store,
     never more than the bound resident."""
-    monkeypatch.setattr(transport, "PARTITION_STORE_SIZE", 4)
+    monkeypatch.setattr(wire, "PARTITION_STORE_SIZE", 4)
     database = Database()
     names = [f"T{i}" for i in range(5)]
     for i, name in enumerate(names):

@@ -8,7 +8,7 @@ metadata, with the two rewritten engines also agreeing on their stats
 signatures.
 """
 
-from repro.engine.vector.differential import (
+from tests.engine.differential import (
     failures,
     run_rewrite_differential,
 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.vector.differential import (
+from tests.engine.differential import (
     SHARD_MATRIX,
     failures,
     fault_failures,

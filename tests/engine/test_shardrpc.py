@@ -519,7 +519,7 @@ def test_socket_shard_matrix_bit_identical_with_injector_armed():
     seeded network fault injector armed (a low drop rate on execute
     deliveries): every engine's sharded output must remain bit-identical
     to its own unsharded baseline — the wire, and its faults, invisible."""
-    from repro.engine.vector.differential import failures, run_shard_matrix
+    from tests.engine.differential import failures, run_shard_matrix
 
     shutdown_pool()
     try:

@@ -15,7 +15,7 @@ import pytest
 from repro.algebra.ops import AggregateSpec, Apply, Group, Join, Relation, Sort
 from repro.catalog import Column, Database, PrimaryKeyConstraint, TableSchema
 from repro.engine.executor import Executor, ExecutorConfig
-from repro.engine.vector.differential import stats_signature
+from tests.engine.differential import stats_signature
 from repro.errors import MemoryLimitExceeded
 from repro.expressions.builder import col, count, eq, sum_
 from repro.sqltypes import INTEGER, VARCHAR

@@ -22,6 +22,14 @@ from repro.engine.dataset import DataSet
 from repro.engine.executor import Executor, ExecutorConfig
 from repro.engine.joins import hash_join
 from repro.engine.vector.batch import ColumnBatch, _Gather, _Repeat, _np
+from repro.engine.vector.columnar import table_to_batch
+from repro.engine.vector.compile import (
+    FALSE_CODE,
+    TRUE_CODE,
+    UNKNOWN_CODE,
+    compile_predicate,
+    compile_scalar,
+)
 from repro.engine.vector.kernels import (
     distinct_batch,
     filter_batch,
@@ -41,16 +49,8 @@ from repro.expressions.builder import (
     or_,
     sum_,
 )
-from repro.expressions.compile import (
-    FALSE_CODE,
-    TRUE_CODE,
-    UNKNOWN_CODE,
-    compile_predicate,
-    compile_scalar,
-)
 from repro.sqltypes import INTEGER
 from repro.sqltypes.values import NULL
-from repro.storage.columnar import table_to_batch
 
 
 def batch_of(names, rows, ordering=()):
@@ -388,7 +388,7 @@ class TestVectorExecutorEndToEnd:
     def test_backends_agree_on_results_and_stats(self, db, config):
         from dataclasses import replace
 
-        from repro.engine.vector.differential import stats_signature
+        from tests.engine.differential import stats_signature
 
         row_result, row_stats = Executor(db, config).run(self.plan())
         vec_result, vec_stats = Executor(

@@ -7,7 +7,7 @@ per-operator stats signature.  Any divergence fails with the offending
 case's label.
 """
 
-from repro.engine.vector.differential import (
+from tests.engine.differential import (
     failures,
     fault_failures,
     run_differential,

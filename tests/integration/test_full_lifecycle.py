@@ -7,7 +7,7 @@ day with the library, as one test class with ordered steps.
 
 import pytest
 
-from repro.catalog.dump import dump_database, load_database
+from repro.parser.dump import dump_database, load_database
 from repro.session import Session
 
 REPORT = (

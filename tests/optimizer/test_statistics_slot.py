@@ -27,6 +27,7 @@ from repro.catalog import (
 )
 from repro.engine.executor import ExecutorConfig
 from repro.engine.vector.batch import ColumnBatch
+from repro.engine.vector.columnar import table_to_batch
 from repro.errors import ConstraintViolation
 from repro.expressions.builder import col, gt, lit
 from repro.optimizer.cardinality import (
@@ -38,7 +39,6 @@ from repro.optimizer.cardinality import (
 )
 from repro.session import Session
 from repro.sqltypes import INTEGER
-from repro.storage.columnar import table_to_batch
 from repro.storage.partition import PartitionSpec, partition_table
 from repro.workloads import make_retail_star, populate_retail
 

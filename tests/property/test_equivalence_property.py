@@ -18,12 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra.ops import AggregateSpec
 from repro.catalog import Column, Database, PrimaryKeyConstraint, TableSchema
-from repro.core.main_theorem import verdict
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.testfd import test_fd
-from repro.core.main_theorem import evaluate_both
 from repro.expressions.builder import and_, col, count, count_star, eq, lit, sum_
 from repro.fd.derivation import TableBinding
+from repro.main_theorem import verdict
+from repro.main_theorem import evaluate_both
 from repro.sqltypes import INTEGER, VARCHAR
 from repro.sqltypes.values import NULL
 

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra.ops import AggregateSpec
 from repro.catalog import Column, Database, PrimaryKeyConstraint, TableSchema
-from repro.catalog.dump import dump_database, load_database
-from repro.core.main_theorem import evaluate_both, fd1_holds, fd2_holds
 from repro.core.query_class import GroupByJoinQuery
 from repro.engine.dataset import DataSet
 from repro.engine.sorting import sort_dataset
 from repro.expressions.builder import avg, col, count, eq, max_, min_, sum_
 from repro.fd.derivation import TableBinding
+from repro.main_theorem import evaluate_both, fd1_holds, fd2_holds
+from repro.parser.dump import dump_database, load_database
 from repro.sqltypes import INTEGER, VARCHAR
 from repro.sqltypes.values import NULL, NullsFirstKey
 

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra.ops import AggregateSpec
 from repro.catalog import Column, Database, PrimaryKeyConstraint, TableSchema
-from repro.core.main_theorem import evaluate_both, fd1_holds, fd2_holds
 from repro.core.query_class import GroupByJoinQuery
 from repro.expressions.builder import col, count, eq, sum_
 from repro.fd.derivation import TableBinding
+from repro.main_theorem import evaluate_both, fd1_holds, fd2_holds
 from repro.sqltypes import INTEGER, VARCHAR
 from repro.sqltypes.values import NULL
 

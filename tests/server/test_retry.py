@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.retry import call_with_backoff
 from repro.errors import AdmissionRejected, QueryTimeout
-from repro.server.retry import call_with_backoff
 
 
 def flaky(rejections: int, retry_after: float = 0.0):

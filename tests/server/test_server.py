@@ -10,9 +10,9 @@ import time
 import pytest
 
 from repro.engine.executor import ExecutorConfig
+from repro.engine.retry import call_with_backoff
 from repro.errors import AdmissionRejected, QueryCancelled
 from repro.server.net import ReproServer
-from repro.server.retry import call_with_backoff
 from repro.server.server import Server
 
 

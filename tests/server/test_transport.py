@@ -16,19 +16,19 @@ import struct
 
 import pytest
 
-from repro.errors import WireFormatError
-from repro.server.transport import (
+from repro.engine.wire import (
     MAX_FRAME_BYTES,
     WIRE_PICKLE_PROTOCOL,
     WIRE_VERSION,
     RestrictedUnpickler,
-    ShardWorker,
     pack_frame,
     recv_frame,
     restricted_loads,
     send_frame,
     wire_dumps,
 )
+from repro.errors import WireFormatError
+from repro.server.transport import ShardWorker
 
 
 def roundtrip(payload):
@@ -243,7 +243,7 @@ class TestShardWorker:
         assert (worker.served, worker.duplicates) == (1, 0)
 
     def test_store_keeps_only_the_latest_partitions(self):
-        from repro.server.transport import PARTITION_STORE_SIZE, PartitionStore
+        from repro.engine.wire import PARTITION_STORE_SIZE, PartitionStore
 
         store = PartitionStore()
         for i in range(PARTITION_STORE_SIZE + 3):

@@ -10,15 +10,13 @@ from repro.sqltypes.truth import (
     ceil_interpret,
     floor_interpret,
     from_bool,
-    null_equal,
-    null_equal_rows,
     truth_all,
     truth_and,
     truth_any,
     truth_not,
     truth_or,
 )
-from repro.sqltypes.values import NULL
+from repro.sqltypes.values import NULL, null_equal, null_equal_rows
 
 # Figure 2, verbatim: rows/columns ordered TRUE, UNKNOWN, FALSE.
 AND_TABLE = {

@@ -1,0 +1,292 @@
+"""One declared layer order: imports under ``src/repro`` point down.
+
+:data:`ORDER` is the only place the order is written.  Walking every module
+with :mod:`ast` (nothing is imported, so a cycle cannot hide from the walk
+by happening to resolve), the tree must show
+
+(a) no module-level import of a higher layer — a package's ``__init__`` is
+    a module of its layer, so an upward import hidden in its re-exports is
+    reported too;
+(b) no function-local ``repro`` import outside :data:`SURVIVORS`, each row
+    of which carries its reason;
+(c) no import of an underscore name from another package.
+
+``if TYPE_CHECKING:`` imports are exempt from all three: they never run.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+from typing import FrozenSet, Iterator, List, Optional, Tuple
+
+import pytest
+
+#: Lowest first.  A tuple is one rank: its members may import each other.
+#: ``__init__`` is the root facade (``repro/__init__.py`` re-exports the
+#: public API) and ``__main__`` the entry point; both sit above everything.
+ORDER = (
+    "errors",
+    "sqltypes",
+    "expressions",
+    "algebra",
+    ("catalog", "storage"),
+    "workloads",
+    "fd",
+    "core",
+    "parser",
+    "analysis",
+    "optimizer",
+    "engine",
+    ("session", "main_theorem"),
+    "server",
+    "cli",
+    ("__init__", "__main__"),
+)
+
+RANK = {
+    name: rank
+    for rank, names in enumerate(ORDER)
+    for name in ((names,) if isinstance(names, str) else names)
+}
+
+MEASURED_COST = (
+    "measured import cost: an unsharded query never loads the partitioner "
+    "or the wire stack, ~4.5 MiB (held by tests/test_first_use.py)"
+)
+SUBCOMMAND_ONLY = (
+    "subcommand-only dependency: `repro serve`, `repro shard-worker` and the "
+    "shell's bare `.shards` load it; no other subcommand does"
+)
+PRICING_CYCLE = (
+    "cycle through optimizer/__init__.py: the checker re-prices R703 / R704 "
+    "with the optimizer's estimator and cost model, and importing either "
+    "runs the package __init__, which imports the rewriter, which imports "
+    "the checker; a statistics-and-cost package below analysis would remove "
+    "it, and bench/ pins repro.optimizer.cardinality's path"
+)
+
+#: Every function-local ``repro`` import left in the tree:
+#: (module, imported module, reason).
+SURVIVORS = (
+    ("repro.engine.executor", "repro.engine.exchange", MEASURED_COST),
+    ("repro.engine.executor", "repro.optimizer.distribute", MEASURED_COST),
+    ("repro.engine.vector.executor", "repro.engine.exchange", MEASURED_COST),
+    ("repro.optimizer.distribute", "repro.engine.shardrpc", MEASURED_COST),
+    ("repro.session", "repro.optimizer.distribute", MEASURED_COST),
+    (
+        "repro.server.transport",
+        "repro.engine.exchange",
+        "measured import cost: a worker announces READY before it loads the "
+        "Exchange runner its first `execute` needs, ~29 ms and ~5 MiB of "
+        "`python -X importtime -c 'import repro.server.transport'` (held by "
+        "tests/test_first_use.py)",
+    ),
+    ("repro.cli", "repro.engine.shardrpc", SUBCOMMAND_ONLY),
+    ("repro.cli", "repro.server.net", SUBCOMMAND_ONLY),
+    ("repro.cli", "repro.server.server", SUBCOMMAND_ONLY),
+    ("repro.cli", "repro.server.transport", SUBCOMMAND_ONLY),
+    ("repro.analysis.equivalence", "repro.optimizer.cardinality", PRICING_CYCLE),
+    ("repro.analysis.equivalence", "repro.optimizer.cost", PRICING_CYCLE),
+    (
+        "repro.analysis.linter",
+        "repro.optimizer.rewrites",
+        "cycle: `repro lint --rewrites` drives the certified pass it then "
+        "audits, from inside the package that pass imports; moving the lint "
+        "driver above optimizer would remove it",
+    ),
+)
+ALLOWED = frozenset((module, imported) for module, imported, __ in SURVIVORS)
+
+SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def module_name(path: Path) -> str:
+    parts = ("repro",) + path.relative_to(SOURCE_ROOT).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+TREE = {module_name(path): path for path in sorted(SOURCE_ROOT.rglob("*.py"))}
+PACKAGES = frozenset(
+    name for name, path in TREE.items() if path.name == "__init__.py"
+)
+
+
+def layer_of(module: str) -> str:
+    parts = module.split(".")
+    return parts[1] if len(parts) > 1 else "__init__"
+
+
+def package_of(module: str, packages: FrozenSet[str]) -> str:
+    return module if module in packages else module.rpartition(".")[0]
+
+
+def _imports(tree: ast.Module) -> Iterator[Tuple[ast.stmt, bool]]:
+    """Every import statement that can run, with whether it is
+    function-local.  Class bodies run at import time, so they are module
+    level; ``if TYPE_CHECKING:`` bodies never run, so they are skipped."""
+
+    def visit(node: ast.AST, local: bool) -> Iterator[Tuple[ast.stmt, bool]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                yield child, local
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield from visit(child, True)
+            elif isinstance(child, ast.If) and "TYPE_CHECKING" in ast.dump(child.test):
+                for statement in child.orelse:
+                    yield from visit(statement, local)
+            else:
+                yield from visit(child, local)
+
+    return visit(tree, False)
+
+
+def _targets(
+    statement: ast.stmt, module: str, modules: FrozenSet[str], packages: FrozenSet[str]
+) -> Iterator[Tuple[str, Optional[str]]]:
+    """(imported module, imported name or None) for each ``repro`` import
+    the statement makes; ``from pkg import submodule`` names the submodule."""
+    if isinstance(statement, ast.Import):
+        for alias in statement.names:
+            if alias.name.split(".")[0] == "repro":
+                yield alias.name, None
+        return
+    base = statement.module or ""
+    if statement.level:
+        package = package_of(module, packages).split(".")
+        anchor = package[: len(package) - (statement.level - 1)]
+        base = ".".join(anchor + ([base] if base else []))
+    if base.split(".")[0] != "repro":
+        return
+    for alias in statement.names:
+        if f"{base}.{alias.name}" in modules:
+            yield f"{base}.{alias.name}", None
+        else:
+            yield base, alias.name
+
+
+def violations(
+    module: str,
+    source: str,
+    modules: FrozenSet[str] = frozenset(TREE),
+    packages: FrozenSet[str] = PACKAGES,
+) -> List[str]:
+    """What ``source``, read as the module ``module``, breaks of (a)–(c),
+    one line per import statement and imported module."""
+    found = {}
+    rank = RANK[layer_of(module)]
+    for statement, local in _imports(ast.parse(source)):
+        for imported, name in _targets(statement, module, modules, packages):
+            where = f"{module}:{statement.lineno}"
+            if local and (module, imported) not in ALLOWED:
+                found[
+                    f"{where} imports {imported} inside a function and is "
+                    "not a listed survivor"
+                ] = None
+            if not local and RANK[layer_of(imported)] > rank:
+                found[
+                    f"{where} imports {imported} at module level: "
+                    f"{layer_of(module)} is below {layer_of(imported)}"
+                ] = None
+            if (
+                name is not None
+                and name.startswith("_")
+                and package_of(imported, packages) != package_of(module, packages)
+            ):
+                found[
+                    f"{where} imports the private name {name} from {imported}"
+                ] = None
+    return list(found)
+
+
+# -- the tree ----------------------------------------------------------------
+
+
+def test_every_top_level_name_has_a_rank():
+    assert {layer_of(module) for module in TREE} == set(RANK)
+
+
+def test_the_tree_obeys_the_order():
+    found = [
+        line
+        for module, path in TREE.items()
+        for line in violations(module, path.read_text())
+    ]
+    assert found == []
+
+
+def test_every_survivor_is_still_there_and_has_a_reason():
+    """A row outlives its import only by being forgotten; the list stays
+    the whole truth, under twenty rows."""
+    assert len(SURVIVORS) < 20
+    for module, imported, reason in SURVIVORS:
+        assert reason.strip()
+        local = {
+            target
+            for statement, is_local in _imports(ast.parse(TREE[module].read_text()))
+            if is_local
+            for target, __ in _targets(statement, module, frozenset(TREE), PACKAGES)
+        }
+        assert imported in local, f"{module} no longer imports {imported} locally"
+
+
+# -- the checker bites -------------------------------------------------------
+
+SYNTHETIC_MODULES = frozenset(TREE) | {"repro.storage.fake", "repro.core.fake"}
+
+
+@pytest.mark.parametrize(
+    "module, source, expected",
+    [
+        (
+            "repro.storage.fake",
+            "from repro.engine.dataset import DataSet\n",
+            "at module level: storage is below engine",
+        ),
+        (
+            "repro.storage.fake",
+            "class Lazy:\n    import repro.session\n",
+            "at module level: storage is below session",
+        ),
+        (
+            "repro.core.fake",
+            "def build():\n    from repro.core.having import rewrite_having\n",
+            "inside a function and is not a listed survivor",
+        ),
+        (
+            "repro.core.fake",
+            "from repro.fd.derivation import _closure_cache\n",
+            "imports the private name _closure_cache from repro.fd.derivation",
+        ),
+        (
+            "repro.core",  # the package's own __init__
+            "from repro.main_theorem import verdict\n",
+            "at module level: core is below main_theorem",
+        ),
+        (
+            "repro.core.fake",
+            "from repro import session\n",
+            "imports repro.session at module level: core is below session",
+        ),
+        (
+            "repro.core.fake",
+            "from ..engine import executor\n",
+            "imports repro.engine.executor at module level",
+        ),
+    ],
+)
+def test_the_checker_reports(module, source, expected):
+    [line] = violations(module, source, SYNTHETIC_MODULES)
+    assert expected in line
+
+
+def test_the_checker_exempts_what_never_runs_and_what_is_listed():
+    assert violations(
+        "repro.fd.fake",
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.engine.dataset import DataSet\n",
+    ) == []
+    module, imported, __ = SURVIVORS[0]
+    assert violations(module, f"def run():\n    import {imported}\n") == []
+    assert violations("repro.engine.vector.fake", "from .batch import _Repeat\n") == []
