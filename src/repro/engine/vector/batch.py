@@ -34,6 +34,13 @@ except ImportError:  # pragma: no cover - the toolchain ships numpy
 _NULL_TYPE = type(NULL)
 
 
+def _plain_kinds(kinds) -> bool:
+    """Can raw values of these types serve as ``=ⁿ`` keys?  Not beside a
+    NULL (which must collide with NULL) or a BOOLEAN (which must stay
+    distinct from 0/1, per :func:`~repro.sqltypes.values.group_key`)."""
+    return _NULL_TYPE not in kinds and bool not in kinds
+
+
 class _Repeat:
     """A constant value broadcast to ``n`` elements without materializing.
 
@@ -72,16 +79,40 @@ class _Gather:
     actually read, and numeric columns can be gathered at C speed through
     their array views (:meth:`ColumnBatch.as_array`) without ever building
     the Python list.
+
+    ``owner`` is the ``(batch, index)`` the source is a column of.  A gather
+    whose source nobody has converted yet asks that batch for the array
+    (:meth:`source_view`), so the conversion is cached where the source
+    lives — on a cached scan, once per table version — not on the gather.
     """
 
-    __slots__ = ("source", "sel", "source_array", "_sel_array", "_data")
+    __slots__ = ("source", "sel", "source_array", "owner", "_sel_array", "_data")
 
-    def __init__(self, source: Sequence[SqlValue], sel, source_array=None) -> None:
+    def __init__(
+        self, source: Sequence[SqlValue], sel, source_array=None, owner=None
+    ) -> None:
+        if source_array is None and owner is not None:
+            batch, index = owner
+            source_array = batch.cached_array(index)
         self.source = source
         self.sel = sel  # List[int] or numpy index array
         self.source_array = source_array  # numpy view of source, if known
+        self.owner = owner
         self._sel_array = None
         self._data: Optional[List[SqlValue]] = None
+
+    def source_view(self):
+        """The source's array view, or ``None`` if it has none: converted
+        at most once, by the owning batch where there is one."""
+        array = self.source_array
+        if array is None:
+            if self.owner is None:
+                array = _sequence_array(self.source)
+            else:
+                batch, index = self.owner
+                array = batch.as_array(index)
+            self.source_array = array
+        return array
 
     def materialize(self) -> List[SqlValue]:
         data = self._data
@@ -124,6 +155,21 @@ class _Gather:
             return [source[i] for i in self.sel[index]]
         return self.source[self.sel[index]]
 
+    def pick(self, rows: List[int]) -> List[SqlValue]:
+        """The values at ``rows``, nothing else materialized: one selection
+        (``sel[rows]``), then the source lookups."""
+        if self._data is not None:
+            source, picks = self._data, rows
+        else:
+            source, sel = self.source, self.sel
+            if isinstance(sel, (list, range)):
+                picks = [sel[row] for row in rows]
+            else:
+                picks = sel[rows].tolist()
+        if isinstance(source, _Gather):
+            return source.pick(picks)
+        return [source[i] for i in picks]
+
     def slice_view(self, start: int, stop: int, narrowed: dict) -> "_Gather":
         """A lazy sub-gather of rows [start, stop) sharing the source.
 
@@ -139,7 +185,7 @@ class _Gather:
         sel = narrowed.get(id(self.sel))
         if sel is None:
             sel = narrowed[id(self.sel)] = self.sel[start:stop]
-        return _Gather(self.source, sel, self.source_array)
+        return _Gather(self.source, sel, self.source_array, self.owner)
 
 
 #: A column is any indexable sequence of SQL values (list, tuple, _Repeat,
@@ -304,7 +350,10 @@ class ColumnBatch:
         ``{int}`` → int64, ``{float}`` → float64): mixing kinds, BOOLEAN,
         or NULL would change value identity under a dtype cast, so those
         columns stay Python-only.  Computed once per batch and cached;
-        gather columns reuse their source's array and gather at C speed.
+        gather columns reuse their source's array and gather at C speed —
+        a source nobody has converted yet is converted by the batch that
+        owns it (:meth:`_Gather.source_view`), so a column first read
+        through a taken batch is still converted once per cached scan.
         """
         if _np is None:
             return None
@@ -314,10 +363,7 @@ class ColumnBatch:
         column = self.columns[index]
         array = None
         if isinstance(column, _Gather) and column._data is None:
-            base = column.source_array
-            if base is None:
-                base = _sequence_array(column.source)
-                column.source_array = base
+            base = column.source_view()
             if base is not None:
                 sel = column.sel
                 if isinstance(sel, range) and sel.step == 1:
@@ -362,21 +408,13 @@ class ColumnBatch:
             length=len(head.source),
         )
         for j, column in enumerate(columns):
-            if column.source_array is not None:
-                source._arrays[j] = column.source_array
+            source._arrays[j] = column.source_view()
         return source, head.sel_array()
 
     def plain_keys_on(self, indexes: Sequence[int]) -> bool:
-        """Can raw value tuples serve as ``=ⁿ`` group keys on these columns?
-
-        True when no column contains NULL (which must collide with NULL)
-        or BOOLEAN (which must stay distinct from 0/1, per
-        :func:`~repro.sqltypes.values.group_key`).
-        """
-        return not any(
-            _NULL_TYPE in self.column_kinds(i) or bool in self.column_kinds(i)
-            for i in indexes
-        )
+        """Can raw value tuples serve as ``=ⁿ`` group keys on these
+        columns?  True when the census of each is :func:`_plain_kinds`."""
+        return all(_plain_kinds(self.column_kinds(i)) for i in indexes)
 
     # -- slicing -------------------------------------------------------------
 
@@ -400,12 +438,14 @@ class ColumnBatch:
         """Gather the rows named by a selection vector (in order).
 
         The gather is *lazy*: each output column is a :class:`_Gather`
-        view over its source, materialized only if something reads it.
+        view over its source, materialized only if something reads it, and
+        no column is converted to an array here: a gather that comes to
+        need its source's array asks this batch for it.
         """
         batch = ColumnBatch(
             self.names,
             [
-                _Gather(column, selection, self._arrays.get(i))
+                _Gather(column, selection, owner=(self, i))
                 for i, column in enumerate(self.columns)
             ],
             length=len(selection),
@@ -438,15 +478,11 @@ class ColumnBatch:
                 cached = self._arrays.get(i, _MISSING)
                 if cached is None:
                     # Known non-numeric: a pointer slice beats a lazy view
-                    # that would re-attempt the array conversion per morsel.
+                    # that no array will ever gather for.
                     columns.append(column[start:stop])
                 else:
                     columns.append(
-                        _Gather(
-                            column,
-                            range(start, stop),
-                            None if cached is _MISSING else cached,
-                        )
+                        _Gather(column, range(start, stop), owner=(self, i))
                     )
         return ColumnBatch(
             self.names, columns, length=stop - start, ordering=self.ordering

@@ -21,6 +21,10 @@ partial per group and ``_Accumulator._merge`` alone does arithmetic on
 the state.  Each numpy path sits behind a gate (:func:`_exact_array`,
 the bounds in ``_fold_array``) that fails closed to the per-row,
 arbitrary-precision fold: ``compute_aggregate``, spelled incrementally.
+Group identity has one gate more, :func:`dense_offsets`: integer keys
+whose span the rows cover are addressed by ``key - low`` instead of
+sorted or searched, here and in the join and sort kernels; closed, it
+leaves the sort.
 
 The one thing chunking can change is the association of a non-integer
 SUM/AVG.  Those fold strictly in input order whatever the batch
@@ -34,7 +38,13 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.aggregation import finish_average
-from repro.engine.vector.batch import ColumnBatch, _np, _sequence_array
+from repro.engine.vector.batch import (
+    ColumnBatch,
+    _Gather,
+    _np,
+    _plain_kinds,
+    _sequence_array,
+)
 from repro.engine.vector.compile import (
     GroupVectors,
     compile_aggregate_arguments,
@@ -77,7 +87,8 @@ def _row_codes(batch: ColumnBatch, indexes: Sequence[int]):
       join) of fewer source rows than the batch has.  Factorise the
       source rows, by whichever strategy suits them, then gather the ids.
     * *array keys*: homogeneous NULL-free int/float columns without NaN;
-      raw equality is ``=ⁿ`` equality.
+      raw equality is ``=ⁿ`` equality.  (:func:`_factorize` then addresses
+      them where :func:`dense_offsets` allows, and sorts them where not.)
     * *raw tuples*: the type census shows no NULL (must collide with
       NULL) and no BOOLEAN (must stay apart from 0/1).
     * *per-row* ``group_key``: the specification.
@@ -104,10 +115,46 @@ def _row_codes(batch: ColumnBatch, indexes: Sequence[int]):
     return list(keys)
 
 
+def dense_offsets(keys, served: int):
+    """The one gate for addressing integer keys instead of searching them:
+    ``(keys - low, span, low)`` when ``keys`` is a non-empty int64 array
+    view (:meth:`ColumnBatch.as_array`'s: never float, BOOLEAN or NULL)
+    whose ``span = high - low + 1`` is at most ``served``, the rows the
+    span-sized table will answer for — so the table is O(input) — else
+    ``None``, and the caller searches or sorts as it always has.  The span
+    is taken in Python ints: ``high - low`` cannot wrap."""
+    if keys.dtype.kind != "i" or not keys.size:
+        return None
+    low = int(keys.min())
+    span = int(keys.max()) - low + 1
+    if span > served:
+        return None
+    return keys - low, span, low
+
+
+def key_runs(offsets, span: int):
+    """Per key offset, its run in the stably sorted keys: ``(starts,
+    lengths)``, both span-sized — a join's build side counted per key."""
+    lengths = _np.bincount(offsets, minlength=span)
+    return _np.cumsum(lengths) - lengths, lengths
+
+
+def _first_rows(offsets, span: int):
+    """Per key offset, the first row that holds it (``len(offsets)`` where
+    none does).  ``minimum.at`` is defined for repeated indices; a fancy
+    assignment's write order is not."""
+    rows = len(offsets)
+    first = _np.full(span, rows, dtype=_np.int64)
+    _np.minimum.at(first, offsets, _np.arange(rows))
+    return first
+
+
 def _factorize(codes):
     """Rows → local groups, one per distinct code: ``(inverse, first)`` —
     a dense local id per row, ids numbered by first appearance, and per id
-    the row it first occurs at (so ``first`` ascends)."""
+    the row it first occurs at (so ``first`` ascends).  Integer codes
+    whose span the rows cover (:func:`dense_offsets`) index a table of
+    first rows; any other array is sorted and cut into runs."""
     if isinstance(codes, list):
         ids: Dict[Tuple, int] = {}
         inverse: List[int] = []
@@ -119,6 +166,16 @@ def _factorize(codes):
                 first.append(row)
             inverse.append(local)
         return inverse, first
+    dense = dense_offsets(codes, len(codes))
+    if dense is not None:
+        offsets, span, __ = dense
+        first_of = _first_rows(offsets, span)
+        present = (first_of < len(codes)).nonzero()[0]
+        first = first_of[present]
+        order = first.argsort()  # distinct rows: any sort is the sort
+        rank = _np.empty(span, dtype=_np.int64)
+        rank[present[order]] = _np.arange(len(order))
+        return rank[offsets], first[order]
     # Sort, cut the sorted codes into runs, and number the runs by the
     # earliest row each one holds.
     perm = codes.argsort()
@@ -148,25 +205,41 @@ def _runs(codes):
     return inverse, first
 
 
+def _plain_keys(columns: Sequence[Sequence[SqlValue]]) -> bool:
+    """Are raw tuples over these key columns ``=ⁿ`` keys?  A census of the
+    columns as given: what :meth:`ColumnBatch.plain_keys_on` asks of a
+    batch."""
+    return all(_plain_kinds(set(map(type, column))) for column in columns)
+
+
 class GroupIndex:
-    """A persistent ``=ⁿ`` table: ``group_key`` → dense gid, fed by batches.
+    """A persistent ``=ⁿ`` table: key → dense gid, fed by batches.
 
     Groups are numbered in first-appearance order and represented by the
     grouping values of their first-seen row — the row engine's choice
     (``hash_group``'s ``rows[0]``, ``sort_group``'s ``current_rows[0]``).
     ``keys`` holds them column-major: the output's key columns as they stand.
+
+    The table is keyed by the raw value tuples while no representative and
+    no key looked up carries a NULL or a BOOLEAN — :func:`_row_codes`'s
+    raw-tuple argument, made over groups, never rows.  The first one that
+    does re-keys the table through ``group_key``, once, and the index stays
+    ``wrapped`` from then on.
     """
 
     def __init__(self, arity: int) -> None:
         self.table: Dict[Tuple, int] = {}
         self.keys: List[List[SqlValue]] = [[] for __ in range(arity)]
         self.size = 0
+        self.wrapped = False
 
     def __len__(self) -> int:
         return self.size
 
-    def _raws(self, columns: Sequence[Sequence[SqlValue]], count: int):
-        return zip(*columns) if columns else [()] * count  # GROUP BY (): ()
+    def _keyed(self, columns: Sequence[Sequence[SqlValue]], count: int):
+        """The table keys of ``count`` raw keys given column-major."""
+        raws = zip(*columns) if columns else [()] * count  # GROUP BY (): ()
+        return map(group_key, raws) if self.wrapped else raws
 
     def _open(self, columns: Sequence[Sequence[SqlValue]], count: int) -> None:
         """Append ``count`` new groups, keys given column-major."""
@@ -182,13 +255,16 @@ class GroupIndex:
         merged partial's groups both enter here.
         """
         table = self.table
-        if len(table) < self.size:  # groups nobody has had to look up yet
-            for raw in list(self._raws(self.keys, self.size))[len(table):]:
-                table[group_key(raw)] = len(table)
+        # Groups nobody has had to look up yet: ``_open`` took them as is.
+        unseen = [column[len(table):] for column in self.keys]
+        if not self.wrapped and not (_plain_keys(columns) and _plain_keys(unseen)):
+            self.table = table = {group_key(raw): gid for raw, gid in table.items()}
+            self.wrapped = True
+        for key in self._keyed(unseen, self.size - len(table)):
+            table[key] = len(table)
         gids: List[int] = []
         opened: List[int] = []
-        for position, raw in enumerate(self._raws(columns, count)):
-            key = group_key(raw)
+        for position, key in enumerate(self._keyed(columns, count)):
             gid = table.get(key)
             if gid is None:
                 gid = table[key] = self.size + len(opened)
@@ -211,7 +287,9 @@ class GroupIndex:
         inverse, first = _runs(codes) if runs else _factorize(codes)
         rows = first if isinstance(first, list) else first.tolist()
         columns = [
-            [column[row] for row in rows]
+            column.pick(rows)
+            if isinstance(column, _Gather)
+            else [column[row] for row in rows]
             for column in (batch.columns[i] for i in indexes)
         ]
         before = self.size

@@ -24,7 +24,7 @@ from repro.engine.joins import extract_equi_keys
 from repro.engine.sorting import is_sorted_on
 from repro.engine.vector.batch import ColumnBatch, _Gather, _Repeat, _np
 from repro.engine.vector.compile import TRUE_CODE, compile_predicate
-from repro.engine.vector.grouping import GroupedFold
+from repro.engine.vector.grouping import GroupedFold, dense_offsets, key_runs
 from repro.expressions.ast import Expression
 from repro.sqltypes.values import NULL, SqlValue, group_key, sort_key
 
@@ -106,11 +106,11 @@ def _pair_batch(
     materialization, the classic columnar-join trick.
     """
     columns: List[Sequence[SqlValue]] = [
-        _Gather(column, left_sel, left.cached_array(i))
+        _Gather(column, left_sel, owner=(left, i))
         for i, column in enumerate(left.columns)
     ]
     columns.extend(
-        _Gather(column, right_sel, right.cached_array(j))
+        _Gather(column, right_sel, owner=(right, j))
         for j, column in enumerate(right.columns)
     )
     return ColumnBatch(left.names + right.names, columns, length=len(left_sel))
@@ -162,14 +162,20 @@ def _key_rows(
 
 
 def _np_equi_join(left: ColumnBatch, right: ColumnBatch, left_key: int, right_key: int):
-    """C-speed single-key equi-join via sort + binary search.
+    """C-speed single-key equi-join: each probe finds its run of equal keys
+    in the stably sorted build side.
 
-    Emits the *identical* pair sequence the dict-of-buckets probe does:
-    left rows in order, and (because the argsort is stable) each left
-    row's matches in original right-row order.  Only taken when both key
-    columns have exact same-dtype array views — mixed dtypes or NaN would
-    change equality semantics.  Returns (left_sel, right_sel, probes) or
-    ``None``.
+    Integer build keys whose span the two inputs cover
+    (:func:`~repro.engine.vector.grouping.dense_offsets`) are addressed: a
+    probe's run is read at ``key - low`` from the per-key tables, one
+    gather.  Any other build side is binary-searched, twice per probe.
+
+    Either way it emits the *identical* pair sequence the dict-of-buckets
+    probe does: left rows in order, and (because the argsort is stable)
+    each left row's matches in original right-row order.  Only taken when
+    both key columns have exact same-dtype array views — mixed dtypes or
+    NaN would change equality semantics.  Returns (left_sel, right_sel,
+    probes) or ``None``.
     """
     if _np is None:
         return None
@@ -182,10 +188,24 @@ def _np_equi_join(left: ColumnBatch, right: ColumnBatch, left_key: int, right_ke
     ):
         return None
     order = _np.argsort(right_arr, kind="stable")
-    sorted_keys = right_arr[order]
-    lo = _np.searchsorted(sorted_keys, left_arr, side="left")
-    hi = _np.searchsorted(sorted_keys, left_arr, side="right")
-    counts = hi - lo
+    dense = dense_offsets(right_arr, left.length + right.length)
+    if dense is None:
+        sorted_keys = right_arr[order]
+        lo = _np.searchsorted(sorted_keys, left_arr, side="left")
+        counts = _np.searchsorted(sorted_keys, left_arr, side="right") - lo
+    else:
+        codes, span, low = dense
+        starts, lengths = key_runs(codes, span)
+        # Probes outside [low, high] match nothing, and are masked before
+        # the subtraction: int64's minimum minus a positive low would wrap.
+        inside = (left_arr >= low) & (left_arr <= low + span - 1)
+        if inside.all():
+            at = left_arr - low
+            counts = lengths[at]
+        else:
+            at = _np.where(inside, left_arr, low) - low
+            counts = _np.where(inside, lengths[at], 0)
+        lo = starts[at]
     probes = int(counts.sum())
     left_sel = _np.repeat(_np.arange(left.length), counts)
     offsets = _np.cumsum(counts) - counts
@@ -411,6 +431,10 @@ def _np_sort_perm(batch: ColumnBatch, indexes: Sequence[int], flags: Sequence[bo
     NaN: there raw ``<`` agrees with ``sort_key`` order, and a stable
     argsort (descending keys negated — stability makes that equivalent to
     ``reverse=True``) reproduces the multi-pass ``list.sort`` exactly.
+    A single integer key whose span the rows cover and 16 bits hold
+    (:func:`~repro.engine.vector.grouping.dense_offsets`) sorts as its
+    ``uint16`` offsets — numpy's radix sort, and the same permutation: a
+    stable sort of an order-preserving recoding is the same sort.
     """
     if _np is None or batch.length <= 1 or not indexes:
         return None
@@ -426,9 +450,11 @@ def _np_sort_perm(batch: ColumnBatch, indexes: Sequence[int], flags: Sequence[bo
                 return None  # negation would overflow
             arr = -arr
         arrays.append(arr)
-    if len(arrays) == 1:
-        return _np.argsort(arrays[0], kind="stable")
-    return _np.lexsort(tuple(reversed(arrays)))
+    if len(arrays) > 1:
+        return _np.lexsort(tuple(reversed(arrays)))
+    dense = dense_offsets(arrays[0], min(batch.length, 1 << 16))
+    keys = arrays[0] if dense is None else dense[0].astype(_np.uint16)
+    return _np.argsort(keys, kind="stable")
 
 
 # -- grouped aggregation -----------------------------------------------------

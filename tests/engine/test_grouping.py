@@ -11,35 +11,41 @@ clocks — on the benchmark's shape so the halves cannot drift apart again.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
+import repro.engine.vector.batch as batch_module
 import repro.engine.vector.grouping as grouping
-from repro.algebra.ops import AggregateSpec, GroupApply, Join, Relation
+from repro.algebra.ops import AggregateSpec, Apply, Group, GroupApply, Join, Relation, Sort
 from repro.catalog import Column, Database, TableSchema
 from repro.engine.executor import ExecutorConfig, execute
-from repro.engine.vector.batch import _np
-from repro.expressions.builder import avg, col, eq, max_, min_, sum_
+from repro.engine.vector.batch import ColumnBatch, _np
+from repro.engine.vector.grouping import GroupedFold
+from repro.expressions.builder import avg, col, count_star, eq, max_, min_, sum_
 from repro.sqltypes import CHAR, FLOAT, INTEGER
+from repro.sqltypes.datatypes import DataType
 from repro.sqltypes.values import NULL
 
 FACTS, DIMENSIONS = 5000, 50
 
 
-def star(null_at=None) -> Database:
+def star(null_at=None, key_type=INTEGER, key=lambda i: i) -> Database:
+    """``key`` maps a customer number to the value both tables hold for it."""
     database = Database("star")
     database.create_table(
-        TableSchema("C", [Column("id", INTEGER), Column("name", CHAR(12))])
+        TableSchema("C", [Column("id", key_type), Column("name", CHAR(12))])
     )
     database.create_table(
         TableSchema(
-            "S", [Column("cust", INTEGER), Column("amount", INTEGER, nullable=True)]
+            "S", [Column("cust", key_type), Column("amount", INTEGER, nullable=True)]
         )
     )
     for i in range(DIMENSIONS):
-        database.insert("C", [i, f"customer-{i}"])
+        database.insert("C", [key(i), f"customer-{i}"])
     for i in range(FACTS):
         amount = NULL if i == null_at else (i * 37) % 1009 - 300
-        database.insert("S", [(i * 7) % DIMENSIONS, amount])
+        database.insert("S", [key((i * 7) % DIMENSIONS), amount])
     return database
 
 
@@ -58,9 +64,10 @@ def report() -> GroupApply:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of ``group_key`` calls made by the fold, and of batches an
-    accumulator folded row by row."""
-    counts = {"group_key": 0, "fold_rows": 0}
+    """Counts of ``group_key`` calls made by the fold, of batches an
+    accumulator folded row by row, and of binary searches over a join's
+    build side."""
+    counts = {"group_key": 0, "fold_rows": 0, "searchsorted": 0}
     real_key, real_fold = grouping.group_key, grouping._Accumulator._fold_rows
 
     def counting_key(values):
@@ -73,6 +80,14 @@ def calls(monkeypatch):
 
     monkeypatch.setattr(grouping, "group_key", counting_key)
     monkeypatch.setattr(grouping._Accumulator, "_fold_rows", counting_fold)
+    if _np is not None:
+        real_search = _np.searchsorted
+
+        def counting_search(*args, **kwargs):
+            counts["searchsorted"] += 1
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(_np, "searchsorted", counting_search)
     return counts
 
 
@@ -92,13 +107,12 @@ def test_bench_shape_takes_both_fast_halves(calls, morsel_size, workers):
     )
     assert result.equals_multiset(expected)
     assert stats.degradations == 0
-    morsels = max(1, stats.pipelines.morsels) if morsel_size else 1
-    # Never once per joined row: at most the dimension side factorised and
-    # its groups looked up, per morsel.  (Forked workers count in their own
-    # address space; the parent still does every merge's lookups.)
-    assert calls["group_key"] <= 2 * DIMENSIONS * morsels
-    if morsel_size != 4:  # a morsel of four rows has nothing to share
-        assert calls["group_key"] < FACTS // 10
+    # Plain keys — no NULL, no BOOLEAN — are never wrapped: not per joined
+    # row, not per dimension row, not per group looked up.  (Forked workers
+    # count in their own address space; the parent still does every
+    # merge's lookups.)  Dense integer join keys are addressed, not searched.
+    assert calls["group_key"] == 0
+    assert calls["searchsorted"] == 0
     assert calls["fold_rows"] == 0
 
 
@@ -115,6 +129,184 @@ def test_a_null_fails_the_gate_closed(calls, morsel_size, workers):
     assert result.equals_multiset(expected)
     if workers == 1 or morsel_size is None:  # else the workers fold, forked
         assert calls["fold_rows"] > 0
+
+
+#: Join keys the dense gate must refuse, each answered as before: floats
+#: (no offsets to take), integers spread over more than the rows they
+#: serve — both binary-searched, twice a join — and a NaN, which no array
+#: comparison handles: that join is the dict probe's.
+OLD_PATH_KEYS = {
+    "float": (FLOAT, lambda i: i + 0.5, 2),
+    "sparse": (INTEGER, lambda i: i * 1000, 2),
+    "nan": (FLOAT, lambda i: float("nan") if i == 7 else float(i), 0),
+}
+
+
+@pytest.mark.skipif(_np is None, reason="counts the numpy paths")
+@MORSELS
+@pytest.mark.parametrize("shape", sorted(OLD_PATH_KEYS))
+def test_keys_the_gate_refuses_take_the_search_path(calls, morsel_size, shape):
+    key_type, key, searches = OLD_PATH_KEYS[shape]
+    database = star(key_type=key_type, key=key)
+    expected, __ = execute(database, report(), ExecutorConfig(engine="row"))
+    result, stats = execute(
+        database, report(), ExecutorConfig(engine="vector", morsel_size=morsel_size)
+    )
+    assert result.equals_multiset(expected)
+    assert stats.degradations == 0
+    assert calls["searchsorted"] == searches
+
+
+# -- the index wraps its keys only from the first NULL or BOOLEAN on -----------
+
+
+@dataclass(frozen=True)
+class AnyType(DataType):
+    """Admits every value: one key column can then hold TRUE, 1 and 1.0 —
+    which no typed table does, and a fold's merged exports may."""
+
+    def validate(self, value):
+        return value
+
+    @property
+    def type_name(self) -> str:
+        return "ANY"
+
+
+#: Four keys a morsel.  The first two morsels are plain; the third brings
+#: the first NULL, ``1`` / ``1.0`` / ``TRUE`` arrive in morsels 2 / 4 / 5,
+#: and every key comes back in the last.
+MORSEL = 4
+LATE_KEYS = [
+    2, 3, 2, 3,
+    1, 2, 1, 4,
+    3, NULL, 4, NULL,
+    1.0, 5, 1.0, 2,
+    True, 1, NULL, True,
+    1.0, True, 1, NULL,
+]
+#: First-seen representatives: ``1`` speaks for ``1.0``, TRUE stands alone.
+LATE_GROUPS = [2, 3, 1, 4, NULL, 5, True]
+#: After each morsel: is the index wrapped, and ``group_key`` calls so far.
+LATE_SPENT = [
+    (False, 0), (False, 0), (True, 4 + 4 + 3), (True, 11 + 3),
+    (True, 14 + 4 + 3), (True, 21 + 4 + 3),
+]
+
+
+def late_fold() -> GroupedFold:
+    schema = ColumnBatch.from_rows(("k", "v"), [])
+    specs = [AggregateSpec("n", count_star()), AggregateSpec("s", sum_("v"))]
+    return GroupedFold(schema, ("k",), specs, None)
+
+
+def late_morsels():
+    rows = [(key, position) for position, key in enumerate(LATE_KEYS)]
+    return [
+        ColumnBatch.from_rows(("k", "v"), rows[start:start + MORSEL])
+        for start in range(0, len(rows), MORSEL)
+    ]
+
+
+def late_answer():
+    """The row engine's ``(key, n, s)`` per group, as typed reprs."""
+    groups = {}
+    for position, key in enumerate(LATE_KEYS):
+        groups.setdefault(grouping.group_key((key,)), []).append(position)
+    return [
+        repr((representative, len(groups[wrapped]), sum(groups[wrapped])))
+        for representative, wrapped in zip(LATE_GROUPS, groups)
+    ]
+
+
+def finished(fold: GroupedFold):
+    return [repr(row) for row in fold.finish().iter_rows()]
+
+
+def test_a_late_null_or_boolean_rekeys_the_fed_index_once(calls):
+    fold = late_fold()
+    spent = []
+    for morsel in late_morsels():
+        fold.feed(morsel)
+        spent.append((fold.index.wrapped, calls["group_key"]))
+    # Morsel 1 opens its groups unlooked-up, morsel 2 looks raw keys up.
+    # Morsel 3 re-keys the four groups held and wraps its three local
+    # groups; from there each morsel wraps its own three local groups only.
+    # (``_row_codes`` wraps a morsel's four rows when the morsel itself
+    # holds a NULL or a BOOLEAN: morsels 3, 5 and 6.)
+    assert spent == LATE_SPENT
+    assert finished(fold) == late_answer()
+
+
+def test_a_late_null_or_boolean_rekeys_the_merged_index_once(calls):
+    merged = late_fold()
+    spent = []
+    for morsel in late_morsels():
+        part = late_fold()
+        part.feed(morsel)
+        merged.merge(part.export())
+        spent.append((merged.index.wrapped, calls["group_key"]))
+    # As fed, except that a merge looks every export up — the first too.
+    assert spent == LATE_SPENT
+    assert finished(merged) == late_answer()
+
+
+@WORKERS
+def test_a_late_null_or_boolean_groups_as_the_row_engine_does(workers):
+    database = Database("late")
+    database.create_table(TableSchema("T", [Column("k", AnyType()), Column("v", INTEGER)]))
+    for position, key in enumerate(LATE_KEYS):
+        database.insert("T", [key, position])
+    plan = GroupApply(
+        Relation("T", "T"), ["T.k"],
+        [AggregateSpec("n", count_star()), AggregateSpec("s", sum_("T.v"))],
+    )
+    expected, __ = execute(database, plan, ExecutorConfig(engine="row"))
+    result, stats = execute(
+        database, plan,
+        ExecutorConfig(engine="vector", morsel_size=MORSEL, workers=workers),
+    )
+    assert stats.degradations == 0 and stats.pipelines.morsels == len(late_morsels())
+    assert [repr(row) for row in result.rows] == [repr(row) for row in expected.rows]
+    assert [repr(row) for row in result.rows] == late_answer()
+
+
+# -- a converted source is cached where the source lives -----------------------
+
+
+@pytest.mark.skipif(_np is None, reason="counts array conversions")
+def test_a_taken_column_is_converted_once_per_table_version(monkeypatch):
+    """The ``sort_agg`` shape: the sort reads ``F.k`` on the scan batch,
+    the fold reads ``F.v`` through the sorted (taken) one."""
+    database = Database("fact")
+    database.create_table(
+        TableSchema("F", [Column("id", INTEGER), Column("k", INTEGER), Column("v", INTEGER)])
+    )
+    for i in range(200):
+        database.insert("F", [i, (i * 7) % 10, i % 13])
+    plan = lambda: Apply(
+        Group(Sort(Relation("F", "F"), ["F.k"]), ["F.k"]),
+        [AggregateSpec("s", sum_("F.v"))],
+    )
+    config = ExecutorConfig(engine="vector", aggregation="sort", exploit_orders=True)
+    expected, __ = execute(database, plan(), ExecutorConfig(engine="row", aggregation="sort"))
+    converted = []
+    real = batch_module._sequence_array
+
+    def counting(sequence):
+        if len(sequence) >= 200:  # a table column, not a per-group result
+            converted.append(len(sequence))
+        return real(sequence)
+
+    monkeypatch.setattr(batch_module, "_sequence_array", counting)
+    for __ in range(2):
+        result, __ = execute(database, plan(), config)
+        assert result.equals_multiset(expected)
+    assert converted == [200, 200]  # F.k and F.v, on the first execution only
+    database.insert("F", [200, 3, 5])
+    execute(database, plan(), config)
+    execute(database, plan(), config)
+    assert converted == [200, 200, 201, 201]
 
 
 def signed_zero_rows(morsel_size=None, workers=1, engine="vector"):
@@ -153,7 +345,8 @@ def test_signed_zero_reads_the_same_on_every_path():
 
 #: Run with numpy blocked in a fresh interpreter that imports only
 #: ``repro`` and the harness (blocking it in-process breaks hypothesis): no
-#: CI job and no other test runs this configuration.  The signed-zero plan is the one
+#: other tier-1 test runs this configuration (CI's ``pure-python`` job runs
+#: this directory with numpy not installed).  The signed-zero plan is the one
 #: above; the split case feeds one fold whole, batch by batch, and as
 #: merged exports, over keys and values no numpy path would have taken.
 PURE_PYTHON = """
