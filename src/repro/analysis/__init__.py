@@ -14,9 +14,10 @@ Layers:
   operator of :mod:`repro.algebra.ops` (typed, nullability-aware);
 * :mod:`repro.analysis.verifier` — the analysis passes over a plan tree
   (scope resolution, grouped-table discipline, duplicate-sensitive
-  aggregate pushdown, null-safety, typing);
+  aggregate pushdown, null-safety, typing), and :func:`certify` — the one
+  place an eager plan's certificate is issued, audited and attached;
 * :mod:`repro.analysis.certificates` — machine-checkable *rewrite
-  certificates* issued by :func:`transform` and independently
+  certificates* issued by :func:`issue_certificate` and independently
   re-validated by :func:`audit_certificate`, the :class:`RuleCertificate`
   of the certified rewrite rules, and :func:`carry_evidence` for what a
   plan root carries;
@@ -25,9 +26,10 @@ Layers:
   column is NULL), shared by the rewriter and the checker;
 * :mod:`repro.analysis.equivalence` — the *plan-equivalence checker*:
   independently re-verifies every :class:`~repro.analysis.certificates.RuleCertificate`
-  issued by the certified rewrite pass (R700–R703 diagnostics);
-* :mod:`repro.analysis.linter` — drives the analyzer over SQL scripts and
-  the built-in workloads (the ``repro lint`` CLI).
+  issued by the certified rewrite pass (R700–R703 diagnostics).
+
+The driver of ``repro lint`` is :mod:`repro.lint`, above the planner whose
+plans it analyzes.
 """
 
 from repro.analysis.certificates import (
@@ -41,20 +43,18 @@ from repro.analysis.certificates import (
 )
 from repro.analysis.diagnostics import RULES, Diagnostic, Severity
 from repro.analysis.equivalence import verify_rewrite
-from repro.analysis.linter import LintReport, lint_sql, lint_workloads
 from repro.analysis.nullability import (
     null_rejected_columns,
     possible_truth_values,
     rejects_null,
 )
 from repro.analysis.schema import ColumnInfo, PlanSchema, infer_schema
-from repro.analysis.verifier import analyze_plan, analyze_query, transform
+from repro.analysis.verifier import analyze_plan, analyze_query, certify, transform
 
 __all__ = [
     "RULES",
     "ColumnInfo",
     "Diagnostic",
-    "LintReport",
     "PlanSchema",
     "RewriteCertificate",
     "RuleCertificate",
@@ -64,11 +64,10 @@ __all__ = [
     "attach_certificate",
     "audit_certificate",
     "carry_evidence",
+    "certify",
     "get_certificate",
     "infer_schema",
     "issue_certificate",
-    "lint_sql",
-    "lint_workloads",
     "null_rejected_columns",
     "possible_truth_values",
     "rejects_null",

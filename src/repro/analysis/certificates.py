@@ -46,8 +46,7 @@ from repro.fd.derivation import candidate_keys
 #: Evidence stashed on a frozen plan root, by attribute: the eager rewrite's
 #: certificate (:func:`attach_certificate`), the certified rewrite set the
 #: root already went through (:func:`repro.optimizer.rewrites.rewrites_applied`)
-#: and the R704 shard-exchange certificate
-#: (:func:`repro.optimizer.distribute.distribution_certificate`).
+#: and the R704 shard-exchange certificate (:func:`distribution_certificate`).
 CERTIFICATE_ATTR = "_rewrite_certificate"
 APPLIED_REWRITES_ATTR = "_certified_rewrites"
 DISTRIBUTION_ATTR = "_distribution_certificate"
@@ -190,17 +189,38 @@ class RuleCertificate:
         return "\n".join(lines)
 
 
+#: The inferred output column names of a query's (E1, E2).
+PlanColumns = Tuple[Tuple[str, ...], Tuple[str, ...]]
+
+
+def output_columns(
+    database: Database,
+    query: "object",
+    plans: Optional[Tuple[PlanNode, PlanNode]] = None,
+) -> PlanColumns:
+    """What ``query``'s (E1, E2) put out — ``plans`` when the caller already
+    holds the pair, freshly built ones otherwise."""
+    standard, eager = plans or (
+        build_standard_plan(query), build_eager_plan(query)
+    )
+    return (
+        infer_schema(standard, database).names(),
+        infer_schema(eager, database).names(),
+    )
+
+
 def issue_certificate(
     database: Database,
     query: "object",
     testfd: "object",
     assume_unique_keys: bool = False,
+    columns: Optional[PlanColumns] = None,
 ) -> RewriteCertificate:
     """Build the certificate for a YES TestFD verdict on ``query``.
 
     ``testfd`` is the :class:`~repro.core.testfd.TestFDResult` whose
-    component traces carry the structured atoms; the E1/E2 output schemas
-    are inferred from freshly built plans.
+    component traces carry the structured atoms; ``columns`` is the
+    :func:`output_columns` pair when the caller has inferred it already.
     """
     keys = candidate_keys(database, query.all_bindings, assume_unique_keys)
     keys_by_alias = tuple(
@@ -217,8 +237,7 @@ def issue_certificate(
         )
         for trace in testfd.components
     )
-    e1_columns = infer_schema(build_standard_plan(query), database).names()
-    e2_columns = infer_schema(build_eager_plan(query), database).names()
+    e1_columns, e2_columns = columns or output_columns(database, query)
     return RewriteCertificate(
         r1=tuple((b.alias, b.table_name) for b in query.r1),
         r2=tuple((b.alias, b.table_name) for b in query.r2),
@@ -238,13 +257,16 @@ def audit_certificate(
     database: Database,
     query: "object",
     certificate: RewriteCertificate,
+    columns: Optional[PlanColumns] = None,
 ) -> List[Diagnostic]:
     """Independently re-validate ``certificate`` against ``query``.
 
     Re-derives FD1/FD2 with :func:`repro.fd.closure.closure` (not TestFD's
     own fixpoint) from the recorded atoms, re-reads the keys from the
-    catalog, and rebuilds both plans to compare output schemas.  Returns
-    the list of C501/C502 diagnostics (empty = certificate stands).
+    catalog, and compares the recorded output schemas with ``columns`` —
+    the :func:`output_columns` of the plans about to run, or of rebuilt
+    ones when omitted.  Returns the list of C501/C502 diagnostics (empty =
+    certificate stands).
     """
     sink = DiagnosticSink()
     path = "certificate"
@@ -350,8 +372,7 @@ def audit_certificate(
                 )
 
     # -- E1/E2 output schemas must agree ------------------------------------
-    e1_columns = infer_schema(build_standard_plan(query), database).names()
-    e2_columns = infer_schema(build_eager_plan(query), database).names()
+    e1_columns, e2_columns = columns or output_columns(database, query)
     if e1_columns != tuple(certificate.e1_columns) or e2_columns != tuple(
         certificate.e2_columns
     ):
@@ -384,6 +405,11 @@ def attach_certificate(plan: PlanNode, certificate: RewriteCertificate) -> PlanN
 def get_certificate(plan: PlanNode) -> Optional[RewriteCertificate]:
     """The certificate attached to ``plan``'s root, if any."""
     return getattr(plan, CERTIFICATE_ATTR, None)
+
+
+def distribution_certificate(plan: PlanNode) -> Optional[RuleCertificate]:
+    """The R704 certificate attached to a distributed plan root, if any."""
+    return getattr(plan, DISTRIBUTION_ATTR, None)
 
 
 def carry_evidence(old_root: PlanNode, new_root: PlanNode) -> PlanNode:

@@ -123,8 +123,8 @@ def infer_schemas(
         ]
         schema = _infer_one(node, child_schemas, path)
         schemas[id(node)] = schema
-        duplicates = schema.duplicate_names()
-        if duplicates and sink is not None:
+        duplicates = schema.duplicate_names() if sink is not None else ()
+        if duplicates:
             sink.report(
                 "A003",
                 path,

@@ -1,7 +1,7 @@
 """The plan verifier: semantic analysis passes over a plan tree.
 
 :func:`analyze_plan` walks a :class:`~repro.algebra.ops.PlanNode` tree
-without executing it and returns typed diagnostics from five passes:
+without executing it and returns typed diagnostics from four passes:
 
 1. **Schema/scope resolution** — every column reference in every
    ``Select``/``Project``/``Join``/``Group``/``Apply``/``Sort`` must be
@@ -12,10 +12,14 @@ without executing it and returns typed diagnostics from five passes:
    certificate proving the paper's FD conditions (G103);
 3. **3VL/null-safety** — comparisons that conflate ``=`` with the
    null-aware ``=ⁿ`` of Figure 3 (N301, N302);
-4. **Type checking** of all expressions (T401–T404);
-5. **Certificate audit** — when the plan carries a rewrite certificate,
-   it is independently re-validated (C501, C502) via
-   :func:`repro.analysis.certificates.audit_certificate`.
+4. **Type checking** of all expressions (T401–T404).
+
+The **certificate audit** (C501, C502) is not one of them: a plan's
+certificate only says G103 is licensed.  :func:`certify` is where every
+certificate is issued and independently re-validated — once, before the
+eager plan can reach an executor — and its callers are the only three ways
+an eager plan comes to exist: :func:`transform`, :func:`analyze_query` and
+:meth:`repro.optimizer.planner.Planner.choose`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.analysis.certificates import (
     audit_certificate,
     get_certificate,
     issue_certificate,
+    output_columns,
 )
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -53,6 +58,7 @@ from repro.analysis.typecheck import check_expression
 from repro.catalog.catalog import Database
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.transform import (
+    TransformationDecision,
     build_eager_plan,
     build_standard_plan,
     check_transformable,
@@ -101,31 +107,53 @@ def analyze_plan(
     return list(sink.at_least(min_severity))
 
 
+def certify(
+    database: Database,
+    query: GroupByJoinQuery,
+    decision: TransformationDecision,
+    standard: PlanNode,
+    eager: PlanNode,
+    assume_unique_keys: bool = False,
+) -> List[Diagnostic]:
+    """Turn a YES from TestFD into a licence for ``eager``: issue the
+    FD1/FD2 certificate, audit it, attach it to the plan root.
+
+    ``standard`` and ``eager`` are the E1/E2 the caller built for ``query``
+    (and will run), so their output schemas are inferred once and shared by
+    issue and audit instead of each rebuilding both plans.  The audit is
+    the checker's own: :func:`repro.fd.closure.closure` over the recorded
+    atoms, the catalog's keys as declared now, E1's columns against E2's.
+    Returns its findings — every caller but :func:`analyze_query` hands
+    them to ``raise_on_errors``, so an eager plan whose certificate does
+    not stand never leaves the function that built it.
+    """
+    assert decision.testfd is not None
+    columns = output_columns(database, query, (standard, eager))
+    certificate = issue_certificate(
+        database, query, decision.testfd, assume_unique_keys, columns
+    )
+    attach_certificate(eager, certificate)
+    return audit_certificate(database, query, certificate, columns)
+
+
 def analyze_query(
     database: Database,
-    query: "object",
+    query: GroupByJoinQuery,
     min_severity: Severity = Severity.WARNING,
 ) -> List[Diagnostic]:
     """Analyze both access plans (E1, and E2 when valid) of one query.
 
-    ``query`` is a :class:`~repro.core.query_class.GroupByJoinQuery`.  The
-    eager plan is only built — and analyzed — when TestFD proves the
+    The eager plan is only built — and analyzed — when TestFD proves the
     rewrite valid, in which case its certificate is issued and audited as
     part of the analysis.
     """
-    diagnostics: List[Diagnostic] = []
     standard = build_standard_plan(query)
-    diagnostics.extend(analyze_plan(standard, database, min_severity=min_severity))
+    diagnostics = analyze_plan(standard, database, min_severity=min_severity)
     decision = check_transformable(database, query)
     if decision.valid:
         eager = build_eager_plan(query)
-        certificate = issue_certificate(database, query, decision.testfd)
-        diagnostics.extend(
-            analyze_plan(
-                eager, database, certificate=certificate, min_severity=min_severity
-            )
-        )
-        audit = audit_certificate(database, query, certificate)
+        audit = certify(database, query, decision, standard, eager)
+        diagnostics.extend(analyze_plan(eager, database, min_severity=min_severity))
         diagnostics.extend(d for d in audit if d.severity >= min_severity)
     return diagnostics
 
@@ -155,16 +183,15 @@ def transform(
     if not decision.valid:
         raise TransformationError(decision.reason)
     plan = build_eager_plan(query)
-    assert decision.testfd is not None
-    certificate = issue_certificate(
-        database, query, decision.testfd, assume_unique_keys=assume_unique_keys
-    )
     raise_on_errors(
-        audit_certificate(database, query, certificate)
-        + analyze_plan(plan, database, certificate=certificate),
+        certify(
+            database, query, decision, build_standard_plan(query), plan,
+            assume_unique_keys,
+        )
+        + analyze_plan(plan, database),
         "rewrite failed self-verification",
     )
-    return attach_certificate(plan, certificate)
+    return plan
 
 
 # -- pass: expression scope / types / null-safety ---------------------------

@@ -42,10 +42,10 @@ import sys
 from typing import Iterable, Optional, TextIO
 
 from repro.analysis.diagnostics import RULES, Severity
-from repro.analysis.linter import lint_sql, lint_workloads
 from repro.catalog.catalog import Database
 from repro.engine.executor import ExecutorConfig
 from repro.errors import ReproError, error_exit_code
+from repro.lint import lint_sql, lint_workloads
 from repro.optimizer.cost import resolve_workers
 from repro.optimizer.planner import POLICIES
 from repro.parser.ast_nodes import SelectStatement, SetOperationStatement

@@ -42,6 +42,12 @@ from repro.expressions.ast import ColumnRef, Comparison, Expression, contains_ag
 from repro.expressions.normalize import conjoin, split_conjuncts
 
 
+def build_join_plan(query: GroupByJoinQuery) -> PlanNode:
+    """``σ[C1 ∧ C0 ∧ C2](R1 × R2)``: the join E1 aggregates, and the
+    relation the Main Theorem's FD1/FD2 are stated over."""
+    return build_join_tree(query.all_bindings, query.where)
+
+
 def build_standard_plan(query: GroupByJoinQuery) -> PlanNode:
     """E1: join everything under the full WHERE, group, aggregate, project.
 
@@ -49,9 +55,8 @@ def build_standard_plan(query: GroupByJoinQuery) -> PlanNode:
     is applied as a filter over the grouped rows, with any aggregates it
     mentions computed alongside and projected away afterwards.
     """
-    tree = build_join_tree(query.all_bindings, query.where)
     return grouped_plan_with_having(
-        tree,
+        build_join_plan(query),
         query.grouping_columns,
         query.aggregates,
         query.having,

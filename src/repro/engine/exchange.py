@@ -221,11 +221,7 @@ class InProcessShards:
 def _shard_backend(config: ExecutorConfig, size: int, governor: ResourceGovernor):
     """Where this Exchange's deliveries run — the transport's only reader."""
     if config.transport == "socket":
-        return shardrpc.get_pool(
-            size,
-            timeout_seconds=config.rpc_timeout_seconds,
-            attempts=config.rpc_attempts,
-        )
+        return shardrpc.get_pool(size, timeout_seconds=config.rpc_timeout_seconds)
     return InProcessShards(governor)
 
 

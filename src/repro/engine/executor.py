@@ -18,11 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
-from repro.algebra.ops import Exchange, PlanNode, fuse_group_apply, walk_plan
+from repro.algebra.ops import Exchange, PlanNode
 from repro.algebra.rewrite_rules import normalize_rewrites
-from repro.analysis.certificates import get_certificate
-from repro.analysis.diagnostics import Severity, render_diagnostics
-from repro.analysis.verifier import analyze_plan
 from repro.catalog.catalog import Database
 from repro.engine import faults
 from repro.engine.dataset import DataSet
@@ -30,8 +27,8 @@ from repro.engine.governor import CancellationToken, ResourceGovernor
 from repro.engine.operators import child_frames, operator_for
 from repro.engine.stats import ExecutionStats
 from repro.engine.vector.executor import VectorExecutor
-from repro.errors import PlanVerificationError, ReproError, raise_through_frames
-from repro.optimizer.rewrites import apply_configured_rewrites, rewrites_applied
+from repro.errors import ReproError, raise_through_frames
+from repro.optimizer.prepare import prepare_plan
 from repro.sqltypes.values import SqlValue
 
 
@@ -47,7 +44,8 @@ class ExecutorConfig:
       input is already ordered on the grouping columns (§2's pipelined
       aggregation; sort-merge joins always exploit presorted inputs).
     * ``verify``: statically verify every plan before executing it
-      (:func:`repro.analysis.verifier.analyze_plan`); ERROR-severity
+      (:func:`repro.analysis.verifier.analyze_plan`, the last step of
+      :func:`repro.optimizer.prepare.prepare_plan`); ERROR-severity
       findings raise :class:`~repro.errors.PlanVerificationError`.
     * ``engine``: ``"row"`` (tuple-at-a-time interpreter) or ``"vector"``
       (columnar batches + compiled kernels,
@@ -124,8 +122,9 @@ class ExecutorConfig:
       its partition by id and carries the partition itself only to a
       worker that answered ``missing`` (a bounded store, no setting).
       Transport never changes results.
-    * ``rpc_timeout_seconds`` / ``rpc_attempts``: the per-call deadline
-      and retry budget for each socket-transport shard delivery.
+    * ``rpc_timeout_seconds``: the per-call deadline of each
+      socket-transport shard delivery (the retry budget is
+      :data:`repro.engine.shardrpc.RPC_ATTEMPTS`, not a setting).
     """
 
     join_algorithm: str = "auto"
@@ -149,7 +148,6 @@ class ExecutorConfig:
     partitioning: str = "hash"
     transport: str = "memory"
     rpc_timeout_seconds: float = 5.0
-    rpc_attempts: int = 3
 
     def __post_init__(self) -> None:
         if self.join_algorithm not in ("auto", "nested_loop", "hash", "sort_merge"):
@@ -179,8 +177,6 @@ class ExecutorConfig:
             raise ValueError(f"bad transport: {self.transport}")
         if self.rpc_timeout_seconds <= 0:
             raise ValueError("rpc_timeout_seconds must be positive")
-        if self.rpc_attempts < 1:
-            raise ValueError("rpc_attempts must be at least 1")
 
 
 class Executor:
@@ -195,58 +191,32 @@ class Executor:
         self.database = database
         self.config = config
         self.params = params
-        #: The plan that last ran, after fusing/rewrites/distribution.
+        #: The plan that last ran, as prepared (fused/rewritten/distributed).
         self.executed_plan: Optional[PlanNode] = None
 
     def run(self, plan: PlanNode) -> Tuple[DataSet, ExecutionStats]:
-        """Execute ``plan``; returns the result and per-operator statistics."""
-        fused = fuse_group_apply(plan)
-        if self.config.rewrites and rewrites_applied(fused) is None:
-            fused = apply_configured_rewrites(
-                fused, self.database, self.config
-            ).plan
-        if self.config.shards > 1 and self.config.exchange != "off":
-            if not any(isinstance(n, Exchange) for n in walk_plan(fused)):
-                # Deferred, like run_exchange below (tests/test_layering.py):
-                # only a sharded query pays for the partitioner and the wire.
-                from repro.optimizer.distribute import distribute_plan
+        """Prepare ``plan`` (:func:`repro.optimizer.prepare.prepare_plan`:
+        fuse, configured rewrites, shard Exchange, opt-in verification — each
+        skipped when already on the plan) and execute it; returns the result
+        and per-operator statistics."""
+        return self.run_prepared(
+            prepare_plan(plan, self.database, self.config).plan
+        )
 
-                fused = distribute_plan(fused, self.database, self.config)
-        if self.config.verify:
-            self._verify(plan, fused)
-        # What actually executed (post-rewrite, post-distribution) — the
-        # session picks this up so explain() shows Exchange wrapping.
-        self.executed_plan = fused
+    def run_prepared(self, plan: PlanNode) -> Tuple[DataSet, ExecutionStats]:
+        """Execute a plan :func:`prepare_plan` already returned, as it is."""
+        self.executed_plan = plan
         if self.config.engine == "vector":
-            return VectorExecutor(self.database, self.config, self.params).run(fused)
+            return VectorExecutor(self.database, self.config, self.params).run(plan)
         stats = ExecutionStats()
         governor = ResourceGovernor.from_config(self.config)
         try:
-            result = self._execute(fused, stats, governor)
+            result = self._execute(plan, stats, governor)
         finally:
             stats.spill_count = governor.spill_count
             stats.spilled_rows = governor.spilled_rows
             governor.close()
         return result, stats
-
-    def _verify(self, plan: PlanNode, fused: PlanNode) -> None:
-        """Opt-in pre-flight: reject statically broken plans before running.
-
-        The *fused* plan is what executes, so that is what gets analyzed;
-        a rewrite certificate attached to the original root still counts.
-        """
-        diagnostics = analyze_plan(
-            fused,
-            self.database,
-            certificate=get_certificate(plan),
-            min_severity=Severity.ERROR,
-        )
-        if diagnostics:
-            raise PlanVerificationError(
-                "plan failed static verification:\n"
-                + render_diagnostics(diagnostics),
-                diagnostics,
-            )
 
     # -- dispatch -----------------------------------------------------------
 

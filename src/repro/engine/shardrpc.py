@@ -7,7 +7,7 @@ holds is opaque here (the request and response format is
 :mod:`repro.engine.exchange`'s).  The :class:`ShardPool` owns one OS worker process per shard slot — spawn
 (``repro shard-worker`` as a subprocess, parsing its ``READY`` line for
 the ephemeral port), handshake (``hello`` with a wire-version check),
-heartbeat (``ping`` RTTs feed the planner's per-site latency term),
+heartbeat (``ping``; each RTT is kept on its handle for ``.shards``),
 drain (``shutdown``) and kill.
 
 The pool is the ``"socket"`` backend of the Exchange delivery loop, which
@@ -20,8 +20,8 @@ layers the fault-tolerance contract over the raw wire:
   :class:`~repro.errors.ShardUnavailable` instead of hanging the query;
 * **jittered-exponential retries** — via the same
   :func:`repro.engine.retry.call_with_backoff` helper the admission
-  client uses, with ``retry_on=(ShardUnavailable, WireFormatError)``
-  and an ``on_retry`` hook metering every backoff into the RPC counters;
+  client uses, :data:`RPC_ATTEMPTS` tries with
+  ``retry_on=(ShardUnavailable, WireFormatError)`` and an ``on_retry`` hook metering every backoff into the RPC counters;
 * **idempotent request IDs** — each delivery carries a UUID; the worker
   caches completed responses by ID, so a retransmitted request (retry
   after a lost reply, or an injected duplicate) is answered from the
@@ -81,6 +81,8 @@ from repro.errors import ShardUnavailable, WireFormatError
 SUSPECT_AFTER = 1
 #: Consecutive failures that move a shard suspect → dead.
 DEAD_AFTER = 3
+#: Tries one delivery gets on one worker before the caller fails over.
+RPC_ATTEMPTS = 3
 
 HEALTH_STATES = ("healthy", "suspect", "dead")
 
@@ -271,13 +273,11 @@ class ShardPool:
         size: int,
         *,
         timeout_seconds: float = 5.0,
-        attempts: int = 3,
         python: Optional[str] = None,
         spawn_timeout: float = 20.0,
     ) -> None:
         self.size = size
         self.timeout_seconds = timeout_seconds
-        self.attempts = attempts
         self.counters = RpcCounters()
         self._python = python or sys.executable
         self._spawn_timeout = spawn_timeout
@@ -343,7 +343,8 @@ class ShardPool:
         worker.mark_recovered()
 
     def heartbeat(self) -> Dict[str, float]:
-        """Ping every live worker; RTTs feed the planner's latency term."""
+        """Ping every live worker; each RTT stays on its handle for
+        :meth:`health` (the shell's ``.shards``)."""
         rtts: Dict[str, float] = {}
         for worker in self.workers:
             if not worker.alive:
@@ -358,11 +359,6 @@ class ShardPool:
             worker.record_success()
             rtts[worker.label] = worker.heartbeat_rtt
         return rtts
-
-    def measured_latency(self) -> float:
-        """Mean heartbeat RTT over live workers (seconds; 0 when unknown)."""
-        rtts = [w.heartbeat_rtt for w in self.workers if w.heartbeat_rtt > 0]
-        return sum(rtts) / len(rtts) if rtts else 0.0
 
     def drain(self) -> None:
         """Politely shut every worker down, then reap.
@@ -449,10 +445,10 @@ class ShardPool:
 
         response = call_with_backoff(
             attempt,
-            attempts=self.attempts,
+            attempts=RPC_ATTEMPTS,
             base_delay=0.005,
             max_delay=0.1,
-            deadline_seconds=self.timeout_seconds * self.attempts,
+            deadline_seconds=self.timeout_seconds * RPC_ATTEMPTS,
             seed=0,
             retry_on=(ShardUnavailable, WireFormatError),
             on_retry=meter,
@@ -486,9 +482,7 @@ _POOL: Optional[ShardPool] = None
 _POOL_LOCK = threading.Lock()
 
 
-def get_pool(
-    size: int, *, timeout_seconds: float = 5.0, attempts: int = 3
-) -> ShardPool:
+def get_pool(size: int, *, timeout_seconds: float = 5.0) -> ShardPool:
     """The shared pool, grown to at least ``size`` live workers.
 
     One pool per coordinator process: spawning workers per query would
@@ -502,13 +496,10 @@ def get_pool(
             previous = _POOL
             if previous is not None:
                 previous.drain()
-            _POOL = ShardPool(
-                size, timeout_seconds=timeout_seconds, attempts=attempts
-            )
+            _POOL = ShardPool(size, timeout_seconds=timeout_seconds)
             _POOL.start()
         else:
             _POOL.timeout_seconds = timeout_seconds
-            _POOL.attempts = attempts
             _POOL.ensure()
         return _POOL
 

@@ -1,14 +1,22 @@
 """``repro lint``: static analysis of SQL scripts without executing queries.
 
 :func:`lint_sql` runs a script's DDL/DML into a scratch database to build
-the catalog, then *statically* analyzes every SELECT: the standard (E1)
-plan always, and — when TestFD proves the rewrite valid — the eager (E2)
-plan together with its freshly issued and audited certificate.  No query
-is executed; INSERTs do run (the linter needs the catalog, and constraint
-violations in the script's own data are worth surfacing).
+the catalog, then *statically* analyzes every SELECT — the plans
+:func:`repro.statement.plan_statement` returns for it, which are the plans a
+:class:`~repro.session.Session` over the same catalog would choose from and
+run: the standard (E1) plan always, and — when TestFD proves the rewrite
+valid — the eager (E2) plan with the certificate the planner issued and
+audited for it.  No query is executed; INSERTs do run (the linter needs the
+catalog, and constraint violations in the script's own data are worth
+surfacing).
 
-Statements that fail to parse or bind are reported as rule ``L601`` with
-the statement index, and linting continues with the next statement.
+Statements that fail to parse, bind or plan are reported as rule ``L601``
+with the statement index, and linting continues with the next statement.
+An eager certificate or a certified rewrite that fails its audit fails the
+planning of its statement, so neither can lint clean.
+
+This module sits at the session rank, above the planner it drives
+(``tests/test_layering.py``).
 """
 
 from __future__ import annotations
@@ -16,25 +24,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.algebra.ops import Apply, Group, Project, fuse_group_apply
 from repro.analysis.diagnostics import (
     Diagnostic,
     DiagnosticSink,
     Severity,
     render_diagnostics,
 )
-from repro.analysis.equivalence import verify_rewrite
-from repro.analysis.verifier import analyze_plan, analyze_query
+from repro.analysis.verifier import analyze_plan
 from repro.catalog.catalog import Database
-from repro.core.having import grouped_plan_with_having
-from repro.core.partition import to_group_by_join_query
-from repro.core.planbuild import build_join_tree
-from repro.core.transform import build_standard_plan
-from repro.errors import ReproError, TransformationError
+from repro.engine.executor import ExecutorConfig
+from repro.errors import ReproError
 from repro.parser.ast_nodes import SelectStatement, SetOperationStatement
-from repro.parser.binder import bind_select, execute_statement
+from repro.parser.binder import execute_statement
 from repro.parser.parser import parse_statement
-from repro.parser.viewmerge import merge_aggregated_view
+from repro.statement import plan_statement
 from repro.workloads.schemas import (
     make_employee_department,
     make_part_supplier,
@@ -121,118 +124,39 @@ class LintReport:
         return summary + breakdown + "\n" + render_diagnostics(self.diagnostics)
 
 
-def _lint_plan_rewrites(database: Database, plan: "object", emit) -> int:
-    """Apply the certified rewrites to ``plan`` and re-verify every
-    certificate with the independent checker, emitting any R7xx findings.
-
-    Returns the number of certificates that were issued (each one is
-    audited; a failed audit shows up as ERROR diagnostics, so an
-    uncertified rewrite can never lint clean)."""
-    # Deferred: the pass imports this package (tests/test_layering.py).
-    from repro.optimizer.rewrites import apply_rewrites
-
-    try:
-        outcome = apply_rewrites(fuse_group_apply(plan), database, verify=False)
-    except Exception as error:  # a crash in the rewriter is a finding, not a lint crash
-        emit(
-            Diagnostic(
-                "R700",
-                Severity.ERROR,
-                "rewrites",
-                f"certified rewrite pass failed: {error}",
-            )
-        )
-        return 0
-    for certificate in outcome.certificates:
-        for diagnostic in verify_rewrite(database, certificate):
-            emit(
-                Diagnostic(
-                    diagnostic.rule_id,
-                    diagnostic.severity,
-                    f"rewrites/{certificate.rule}@{diagnostic.path}",
-                    diagnostic.message,
-                    diagnostic.hint,
-                )
-            )
-    return len(outcome.certificates)
-
-
 def _analyze_select(
     database: Database,
-    statement: "object",
+    statement: SelectStatement,
     sink: DiagnosticSink,
     where: str,
     min_severity: Severity,
     rewrites: bool = False,
 ) -> int:
-    """Statically analyze one bound SELECT (E1 always, E2 when valid).
+    """Statically analyze one SELECT: every access plan the planner built
+    for it (E1 always, E2 when valid), never executed.
 
-    With ``rewrites=True`` the certified rewrite pass also runs over the
-    executed-shape plan and every certificate is independently re-verified;
-    returns the number of certificates issued (0 otherwise)."""
-
-    def emit(diagnostic: Diagnostic) -> None:
-        sink.add(
-            Diagnostic(
-                diagnostic.rule_id,
-                diagnostic.severity,
-                f"{where}/{diagnostic.path}",
-                diagnostic.message,
-                diagnostic.hint,
-            )
-        )
-
-    if any(t.name in database.views for t in statement.from_tables):
-        # A view in FROM: merge it back into one grouped query, the same
-        # normalization the session applies before planning (§8).
-        merged = merge_aggregated_view(database, statement)
-        for diagnostic in analyze_query(
-            database, merged, min_severity=min_severity
-        ):
-            emit(diagnostic)
-        if rewrites:
-            return _lint_plan_rewrites(
-                database, build_standard_plan(merged), emit
-            )
-        return 0
-
-    flat = bind_select(database, statement)
-    if flat.group_by:
-        try:
-            query = to_group_by_join_query(flat)
-        except TransformationError:
-            query = None
-        if query is not None:
-            for diagnostic in analyze_query(
-                database, query, min_severity=min_severity
-            ):
-                emit(diagnostic)
-            if rewrites:
-                return _lint_plan_rewrites(
-                    database, build_standard_plan(query), emit
+    With ``rewrites=True`` the statement is planned with every certified
+    rewrite enabled, so the pass runs — audited by the independent checker,
+    as in a session — over the plan that would run, and the rewritten plan is
+    analyzed too; returns the number of rule certificates issued (0
+    otherwise)."""
+    planned = plan_statement(
+        database, statement, "cost",
+        ExecutorConfig(rewrites="all") if rewrites else ExecutorConfig(),
+    )
+    plans = planned.candidates + ((planned.plan,) if planned.rewrites else ())
+    for plan in plans:
+        for diagnostic in analyze_plan(plan, database, min_severity=min_severity):
+            sink.add(
+                Diagnostic(
+                    diagnostic.rule_id,
+                    diagnostic.severity,
+                    f"{where}/{diagnostic.path}",
+                    diagnostic.message,
+                    diagnostic.hint,
                 )
-            return 0
-    # Ungrouped (or unpartitionable grouped) query: analyze the plan the
-    # session would run, built the same way but never executed.
-    tree = build_join_tree(flat.bindings, flat.where)
-    if flat.group_by or flat.aggregates:
-        columns = flat.select_group_columns + tuple(
-            spec.name for spec in flat.aggregates
-        )
-        if flat.group_by:
-            plan = grouped_plan_with_having(
-                tree, flat.group_by, flat.aggregates, flat.having,
-                columns, flat.distinct,
             )
-        else:
-            plan = Apply(Group(tree, ()), flat.aggregates)
-    else:
-        plan = Project(tree, flat.select_group_columns, flat.distinct)
-    for diagnostic in analyze_plan(plan, database, min_severity=min_severity):
-        emit(diagnostic)
-    if rewrites:
-        return _lint_plan_rewrites(database, plan, emit)
-    return 0
+    return len(planned.rewrites)
 
 
 def _split_statements(text: str) -> List[Tuple[str, int]]:
@@ -302,10 +226,11 @@ def lint_sql(
     DDL/INSERT statements execute into ``database`` (a scratch one by
     default) so later SELECTs can resolve the catalog; SELECTs are
     analyzed statically and never executed.  A statement that fails to
-    parse or bind yields an ``L601`` diagnostic and linting continues with
-    the next statement.  With ``rewrites=True`` the certified rewrite pass
-    additionally runs over every query plan and each certificate is
-    re-verified by the independent equivalence checker (rule ids R7xx).
+    parse, bind or plan yields an ``L601`` diagnostic and linting continues
+    with the next statement.  With ``rewrites=True`` the certified rewrite
+    pass additionally runs over the plan each query would execute, every
+    certificate audited by the independent equivalence checker (a failed
+    audit is that statement's ``L601``, naming the R7xx findings).
     """
     report = LintReport(path=path, rewrites_checked=rewrites)
     sink = DiagnosticSink()

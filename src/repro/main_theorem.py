@@ -27,9 +27,12 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.catalog.catalog import Database
-from repro.core.planbuild import build_join_tree
 from repro.core.query_class import GroupByJoinQuery
-from repro.core.transform import build_eager_plan, build_standard_plan
+from repro.core.transform import (
+    build_eager_plan,
+    build_join_plan,
+    build_standard_plan,
+)
 from repro.engine.dataset import DataSet, rowid_column
 from repro.engine.executor import Executor, ExecutorConfig
 from repro.fd.dependency import fd_holds_in
@@ -39,11 +42,10 @@ def join_result(
     database: Database, query: GroupByJoinQuery, expose_rowids: bool = True
 ) -> DataSet:
     """Materialize ``σ[C1 ∧ C0 ∧ C2](R1 × R2)`` (with hidden RowIDs)."""
-    plan = build_join_tree(query.all_bindings, query.where)
     executor = Executor(
         database, ExecutorConfig(expose_rowids=expose_rowids)
     )
-    result, _ = executor.run(plan)
+    result, _ = executor.run(build_join_plan(query))
     return result
 
 

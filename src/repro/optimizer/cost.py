@@ -92,19 +92,10 @@ class PlanCost:
 
 @dataclass(frozen=True)
 class NetworkWeights:
-    """Two-site communication charges (per row shipped).
-
-    ``per_site_latency`` prices one round trip to one shard site in CPU
-    units (the socket transport's measured heartbeat RTT is converted by
-    the distributor; 0 for the in-memory wire).  Every Exchange candidate
-    over the same shard count pays ``shards x per_site_latency`` equally —
-    the term shifts distributed totals against the single-site baseline
-    without ever flipping the choice *between* distributed candidates.
-    """
+    """Two-site communication charges (per row shipped)."""
 
     per_row: float = 50.0  # a shipped row costs this many CPU-units
     per_query_setup: float = 100.0
-    per_site_latency: float = 0.0
 
 
 class CostModel:
@@ -223,7 +214,6 @@ class CostModel:
             )
             node_cost = (
                 self.network.per_query_setup
-                + plan.shards * self.network.per_site_latency
                 + shipped * self.network.per_row * plan.fanout
                 + shipped * merge_weight  # coordinator-side merge pass
             )

@@ -39,18 +39,18 @@ from repro.analysis.certificates import (
     DISTRIBUTION_ATTR,
     RuleCertificate,
     carry_evidence,
+    distribution_certificate,
 )
 from repro.analysis.diagnostics import raise_on_errors
 from repro.analysis.equivalence import exact_decomposition_reason, verify_rewrite
 from repro.catalog.catalog import Database
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import CostModel, NetworkWeights
+from repro.optimizer.cost import CostModel
 from repro.storage.partition import PartitionSpec
 
-
-def distribution_certificate(plan: PlanNode):
-    """The R704 certificate attached to a distributed plan root, if any."""
-    return getattr(plan, DISTRIBUTION_ATTR, None)
+#: The accessor lives with the other evidence accessors; it stays importable
+#: from here, beside the function that attaches what it reads.
+__all__ = ["distribute_plan", "distribution_certificate"]
 
 
 class _Site:
@@ -140,30 +140,12 @@ def distribute_plan(plan: PlanNode, database: Database, config) -> PlanNode:
     shards = config.shards
     keys = _exchange_keys(site.relation, method, database)
 
-    # On the socket transport the communication term gains a per-site
-    # latency charge from the pool's measured heartbeat RTTs (one RTT is
-    # one tuple_cpu-second's worth of CPU units, scaled coarsely; 0 when
-    # no pool has run yet or the wire is in-memory).  The charge is
-    # ``shards x latency`` for *every* Exchange candidate, so it shifts
-    # distributed totals against single-site without flipping the
-    # ship-all vs two-phase choice.
-    latency_weight = 0.0
-    if config.transport == "socket":
-        # Deferred (tests/test_layering.py): importing the pool module loads
-        # the wire stack, which an in-memory session never needs.
-        from repro.engine.shardrpc import active_pool
-
-        live = active_pool()
-        if live is not None:
-            latency_weight = live.measured_latency() * 1_000_000.0
-
     model = CostModel(
         estimator,
         join_algorithm=(
             "hash" if config.join_algorithm == "auto" else config.join_algorithm
         ),
         engine=config.engine,
-        network=NetworkWeights(per_site_latency=latency_weight),
     )
 
     candidates: List[Tuple[float, PlanNode, PlanNode, Exchange, str]] = []
@@ -198,7 +180,6 @@ def distribute_plan(plan: PlanNode, database: Database, config) -> PlanNode:
         ("estimated-shipped-rows", f"{estimated_shipped:.6f}"),
         ("cost", f"{cost:.6f}"),
         ("transport", config.transport),
-        ("per-site-latency", f"{latency_weight:.6f}"),
     ]
     if strategy == "two-phase":
         premises.append(

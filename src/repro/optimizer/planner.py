@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.algebra.ops import PlanNode
-from repro.analysis.certificates import attach_certificate, issue_certificate
+from repro.analysis.diagnostics import raise_on_errors
+from repro.analysis.verifier import certify
 from repro.catalog.catalog import Database
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.transform import (
@@ -36,13 +37,23 @@ POLICIES = ("cost", "always_eager", "never_eager")
 
 @dataclass
 class PlanChoice:
-    """The planner's verdict for one query."""
+    """The planner's verdict for one query: both access plans as built,
+    and which of them the policy picked."""
 
-    plan: PlanNode
     strategy: str  # "eager" or "standard"
+    standard: PlanNode
+    eager: Optional[PlanNode]  # None when the transformation is invalid
     standard_cost: float
     eager_cost: Optional[float]  # None when the transformation is invalid
     decision: TransformationDecision
+
+    @property
+    def plan(self) -> PlanNode:
+        """The chosen plan (an eager one carries its audited certificate)."""
+        if self.strategy == "eager":
+            assert self.eager is not None
+            return self.eager
+        return self.standard
 
     @property
     def speedup(self) -> Optional[float]:
@@ -84,7 +95,11 @@ class Planner:
 
         An aggregate-free HAVING is first folded into WHERE
         (:func:`repro.core.transform.normalize_having`), which can re-admit
-        the query to the transformable class.
+        the query to the transformable class.  A valid eager plan is
+        certified here (:func:`repro.analysis.verifier.certify`: issued,
+        audited, attached) whichever plan the policy then picks; a
+        certificate that fails its audit raises
+        :class:`~repro.errors.TransformationError` instead of a choice.
         """
         query = normalize_having(query)
         standard = build_standard_plan(query)
@@ -93,37 +108,23 @@ class Planner:
             self.database, query, assume_unique_keys=self.assume_unique_keys
         )
         if not decision.valid:
-            return PlanChoice(standard, "standard", standard_cost, None, decision)
+            return PlanChoice(
+                "standard", standard, None, standard_cost, None, decision
+            )
 
         eager = build_eager_plan(query)
         eager_cost = self.cost_model.cost(eager).total
-        self._certify(eager, query, decision)
-
-        if self.policy == "always_eager":
-            return PlanChoice(eager, "eager", standard_cost, eager_cost, decision)
-        if self.policy == "never_eager":
-            return PlanChoice(standard, "standard", standard_cost, eager_cost, decision)
-        if eager_cost < standard_cost:
-            return PlanChoice(eager, "eager", standard_cost, eager_cost, decision)
-        return PlanChoice(standard, "standard", standard_cost, eager_cost, decision)
-
-    def _certify(
-        self,
-        eager: PlanNode,
-        query: GroupByJoinQuery,
-        decision: TransformationDecision,
-    ) -> None:
-        """Attach the FD1/FD2 rewrite certificate to a valid eager plan.
-
-        The certificate is what licenses the plan's below-join aggregation
-        to the static verifier (rule G103) and what ``explain --certify``
-        renders.
-        """
-        if decision.testfd is not None:
-            attach_certificate(
-                eager,
-                issue_certificate(
-                    self.database, query, decision.testfd,
-                    assume_unique_keys=self.assume_unique_keys,
-                ),
-            )
+        raise_on_errors(
+            certify(
+                self.database, query, decision, standard, eager,
+                self.assume_unique_keys,
+            ),
+            "rewrite failed self-verification",
+        )
+        pick_eager = self.policy == "always_eager" or (
+            self.policy == "cost" and eager_cost < standard_cost
+        )
+        return PlanChoice(
+            "eager" if pick_eager else "standard",
+            standard, eager, standard_cost, eager_cost, decision,
+        )

@@ -24,21 +24,16 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from repro.algebra.display import render_annotated
-from repro.algebra.ops import Apply, Group, PlanNode, Project, fuse_group_apply
-from repro.analysis.certificates import carry_evidence, get_certificate
+from repro.algebra.ops import PlanNode
+from repro.analysis.certificates import distribution_certificate, get_certificate
 from repro.catalog.catalog import Database
-from repro.core.having import grouped_plan_with_having
-from repro.core.partition import FlatQuery, to_group_by_join_query
-from repro.core.planbuild import build_join_tree
-from repro.core.query_class import GroupByJoinQuery
-from repro.core.transform import TransformationDecision
 from repro.engine.aggregation import evaluate_aggregate_expression
 from repro.engine.dataset import DataSet
 from repro.engine.executor import Executor, ExecutorConfig
 from repro.engine.setops import apply_set_operation
 from repro.engine.sorting import sort_dataset
 from repro.engine.stats import ExecutionStats
-from repro.errors import BindingError, ParseError, TransformationError
+from repro.errors import BindingError, ParseError
 from repro.expressions.ast import (
     Expression,
     InList,
@@ -46,13 +41,12 @@ from repro.expressions.ast import (
     Literal,
     transform_expression,
 )
-from repro.optimizer.planner import PlanChoice, Planner
-from repro.optimizer.rewrites import apply_configured_rewrites
+from repro.optimizer.planner import PlanChoice
 from repro.parser.ast_nodes import SelectStatement, SetOperationStatement
-from repro.parser.binder import bind_select, execute_statement
+from repro.parser.binder import execute_statement
 from repro.parser.parser import parse_statement
-from repro.parser.viewmerge import merge_aggregated_view
 from repro.sqltypes.values import SqlValue, group_key
+from repro.statement import plan_statement
 
 
 @dataclass
@@ -77,10 +71,6 @@ class QueryReport:
     @property
     def distribution_certificate(self):
         """The R704 shard-exchange certificate, when the plan was sharded."""
-        # Deferred (tests/test_layering.py): the distribution planner loads
-        # the partitioner, which an unsharded session never needs.
-        from repro.optimizer.distribute import distribution_certificate
-
         return distribution_certificate(self.plan)
 
     def explain(self, certify: bool = False) -> str:
@@ -197,42 +187,38 @@ class Session:
             f"set-{statement.operator}{'-all' if statement.all_rows else ''}",
             stats,
         )
-        if statement.order_by:
-            columns = [item.column.qualified for item in statement.order_by]
-            descending = [item.descending for item in statement.order_by]
-            ordered, __ = sort_dataset(report.result, columns, descending)
-            report.result = ordered
-        return report
+        return self._apply_order_by(report, statement)
 
     # -- internals -----------------------------------------------------------
 
     def _run_select(
         self, statement: SelectStatement, params: Optional[Mapping[str, SqlValue]]
     ) -> QueryReport:
-        report = self._run_select_unordered(statement, params)
-        return self._apply_order_by(report, statement)
-
-    def _run_select_unordered(
-        self, statement: SelectStatement, params: Optional[Mapping[str, SqlValue]]
-    ) -> QueryReport:
-        statement = self._resolve_subqueries(statement, params)
-        uses_view = any(
-            t.name in self.database.views for t in statement.from_tables
+        """Materialize the IN-subqueries, plan the statement
+        (:func:`repro.statement.plan_statement` — the chosen, certified,
+        prepared plan), execute it, patch the empty scalar aggregate, sort."""
+        planned = plan_statement(
+            self.database,
+            self._resolve_subqueries(statement, params),
+            self.policy,
+            self.executor_config,
         )
-        if uses_view:
-            query = merge_aggregated_view(self.database, statement)
-            return self._run_group_query(query, params)
-
-        flat = bind_select(self.database, statement)
-        if not flat.group_by:
-            return self._run_ungrouped(flat, params)
-        try:
-            query = to_group_by_join_query(flat)
-        except TransformationError:
-            # No R1/R2 partition (e.g. single-table GROUP BY, or aggregation
-            # columns everywhere): run the standard plan directly.
-            return self._run_flat_standard(flat, params)
-        return self._run_group_query(query, params)
+        executor = Executor(self.database, self.executor_config, params)
+        result, stats = executor.run_prepared(planned.plan)
+        if planned.aggregates and result.cardinality == 0:
+            # Scalar aggregate: SQL yields exactly one row even on empty
+            # input (unlike GROUP BY ()); patch the empty case explicitly.
+            empty_input = DataSet((), [])
+            row = tuple(
+                evaluate_aggregate_expression(spec.expression, empty_input, [], params)
+                for spec in planned.aggregates
+            )
+            result = DataSet(result.columns, [row])
+        report = QueryReport(
+            result, planned.plan, planned.strategy, stats, planned.choice,
+            planned.rewrites,
+        )
+        return self._apply_order_by(report, statement)
 
     def _resolve_subqueries(
         self, statement: SelectStatement, params: Optional[Mapping[str, SqlValue]]
@@ -294,7 +280,9 @@ class Session:
         )
 
     def _apply_order_by(
-        self, report: QueryReport, statement: SelectStatement
+        self,
+        report: QueryReport,
+        statement: "SelectStatement | SetOperationStatement",
     ) -> QueryReport:
         """ORDER BY is presentation-level: sort the finished result.
 
@@ -308,86 +296,3 @@ class Session:
         ordered, __ = sort_dataset(report.result, columns, descending)
         report.result = ordered
         return report
-
-    def _executor(self, params: Optional[Mapping[str, SqlValue]]) -> Executor:
-        return Executor(self.database, self.executor_config, params)
-
-    def _run_plan(self, plan: PlanNode, params: Optional[Mapping[str, SqlValue]]):
-        """Execute ``plan``; returns (result, stats, executed plan).
-
-        The executed plan can differ from ``plan`` when shard distribution
-        wrapped it in an Exchange — the report carries the executed form so
-        explain() shows the wire.
-        """
-        executor = self._executor(params)
-        result, stats = executor.run(plan)
-        executed = executor.executed_plan
-        return result, stats, executed if executed is not None else plan
-
-    def _maybe_rewrite(self, plan: PlanNode):
-        """Apply configured certified rewrites; (plan, certificates)."""
-        if not self.executor_config.rewrites:
-            return plan, ()
-        outcome = apply_configured_rewrites(
-            fuse_group_apply(plan), self.database, self.executor_config
-        )
-        return outcome.plan, outcome.certificates
-
-    def _run_group_query(
-        self, query: GroupByJoinQuery, params: Optional[Mapping[str, SqlValue]]
-    ) -> QueryReport:
-        planner = Planner(
-            self.database,
-            policy=self.policy,
-            engine=self.executor_config.engine,
-            workers=self.executor_config.workers,
-        )
-        choice = planner.choose(query)
-        # Fuse Group/Apply before running so the report's plan nodes carry
-        # the executor's per-node statistics (the executor would fuse to
-        # fresh nodes otherwise and the annotations would not line up); the
-        # rewrite certificate moves to the fused root with it.
-        plan = carry_evidence(choice.plan, fuse_group_apply(choice.plan))
-        plan, rewrites = self._maybe_rewrite(plan)
-        result, stats, plan = self._run_plan(plan, params)
-        return QueryReport(result, plan, choice.strategy, stats, choice, rewrites)
-
-    def _run_flat_standard(
-        self, flat: FlatQuery, params: Optional[Mapping[str, SqlValue]]
-    ) -> QueryReport:
-        tree = build_join_tree(flat.bindings, flat.where)
-        columns = flat.select_group_columns + tuple(s.name for s in flat.aggregates)
-        plan = fuse_group_apply(
-            grouped_plan_with_having(
-                tree, flat.group_by, flat.aggregates, flat.having,
-                columns, flat.distinct,
-            )
-        )
-        plan, rewrites = self._maybe_rewrite(plan)
-        result, stats, plan = self._run_plan(plan, params)
-        return QueryReport(result, plan, "standard", stats, rewrites=rewrites)
-
-    def _run_ungrouped(
-        self, flat: FlatQuery, params: Optional[Mapping[str, SqlValue]]
-    ) -> QueryReport:
-        tree = build_join_tree(flat.bindings, flat.where)
-        if flat.aggregates:
-            # Scalar aggregate: SQL yields exactly one row even on empty
-            # input (unlike GROUP BY ()); patch the empty case explicitly.
-            plan: PlanNode = fuse_group_apply(Apply(Group(tree, ()), flat.aggregates))
-            plan, rewrites = self._maybe_rewrite(plan)
-            result, stats, plan = self._run_plan(plan, params)
-            if result.cardinality == 0:
-                empty_input = DataSet((), [])
-                row = tuple(
-                    evaluate_aggregate_expression(spec.expression, empty_input, [], params)
-                    for spec in flat.aggregates
-                )
-                result = DataSet(result.columns, [row])
-            return QueryReport(
-                result, plan, "scalar-aggregate", stats, rewrites=rewrites
-            )
-        plan = Project(tree, flat.select_group_columns, flat.distinct)
-        plan, rewrites = self._maybe_rewrite(plan)
-        result, stats, plan = self._run_plan(plan, params)
-        return QueryReport(result, plan, "simple", stats, rewrites=rewrites)

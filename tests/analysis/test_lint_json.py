@@ -6,7 +6,7 @@ import io
 import json
 
 from repro.analysis.diagnostics import Severity
-from repro.analysis.linter import lint_sql, lint_workloads
+from repro.lint import lint_sql, lint_workloads
 from repro.cli import _lint_command
 
 CLEAN_SCRIPT = """\

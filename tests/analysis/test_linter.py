@@ -7,7 +7,7 @@ import io
 import pytest
 
 from repro.analysis.diagnostics import Severity
-from repro.analysis.linter import lint_sql, lint_workloads
+from repro.lint import lint_sql, lint_workloads
 from repro.cli import _explain_command, _lint_command, main
 
 DEMO = "examples/paper_demo.sql"

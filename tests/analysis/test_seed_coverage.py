@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from repro.analysis.diagnostics import Severity
-from repro.analysis.linter import lint_sql
+from repro.lint import lint_sql
 from repro.analysis.verifier import analyze_plan, analyze_query
 from repro.workloads.schemas import (
     make_printer_schema,

@@ -120,7 +120,8 @@ class TestPoolLifecycle:
             rtts = pool.heartbeat()
             assert set(rtts) == {"shard-0", "shard-1"}
             assert all(rtt > 0 for rtt in rtts.values())
-            assert pool.measured_latency() > 0
+            assert [w.heartbeat_rtt for w in pool.workers] == list(rtts.values())
+            assert [entry["rtt"] for entry in pool.health()] == list(rtts.values())
         finally:
             pool.drain()
         assert all(

@@ -38,7 +38,8 @@ ORDER = (
     "analysis",
     "optimizer",
     "engine",
-    ("session", "main_theorem"),
+    "statement",
+    ("session", "lint", "main_theorem"),
     "server",
     "cli",
     ("__init__", "__main__"),
@@ -70,10 +71,8 @@ PRICING_CYCLE = (
 #: (module, imported module, reason).
 SURVIVORS = (
     ("repro.engine.executor", "repro.engine.exchange", MEASURED_COST),
-    ("repro.engine.executor", "repro.optimizer.distribute", MEASURED_COST),
     ("repro.engine.vector.executor", "repro.engine.exchange", MEASURED_COST),
-    ("repro.optimizer.distribute", "repro.engine.shardrpc", MEASURED_COST),
-    ("repro.session", "repro.optimizer.distribute", MEASURED_COST),
+    ("repro.optimizer.prepare", "repro.optimizer.distribute", MEASURED_COST),
     (
         "repro.server.transport",
         "repro.engine.exchange",
@@ -88,13 +87,6 @@ SURVIVORS = (
     ("repro.cli", "repro.server.transport", SUBCOMMAND_ONLY),
     ("repro.analysis.equivalence", "repro.optimizer.cardinality", PRICING_CYCLE),
     ("repro.analysis.equivalence", "repro.optimizer.cost", PRICING_CYCLE),
-    (
-        "repro.analysis.linter",
-        "repro.optimizer.rewrites",
-        "cycle: `repro lint --rewrites` drives the certified pass it then "
-        "audits, from inside the package that pass imports; moving the lint "
-        "driver above optimizer would remove it",
-    ),
 )
 ALLOWED = frozenset((module, imported) for module, imported, __ in SURVIVORS)
 
