@@ -11,7 +11,7 @@ merges the shard streams back into one deterministic result:
   order using the hidden per-relation RowID (shards always execute with
   ``expose_rowids=True``; the extra column is stripped again unless the
   outer config asked for it).  The merged stream is bit-identical to the
-  unsharded child's output.
+  unsharded child's output, whatever order the blocks arrived in.
 * ``merge=True`` — the child's terminal :class:`GroupApply` is decomposed
   into per-shard *partial* aggregates plus a hidden ``MIN(RowID)`` ordinal,
   and the partials are re-aggregated globally above the wire.  The merge
@@ -22,12 +22,25 @@ merges the shard streams back into one deterministic result:
   stream is bit-identical to the unsharded GroupApply on that engine —
   group order included.
 
-The wire is deterministic and measured, not estimated: the rows of every
-shard delivery are serialized at the wire's pinned pickle protocol
-(:data:`repro.engine.wire.WIRE_PICKLE_PROTOCOL`) and the byte length of the
-actual blob is what the governor's transfer meter and
-:class:`~repro.engine.stats.ExchangeStats` record, multiplied by the
-node's :attr:`~repro.algebra.ops.Exchange.fanout`.
+The return leg is one column-major **block** per delivery.
+:func:`run_shard` takes the executed plan's result as columns (the vector
+engine's root batch as it stands, the row engine's rows transposed once),
+pickles that list of columns once at the wire's pinned protocol
+(:data:`repro.engine.wire.WIRE_PICKLE_PROTOCOL`) and answers with the bytes,
+the row count, the column names and the ordering.  Nobody pickles those
+values again: a frame, the worker's request-ID cache and the in-process
+round trip all carry the bytes.  The coordinator opens the block through
+the restricted unpickler — the frame's allow-list, a second time — and
+merges without building a row: each column is concatenated across
+deliveries and ordered by a stable argsort of the ordinal column handed to
+:meth:`ColumnBatch.take <repro.engine.vector.batch.ColumnBatch.take>`.
+:func:`run_exchange` returns that batch; the vector executor takes it as
+it is, the row executor calls ``to_dataset()`` on it once.
+
+The wire is deterministic and measured, not estimated, and measured where
+it is made: the length of each block as it arrived is what the governor's
+transfer meter and :class:`~repro.engine.stats.ExchangeStats` record,
+multiplied by the node's :attr:`~repro.algebra.ops.Exchange.fanout`.
 
 One delivery path, two backends: every delivery is ``governor.check`` →
 the ``"exchange"`` fault-injection point → ``backend.execute(index,
@@ -47,7 +60,8 @@ response — and ``config.transport`` only picks who carries it:
   partition store (a twin is attached by reference) and passes its
   response through the wire's **restricted unpickler**, so a forged
   payload is a typed :class:`~repro.errors.WireFormatError` on this wire
-  too.  Byte accounting is real, failure independence is not.
+  too.  Byte accounting is real (the same block, the same bytes), failure
+  independence is not.
 * ``"socket"`` — :class:`~repro.engine.shardrpc.ShardPool`: one OS process
   per shard serving :func:`run_shard` behind the framed RPC (per-call
   deadlines, jittered retries, idempotent request IDs, health-checked
@@ -63,7 +77,7 @@ kernels use — so the answer never changes.
 from __future__ import annotations
 
 from dataclasses import replace
-from operator import itemgetter
+from itertools import chain
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.algebra.ops import (
@@ -79,16 +93,18 @@ from repro.algebra.ops import (
 from repro.catalog.catalog import Database
 from repro.engine import faults, shardrpc
 from repro.engine.aggregation import finish_average
-from repro.engine.dataset import DataSet, rowid_column
+from repro.engine.dataset import rowid_column
 from repro.engine.executor import Executor, ExecutorConfig
 from repro.engine.faults import KernelFault
 from repro.engine.governor import CancellationToken, ResourceGovernor
 from repro.engine.operators import evaluate
 from repro.engine.stats import ExchangeStats, ExecutionStats
+from repro.engine.vector import kernels
+from repro.engine.vector.batch import ColumnBatch
 from repro.engine.wire import PartitionStore, restricted_loads, wire_dumps
-from repro.errors import ExecutionError, ShardUnavailable
+from repro.errors import ExecutionError, ShardUnavailable, WireFormatError
 from repro.expressions.ast import Aggregate, ColumnRef
-from repro.sqltypes.values import SqlValue, sort_key
+from repro.sqltypes.values import SqlValue
 from repro.storage.partition import PartitionSpec, identified_partitions
 
 #: Hidden partial column carrying each group's first-appearance RowID.
@@ -107,18 +123,17 @@ SHARD_CONFIG_FIELDS = frozenset({
 
 
 def shard_request(
-    partition_id: str,
     table_name: str,
     plan: PlanNode,
     params: Optional[Mapping[str, SqlValue]],
     config: ExecutorConfig,
 ) -> Dict[str, Any]:
-    """One shard delivery's request: the partition's id, the plan and the
-    whitelisted config.  The id names immutable content, so any worker that
-    holds it — or is sent it — computes the same partial."""
+    """What every delivery of one Exchange asks, built once: the plan and
+    the whitelisted config.  Each delivery adds its ``partition`` — an id
+    naming immutable content, so any worker that holds it, or is sent it,
+    computes the same partial."""
     return {
         "op": "execute",
-        "partition": partition_id,
         "table_name": table_name,
         "plan": plan,
         "params": dict(params) if params else None,
@@ -171,15 +186,19 @@ def run_shard(
     )
     database = Database()
     database.tables[request["table_name"]] = table
-    result, stats = Executor(database, config, request.get("params")).run(
+    batch, stats = Executor(database, config, request.get("params")).run_columns(
         request["plan"]
     )
     return {
         "op": "result",
         "request_id": request.get("request_id"),
-        "columns": tuple(result.columns),
-        "rows": list(result.rows),
-        "ordering": tuple(result.ordering),
+        "columns": batch.names,
+        "ordering": batch.ordering,
+        # The only pickling of the result's values: every later hop (frame,
+        # request-ID cache, the in-process round trip) carries these bytes.
+        "block": wire_dumps(batch.column_lists()),
+        # A list of columns has no length to read when there are none.
+        "row_count": batch.length,
         "degradations": stats.degradations,
         "degradation_events": list(stats.degradation_events),
         "spill_count": stats.spill_count,
@@ -297,7 +316,7 @@ def run_exchange(
     node: Exchange,
     stats: ExecutionStats,
     governor: ResourceGovernor,
-) -> DataSet:
+) -> ColumnBatch:
     """Execute one Exchange: partition, run shards, meter the wire, merge.
 
     Engine-agnostic by construction — both executors delegate here
@@ -326,9 +345,9 @@ def run_exchange(
             timeout_seconds=governor.remaining_seconds(),
             cancellation=governor.token,
         )
-        result, sub_stats = Executor(database, fallback_config, params).run(
-            node.child
-        )
+        result, sub_stats = Executor(
+            database, fallback_config, params
+        ).run_columns(node.child)
         _merge_substats(stats, governor, sub_stats)
         stats.record_node(
             node, "exchange", (result.cardinality,), result.cardinality, 0
@@ -342,7 +361,7 @@ def _run_sharded(
     stats: ExecutionStats,
     governor: ResourceGovernor,
     label: str,
-) -> DataSet:
+) -> ColumnBatch:
     database, config, params = env.database, env.config, env.params
     if node.merge:
         child = node.child
@@ -375,18 +394,18 @@ def _run_sharded(
     backend = _shard_backend(config, len(partitions), governor)
     rpc_before = backend.counters.snapshot()
 
-    deliveries: List[List[tuple]] = []
+    template = shard_request(relation.table_name, shard_plan, params, config)
+    blocks: List[List[list]] = []
     columns: Tuple[str, ...] = ()
     ordering: Tuple[str, ...] = ()
-    raw_bytes = 0
+    received = 0
+    block_bytes = 0
     for index, partition_id in enumerate(partition_ids):
         governor.check(label)
         # The per-delivery crash point of the fault matrix and the chaos
         # schedules.
         faults.injection_point("exchange", label)
-        request = shard_request(
-            partition_id, relation.table_name, shard_plan, params, config
-        )
+        request = {**template, "partition": partition_id}
         response = backend.execute(index, request)
         if response["op"] == "missing":
             # Load the partition where it was found missing — the worker
@@ -401,31 +420,35 @@ def _run_sharded(
                     f"{label}: shard {index} answered 'missing' to a "
                     "request that carried its partition"
                 )
-        rows = response["rows"]
-        deliveries.append(rows)
         columns = tuple(response["columns"])
         ordering = tuple(response["ordering"])
-        # Payload accounting: the rows alone, whatever framed them (the
-        # framed request/response totals land in wire_bytes).
-        raw_bytes += len(wire_dumps(rows))
+        # The worker pickled the block; it is opened here, through the
+        # frame's allow-list, and measured as it arrived (the framed
+        # request/response totals land in wire_bytes).
+        block = response["block"]
+        blocks.append(_open_block(block, len(columns), response["row_count"], label))
+        received += response["row_count"]
+        block_bytes += len(block)
         stats.degradations += response["degradations"]
         stats.degradation_events.extend(response["degradation_events"])
         governor.spill_count += response["spill_count"]
         governor.spilled_rows += response["spilled_rows"]
     rpc_after = backend.counters.snapshot()
 
-    received = sum(len(rows) for rows in deliveries)
     rows_shipped = received * node.fanout
-    bytes_shipped = raw_bytes * node.fanout
+    bytes_shipped = block_bytes * node.fanout
     governor.charge_transfer(rows_shipped, bytes_shipped, label)
 
+    union = ColumnBatch(
+        columns,
+        [list(chain.from_iterable(parts)) for parts in zip(*blocks)],
+        length=received,
+    )
     if node.merge:
-        merged = _merge_two_phase(
-            node.child, columns, deliveries, merged_specs, env
-        )
+        merged = _merge_two_phase(node.child, union, merged_specs, env)
     else:
         merged = _merge_ordinal(
-            columns, ordering, deliveries, rowid_column(relation.correlation),
+            union, ordering, rowid_column(relation.correlation),
             config.expose_rowids,
         )
     stats.exchanges.append(
@@ -449,41 +472,61 @@ def _run_sharded(
     return merged
 
 
+def _open_block(block: bytes, width: int, row_count: int, label: str) -> List[list]:
+    """A response's column block, decoded through the restricted unpickler
+    and checked against the shape the response declares."""
+    decoded = restricted_loads(block)
+    if (
+        not isinstance(decoded, list)
+        or len(decoded) != width
+        or any(
+            not isinstance(column, list) or len(column) != row_count
+            for column in decoded
+        )
+    ):
+        raise WireFormatError(
+            f"{label}: shard block is not {width} columns of {row_count} rows"
+        )
+    return decoded
+
+
+def _in_ordinal_order(union: ColumnBatch, ordinal_column: str) -> ColumnBatch:
+    """``union``'s rows by ascending ordinal, NULL first (an empty shard's
+    scalar partial carries a NULL ordinal: MIN over no rows), ties as they
+    stand.  The Sort operator's own kernel: a stable argsort of the one
+    column — ``sorted(range(n), key=…)`` without numpy — handed to
+    :meth:`ColumnBatch.take`, so no row is built and no column is gathered
+    until something reads it."""
+    ordered, __ = kernels.sort_batch(union, (ordinal_column,))
+    return ordered
+
+
 def _merge_ordinal(
-    columns: Tuple[str, ...],
+    union: ColumnBatch,
     ordering: Tuple[str, ...],
-    deliveries: List[List[tuple]],
     ordinal_column: str,
     keep_rowids: bool,
-) -> DataSet:
+) -> ColumnBatch:
     """Interleave shard streams back into base-scan (RowID) order."""
-    try:
-        ordinal_index = columns.index(ordinal_column)
-    except ValueError:
+    if ordinal_column not in union.names:
         raise ExecutionError(
             f"shard output lost the ordinal column {ordinal_column!r}"
-        ) from None
-    rows = [row for delivery in deliveries for row in delivery]
-    rows.sort(key=lambda row: row[ordinal_index])
+        )
+    merged = _in_ordinal_order(union, ordinal_column)
     if keep_rowids:
-        return DataSet(columns, rows, ordering=ordering)
-    kept = [i for i in range(len(columns)) if i != ordinal_index]
-    out_columns = tuple(columns[i] for i in kept)
-    if len(kept) == 1:  # itemgetter of one index returns a scalar, not a row
-        out_rows = [(row[kept[0]],) for row in rows]
-    else:
-        out_rows = list(map(itemgetter(*kept), rows))
-    out_ordering = tuple(name for name in ordering if name != ordinal_column)
-    return DataSet(out_columns, out_rows, ordering=out_ordering)
+        return merged.with_ordering(ordering)
+    return merged.select_columns(
+        [i for i, name in enumerate(union.names) if name != ordinal_column],
+        ordering=tuple(name for name in ordering if name != ordinal_column),
+    )
 
 
 def _merge_two_phase(
     original: GroupApply,
-    columns: Tuple[str, ...],
-    deliveries: List[List[tuple]],
+    union: ColumnBatch,
     merged_specs: List[DecomposedSpec],
     env,
-) -> DataSet:
+) -> ColumnBatch:
     """Re-aggregate shard partials into the one-phase operator's output.
 
     The shard streams are interleaved into ordinal order (a partial row's
@@ -498,13 +541,7 @@ def _merge_two_phase(
     engine — whatever group order that engine's kernel emits over the
     original input, it emits over the ordinal-ordered union too.
     """
-    index_of: Dict[str, int] = {name: i for i, name in enumerate(columns)}
-    ordinal_index = index_of[ORDINAL_COLUMN]
-    rows = [row for delivery in deliveries for row in delivery]
-    # sort_key, not the raw value: an empty shard's scalar partial carries
-    # a NULL ordinal (MIN over no rows), which collates first.
-    rows.sort(key=lambda row: sort_key((row[ordinal_index],)))
-    union = DataSet(columns, rows)
+    union = _in_ordinal_order(union, ORDINAL_COLUMN)
 
     merge_specs: List[AggregateSpec] = []
     avg_pairs: Dict[int, Tuple[str, str]] = {}
@@ -548,25 +585,20 @@ def _merge_two_phase(
     # Splice each AVG back together from its merged SUM/COUNT pair,
     # finalizing exactly as the one-phase operator does.
     n_group = len(grouping)
-    merged_index = {name: i for i, name in enumerate(merged.columns)}
-    out_columns = merged.columns[:n_group] + tuple(
-        spec.name for spec in merged_specs
+    out_columns = list(merged.columns[:n_group])
+    for position, spec in enumerate(merged_specs):
+        if spec.function == "AVG":
+            sums, counts = (
+                merged.columns[merged.index_of(name)]
+                for name in avg_pairs[position]
+            )
+            out_columns.append(list(map(finish_average, sums, counts)))
+        else:
+            out_columns.append(merged.columns[merged.index_of(spec.name)])
+    out_names = merged.names[:n_group] + tuple(spec.name for spec in merged_specs)
+    return ColumnBatch(
+        out_names,
+        out_columns,
+        length=merged.length,
+        ordering=tuple(name for name in merged.ordering if name in out_names),
     )
-    out_rows: List[Tuple[SqlValue, ...]] = []
-    for row in merged.rows:
-        values: List[SqlValue] = list(row[:n_group])
-        for position, spec in enumerate(merged_specs):
-            if spec.function == "AVG":
-                sum_name, count_name = avg_pairs[position]
-                values.append(
-                    finish_average(
-                        row[merged_index[sum_name]], row[merged_index[count_name]]
-                    )
-                )
-            else:
-                values.append(row[merged_index[spec.name]])
-        out_rows.append(tuple(values))
-    out_ordering = tuple(
-        name for name in merged.ordering if name in out_columns
-    )
-    return DataSet(out_columns, out_rows, ordering=out_ordering)

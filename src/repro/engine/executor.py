@@ -26,6 +26,7 @@ from repro.engine.dataset import DataSet
 from repro.engine.governor import CancellationToken, ResourceGovernor
 from repro.engine.operators import child_frames, operator_for
 from repro.engine.stats import ExecutionStats
+from repro.engine.vector.batch import ColumnBatch
 from repro.engine.vector.executor import VectorExecutor
 from repro.errors import ReproError, raise_through_frames
 from repro.optimizer.prepare import prepare_plan
@@ -208,6 +209,22 @@ class Executor:
         self.executed_plan = plan
         if self.config.engine == "vector":
             return VectorExecutor(self.database, self.config, self.params).run(plan)
+        return self._run_rows(plan)
+
+    def run_columns(self, plan: PlanNode) -> Tuple[ColumnBatch, ExecutionStats]:
+        """:meth:`run` with the result column-major, the form that crosses
+        the shard wire: the vector engine's root batch as it stands, the row
+        engine's rows transposed once."""
+        plan = prepare_plan(plan, self.database, self.config).plan
+        self.executed_plan = plan
+        if self.config.engine == "vector":
+            return VectorExecutor(
+                self.database, self.config, self.params
+            ).run_columns(plan)
+        result, stats = self._run_rows(plan)
+        return ColumnBatch.from_dataset(result), stats
+
+    def _run_rows(self, plan: PlanNode) -> Tuple[DataSet, ExecutionStats]:
         stats = ExecutionStats()
         governor = ResourceGovernor.from_config(self.config)
         try:
@@ -254,7 +271,7 @@ class Executor:
         if isinstance(node, Exchange):
             from repro.engine.exchange import run_exchange
 
-            return run_exchange(self, node, stats, governor)
+            return run_exchange(self, node, stats, governor).to_dataset()
         operator = operator_for(node)
         inputs = tuple(
             self._execute(child, stats, governor, position)

@@ -300,11 +300,14 @@ def child_frames(node: PlanNode) -> Iterator[Tuple[PlanNode, str]]:
 
 
 def evaluate(node: PlanNode, inputs, env, governor=None):
-    """One operator on ``env.config.engine`` over materialized inputs — no
-    frame, no statistics (the Exchange merge above the wire)."""
+    """One operator on ``env.config.engine`` over input batches, a batch
+    back — no frame, no statistics (the Exchange merge above the wire).
+    The vector kernel takes them as they are; the row body is handed rows
+    and its rows are transposed back."""
     operator = operator_for(node)
-    if env.config.engine != "vector":
-        return operator.row(node, inputs, env, governor)
-    batches = tuple(ColumnBatch.from_dataset(dataset) for dataset in inputs)
-    batch, work = operator.vector(node, batches, env)
-    return batch.to_dataset(), work
+    if env.config.engine == "vector":
+        return operator.vector(node, inputs, env)
+    dataset, work = operator.row(
+        node, tuple(batch.to_dataset() for batch in inputs), env, governor
+    )
+    return ColumnBatch.from_dataset(dataset), work

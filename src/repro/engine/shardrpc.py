@@ -22,7 +22,7 @@ layers the fault-tolerance contract over the raw wire:
   :func:`repro.engine.retry.call_with_backoff` helper the admission
   client uses, :data:`RPC_ATTEMPTS` tries with
   ``retry_on=(ShardUnavailable, WireFormatError)`` and an ``on_retry`` hook metering every backoff into the RPC counters;
-* **idempotent request IDs** — each delivery carries a UUID; the worker
+* **idempotent request IDs** — each delivery carries a random ID; the worker
   caches completed responses by ID, so a retransmitted request (retry
   after a lost reply, or an injected duplicate) is answered from the
   cache without re-running the shard plan — retried partials can never
@@ -57,12 +57,12 @@ the duplicate cache, the health ledger, failover.
 from __future__ import annotations
 
 import atexit
+import os
 import socket
 import subprocess
 import sys
 import threading
 import time
-import uuid
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -398,12 +398,12 @@ class ShardPool:
         """Deliver one shard execution, retrying and failing over; the
         response says which ``worker`` gave it.
 
-        ``request`` is stamped with a fresh idempotency UUID here — retries
-        and injected duplicates reuse the same ID, so the worker's response
-        cache guarantees at-most-once execution per delivery.
+        ``request`` is stamped with a fresh random idempotency ID here —
+        retries and injected duplicates reuse the same ID, so the worker's
+        response cache guarantees at-most-once execution per delivery.
         """
         request = dict(request)
-        request.setdefault("request_id", uuid.uuid4().hex)
+        request.setdefault("request_id", os.urandom(16).hex())
         # Try the assigned worker first, then every live peer (a worker
         # without the partition answers ``missing``, never a wrong partial).
         order = [index] + [i for i in range(len(self.workers)) if i != index]

@@ -39,12 +39,16 @@ class PipelineStats:
 class ExchangeStats:
     """Wire counters for one Exchange operator during one execution.
 
-    ``rows_shipped``/``bytes_shipped`` are *measured* on the serialized
-    stream (:func:`repro.engine.wire.wire_dumps`, pickle pinned at protocol
-    4 — not the spill files' codec), already multiplied by the mode's
-    fan-out — a broadcast of 10 rows to 4 shards ships 40.  One entry per
-    Exchange node, in execution order, mirroring
-    :attr:`ExecutionStats.pipelines`.
+    ``rows_shipped``/``bytes_shipped`` are *measured*, and where the bytes
+    are made: each shard pickles its result's columns once
+    (:func:`repro.engine.exchange.run_shard`, through
+    :func:`repro.engine.wire.wire_dumps` — pickle pinned at protocol 4, not
+    the spill files' codec) and answers with that block and its row count;
+    ``bytes_shipped`` is the summed length of the blocks as they arrived —
+    the coordinator pickles nothing to learn it — and is the same on either
+    transport.  Both are already multiplied by the mode's fan-out — a
+    broadcast of 10 rows to 4 shards ships 40.  One entry per Exchange
+    node, in execution order, mirroring :attr:`ExecutionStats.pipelines`.
     """
 
     label: str

@@ -278,6 +278,17 @@ class ColumnBatch:
             rows = [()] * self.length
         return DataSet(self.names, rows, ordering=self.ordering)
 
+    def column_lists(self) -> List[List[SqlValue]]:
+        """Every column as a plain list, the form a shard pickles onto the
+        wire: lazy gathers materialized (once — a gather keeps its list),
+        broadcasts expanded, nothing transposed."""
+        return [
+            column.materialize()
+            if isinstance(column, _Gather)
+            else column if isinstance(column, list) else list(column)
+            for column in self.columns
+        ]
+
     # -- shape ---------------------------------------------------------------
 
     @property

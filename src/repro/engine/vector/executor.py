@@ -67,6 +67,12 @@ class VectorExecutor:
 
     def run(self, fused: PlanNode) -> Tuple[DataSet, ExecutionStats]:
         """Execute an already-fused plan; returns (result, statistics)."""
+        batch, stats = self.run_columns(fused)
+        return batch.to_dataset(), stats
+
+    def run_columns(self, fused: PlanNode) -> Tuple[ColumnBatch, ExecutionStats]:
+        """:meth:`run` with the root batch as it stands — what a shard
+        ships (:func:`repro.engine.exchange.run_shard`), untransposed."""
         stats = ExecutionStats()
         governor = ResourceGovernor.from_config(self.config)
         if self.config.morsel_size is not None:
@@ -77,12 +83,11 @@ class VectorExecutor:
             self._recurse = self._execute
         try:
             batch = self._recurse(fused, stats, governor)
-            result = batch.to_dataset()
         finally:
             stats.spill_count = governor.spill_count
             stats.spilled_rows = governor.spilled_rows
             governor.close()
-        return result, stats
+        return batch, stats
 
     # -- dispatch -----------------------------------------------------------
 
@@ -122,14 +127,11 @@ class VectorExecutor:
             # The Exchange runner is engine-agnostic (run_shard re-enters
             # the public executor per shard with this engine and morsel
             # size, so shard subplans still run on the vector engine,
-            # morsel driver and all); the merged stream comes back as rows
-            # and re-enters the batch world here.
+            # morsel driver and all) and its merged stream is a batch.
             from repro.engine.exchange import run_exchange
 
             governor.tick(node.label())
-            return ColumnBatch.from_dataset(
-                run_exchange(self, node, stats, governor)
-            )
+            return run_exchange(self, node, stats, governor)
         operator_for(node)  # unexecutable nodes fail before any child runs
         governor.tick(node.label())
         inputs = tuple(

@@ -32,7 +32,10 @@ forged payload naming ``os.system`` (or any class outside the list) is
 rejected with :class:`~repro.errors.WireFormatError` before its reduce
 hook can run.  The same loader guards the in-memory Exchange wire
 (:mod:`repro.engine.exchange`), so the trusted-codec discipline does not
-depend on which transport is configured.
+depend on which transport is configured — and the column block a shard
+response carries as bytes (pickled once, by the worker) passes it a second
+time when the coordinator opens it: being inside an accepted frame exempts
+nothing.
 
 Resident partitions
 -------------------
@@ -57,7 +60,7 @@ from typing import Any, BinaryIO, Dict, Optional, Tuple
 from repro.errors import WireFormatError
 
 #: Pinned framing version; bumped on any incompatible frame/payload change.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 #: What a worker prints once it listens (``<prefix> port=<p> pid=<p>``); the
 #: pool parses the line to learn an ephemeral port.

@@ -5,7 +5,7 @@ half — retries, health, failover — lives in :mod:`repro.engine.shardrpc`).
 It reuses the TCP bones of the server's line protocol
 (:mod:`repro.server.net`) but speaks the framed binary codec of
 :mod:`repro.engine.wire`, because shard deliveries carry pickled plans and
-row blocks, not SQL strings.
+column blocks, not SQL strings.
 
 ``repro shard-worker`` runs :func:`run_worker`: bind a loopback socket,
 print a ``READY`` line (the :class:`~repro.engine.shardrpc.ShardPool`
@@ -54,8 +54,8 @@ __all__ = [
 #: Completed responses a worker keeps for retransmissions.  A retry or a
 #: duplicate follows its original within one delivery's retry loop, with at
 #: most the other coordinator threads' deliveries in between; a response
-#: holds a whole shard result, so keeping every one grew the worker by its
-#: answers for as long as it lived.  A retransmission that does arrive
+#: holds a whole shard result (as its pickled block), so keeping every one
+#: grew the worker by its answers for as long as it lived.  A retransmission that does arrive
 #: after its response was dropped re-runs the plan over the partition it
 #: names and gets the same answer.
 RESPONSE_CACHE_SIZE = 64
@@ -68,7 +68,10 @@ class ShardWorker:
     :data:`RESPONSE_CACHE_SIZE` completed ``execute`` results keyed by
     request ID.  A retransmitted request — a retry after a lost response,
     or an injected duplicate — is served from the cache without running the
-    plan again, so retried partials can never double-count.
+    plan again, so retried partials can never double-count.  A cached
+    response holds its result as the block of bytes ``run_shard`` pickled
+    (one ``bytes`` object per entry, not a list of row tuples), so
+    answering from the cache re-frames those bytes and pickles no value.
     """
 
     def __init__(self) -> None:

@@ -12,6 +12,7 @@ methods, empty shards, AVG decomposition, and the degrade path.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,12 +28,13 @@ from repro.algebra.ops import (
 )
 from repro.catalog.catalog import Database
 from repro.catalog.schema import Column, TableSchema
-from repro.engine import exchange, faults, shardrpc
+from repro.engine import exchange, faults, shardrpc, wire
 from repro.engine.exchange import SHARD_CONFIG_FIELDS
 from repro.engine.faults import KernelFault
 from repro.engine.executor import Executor, ExecutorConfig, execute
 from repro.engine.governor import CancellationToken, ResourceGovernor, unlimited
 from repro.engine.stats import ExecutionStats
+from repro.engine.vector.batch import ColumnBatch
 from repro.engine.wire import PartitionStore
 from repro.errors import (
     ExecutionError,
@@ -42,6 +44,7 @@ from repro.errors import (
     operator_path,
 )
 from repro.expressions.builder import avg, col, count, gt, max_, min_, sum_
+from repro.session import Session
 from repro.sqltypes.datatypes import BOOLEAN, INTEGER
 from repro.storage.partition import PartitionSpec, identified_partitions
 
@@ -495,6 +498,160 @@ class TestOneDeliveryPath:
                         and getattr(node.func, "id", None) == "Executor"
                     ]
         assert sorted(constructs) == ["run_exchange", "run_shard"]
+
+
+def ship_all_session(transport, rows=40):
+    """A session whose ``SHIP_ALL`` statement cannot be pre-aggregated
+    (COUNT DISTINCT does not decompose), so every row of T is shipped."""
+    return Session(
+        make_db(rows=rows),
+        executor_config=ExecutorConfig(engine="vector", shards=2, transport=transport),
+    )
+
+
+SHIP_ALL = "SELECT T.k, COUNT(DISTINCT T.v) AS d FROM T GROUP BY T.k"
+
+
+def holds_values(payload):
+    """Is ``payload`` row data — a list of rows or of columns — or a
+    message carrying one?"""
+    if isinstance(payload, dict):
+        return any(map(holds_values, payload.values()))
+    return (
+        isinstance(payload, list)
+        and bool(payload)
+        and isinstance(payload[0], (list, tuple))
+    )
+
+
+class TestOneBlock:
+    """The return leg is one column-major block per delivery: pickled once,
+    below the wire; opened once, through the allow-list; measured as it
+    arrived; merged without building a row."""
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_ship_all_pickles_each_delivery_once_and_transposes_nothing(
+        self, shard_runs, monkeypatch, transport
+    ):
+        pickled = []
+        dumps = wire.wire_dumps
+
+        def counting_dumps(payload):
+            blob = dumps(payload)
+            if holds_values(payload):
+                pickled.append(len(blob))
+            return blob
+
+        bound = [
+            module
+            for name, module in sorted(sys.modules.items())
+            if name.startswith("repro.") and hasattr(module, "wire_dumps")
+        ]
+        assert {wire, exchange} <= set(bound)
+        for module in bound:
+            monkeypatch.setattr(module, "wire_dumps", counting_dumps)
+        transposed = []
+        from_rows = ColumnBatch.from_rows.__func__
+        monkeypatch.setattr(
+            ColumnBatch,
+            "from_rows",
+            classmethod(
+                lambda cls, *a, **kw: transposed.append(a) or from_rows(cls, *a, **kw)
+            ),
+        )
+        session = ship_all_session(transport)
+        session.report(SHIP_ALL)  # cold: scans and twins are built and cached
+        del pickled[:], transposed[:], shard_runs[:]
+        report = session.report(SHIP_ALL)
+        assert [op for __, __, op in shard_runs] == ["result"] * 2
+        [shipment] = report.stats.exchanges
+        assert shipment.rows_shipped == 40
+        # Once per delivery, and what was pickled is what was counted.
+        assert len(pickled) == 2 and sum(pickled) == shipment.bytes_shipped
+        assert transposed == []
+
+    def test_the_coordinator_pickles_nothing_and_nobody_unpickles_unrestricted(self):
+        """AST guard: ``_run_sharded`` does not call ``wire_dumps`` (the
+        worker measured the block by making it), and ``pickle.loads`` is
+        spelled nowhere under ``engine/`` or ``server/``."""
+        root = Path(repro.__file__).parent
+        tree = ast.parse((root / "engine" / "exchange.py").read_text())
+        [run_sharded] = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_run_sharded"
+        ]
+        called = {
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(run_sharded)
+            if isinstance(node, ast.Call)
+        }
+        assert "wire_dumps" not in called and "execute" in called
+        raw = []
+        for package in ("engine", "server"):
+            for path in sorted((root / package).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Attribute) and node.attr == "loads":
+                        raw.append(f"{path.name}:{node.lineno}")
+                    if isinstance(node, ast.ImportFrom) and node.module == "pickle":
+                        raw.append(f"{path.name}:{node.lineno}")
+        assert raw == []
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_forged_class_inside_the_block_is_refused(
+        self, shard_runs, monkeypatch, transport
+    ):
+        """The block is bytes inside a message that already passed the
+        allow-list; it passes it again when opened."""
+        import os
+        import pickle
+
+        run_shard = exchange.run_shard  # the counting wrapper
+
+        def forging(request, store, **coordinator_state):
+            response = run_shard(request, store, **coordinator_state)
+            if response["op"] == "result":
+                columns = wire.restricted_loads(response["block"])
+                columns[0][0] = os.getcwd  # posix.getcwd
+                response["block"] = pickle.dumps(columns, protocol=4)
+            return response
+
+        monkeypatch.setattr(exchange, "run_shard", forging)
+        with pytest.raises(WireFormatError, match="forbidden class"):
+            execute(
+                make_db(),
+                wrap(group_plan(), shards=2, merge=True),
+                ExecutorConfig(transport=transport),
+            )
+        assert [op for __, __, op in shard_runs] == ["missing", "result"]
+
+    @pytest.mark.parametrize("engine", ["row", "vector"])
+    def test_bytes_shipped_is_the_length_of_what_arrived(self, shard_runs, engine):
+        """Equal on both transports, and equal to the blocks' summed
+        lengths times the mode's fan-out."""
+        blocks = []
+        run_shard = exchange.run_shard
+
+        def recording(request, store, **coordinator_state):
+            response = run_shard(request, store, **coordinator_state)
+            if response["op"] == "result":
+                blocks.append(len(response["block"]))
+            return response
+
+        shipped = {}
+        for transport in TRANSPORTS:
+            del blocks[:]
+            with pytest.MonkeyPatch.context() as patching:
+                patching.setattr(exchange, "run_shard", recording)
+                __, stats = execute(
+                    make_db(),
+                    wrap(Relation("T", "T"), shards=3, mode="shuffle"),
+                    ExecutorConfig(engine=engine, transport=transport),
+                )
+            [shipment] = stats.exchanges
+            assert len(blocks) == 3
+            assert shipment.bytes_shipped == 2 * sum(blocks)
+            shipped[transport] = shipment.bytes_shipped
+        assert shipped["memory"] == shipped["socket"]
 
 
 class TestOneBudget:

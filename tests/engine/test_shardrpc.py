@@ -151,11 +151,54 @@ class TestSocketDeliveries:
         # own total lands in wire_bytes, which must exceed the payload).
         mem_ex, sock_ex = memory_stats.exchanges[-1], socket_stats.exchanges[-1]
         assert sock_ex.bytes_shipped == mem_ex.bytes_shipped
+        # ... and is the length of the blocks the workers pickled, as they
+        # arrived: the coordinator pickles nothing to measure it.
+        pool = active_pool()
+        blocks = []
+        execute_ = pool.execute
+
+        def recording_execute(index, request):
+            response = execute_(index, request)
+            blocks.append(len(response["block"]))
+            return response
+
+        pool.execute = recording_execute
+        try:
+            __, again = run_socket(db, node, socket_config)
+        finally:
+            del pool.execute
+        assert len(blocks) == 2
+        assert again.exchanges[-1].bytes_shipped == sum(blocks) == sock_ex.bytes_shipped
         assert sock_ex.transport == "socket"
         assert sock_ex.wire_bytes > sock_ex.bytes_shipped
         assert sock_ex.shard_health == (
             "shard-0: healthy", "shard-1: healthy",
         )
+
+    def test_forged_class_inside_a_worker_block_is_refused(
+        self, db, node, socket_config
+    ):
+        """A block is opened through the frame's allow-list, not trusted
+        for having arrived inside a frame that passed it."""
+        import pickle
+
+        from repro.errors import WireFormatError
+
+        run_socket(db, node, socket_config)
+        pool = active_pool()
+        execute_ = pool.execute
+
+        def forging_execute(index, request):
+            response = execute_(index, request)
+            response["block"] = pickle.dumps([[os.getcwd]], protocol=4)
+            return response
+
+        pool.execute = forging_execute
+        try:
+            with pytest.raises(WireFormatError, match="forbidden class"):
+                run_socket(db, node, socket_config)
+        finally:
+            del pool.execute
 
     def test_both_engines(self, db, node, baseline, socket_config):
         from dataclasses import replace

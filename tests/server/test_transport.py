@@ -213,6 +213,17 @@ class TestShardWorker:
         assert response["op"] == "error"
         assert response["error_type"] == "WireFormatError"
 
+    def test_hello_from_wire_version_2_is_refused(self):
+        # Version 2 answered with a ``"rows"`` list; a version-3 coordinator
+        # reads a block.  Neither end talks to the other.
+        assert WIRE_VERSION == 3
+        response = ShardWorker().handle({"op": "hello", "version": 2})
+        assert (response["op"], response["error_type"]) == ("error", "WireFormatError")
+        frame = bytearray(pack_frame({"op": "ping"}))
+        frame[2] = 2
+        with pytest.raises(WireFormatError, match="peer speaks v2"):
+            recv_frame(io.BytesIO(bytes(frame)))
+
     def test_ping(self):
         worker = ShardWorker()
         response = worker.handle({"op": "ping"})
@@ -227,8 +238,14 @@ class TestShardWorker:
         assert worker.served == 0 and len(worker.partitions) == 0
         response = worker.handle(make_execute_request("load"))
         assert response["op"] == "result"
-        assert set(response["columns"]) >= {"T.k", "c", "s"}
-        assert len(response["rows"]) == 3
+        assert "rows" not in response
+        assert response["columns"] == ("T.k", "c", "s")
+        # One block: the columns, pickled once at the wire's protocol, with
+        # the row count beside them.
+        assert response["row_count"] == 3 and isinstance(response["block"], bytes)
+        block = restricted_loads(response["block"])
+        assert response["block"] == wire_dumps(block)
+        assert sorted(zip(*block)) == [(0, 7, 63), (1, 7, 70), (2, 6, 57)]
         assert worker.served == 1 and len(worker.partitions) == 1
         warm = worker.handle(make_execute_request("again", attach=False))
         assert {**warm, "request_id": "load"} == response
