@@ -179,9 +179,8 @@ class _Gather:
         slicing batch's memo of selections it has already narrowed: the
         columns of one join side share one selection vector, and they must
         still share one after the slice (:meth:`ColumnBatch.shared_gather`).
+        A materialized gather is sliced as the plain column it has become.
         """
-        if self._data is not None:
-            return _Gather(self._data, range(start, stop), None)
         sel = narrowed.get(id(self.sel))
         if sel is None:
             sel = narrowed[id(self.sel)] = self.sel[start:stop]
@@ -233,7 +232,11 @@ class ColumnBatch:
         columns: Iterable[Column],
         length: Optional[int] = None,
         ordering: Sequence[str] = (),
+        arrays: Optional[Dict[int, object]] = None,
     ) -> None:
+        """``arrays`` seeds the array cache (:meth:`as_array`) with views
+        the caller already holds, each equal to its column by the same
+        dtype rule."""
         self.names: Tuple[str, ...] = tuple(names)
         self.columns: List[Column] = list(columns)
         if len(self.columns) != len(self.names):
@@ -246,7 +249,7 @@ class ColumnBatch:
         self.ordering: Tuple[str, ...] = tuple(ordering)
         self._index: Dict[str, int] = {name: i for i, name in enumerate(self.names)}
         self._kinds: Dict[int, frozenset] = {}
-        self._arrays: Dict[int, object] = {}
+        self._arrays: Dict[int, object] = dict(arrays) if arrays else {}
 
     # -- construction --------------------------------------------------------
 
@@ -417,9 +420,8 @@ class ColumnBatch:
             [self.names[i] for i in indexes],
             [column.source for column in columns],
             length=len(head.source),
+            arrays={j: column.source_view() for j, column in enumerate(columns)},
         )
-        for j, column in enumerate(columns):
-            source._arrays[j] = column.source_view()
         return source, head.sel_array()
 
     def plain_keys_on(self, indexes: Sequence[int]) -> bool:
@@ -467,10 +469,12 @@ class ColumnBatch:
     def slice(self, start: int, stop: int) -> "ColumnBatch":
         """A lazy morsel view of rows [start, stop) — no value copying.
 
-        Plain columns are wrapped in a contiguous-range :class:`_Gather`
-        that reuses this batch's cached numpy arrays (whose slices are
-        real views over the same base buffer); unmaterialized gathers
-        narrow their selection vector; broadcasts narrow their length.
+        Plain columns — a materialized gather's list among them — are
+        wrapped in a contiguous-range :class:`_Gather` owned by this batch,
+        so every slice reads the one array this batch converts and caches
+        (its slices are real views over the same base buffer);
+        unmaterialized gathers narrow their selection vector; broadcasts
+        narrow their length.
         This is how the streaming executor carves morsels out of cached
         scans without invalidating the column-store cache or copying it.
         A contiguous slice of sorted rows stays sorted, so the ordering
@@ -483,9 +487,11 @@ class ColumnBatch:
         for i, column in enumerate(self.columns):
             if isinstance(column, _Repeat):
                 columns.append(_Repeat(column.value, stop - start))
-            elif isinstance(column, _Gather):
+            elif isinstance(column, _Gather) and column._data is None:
                 columns.append(column.slice_view(start, stop, narrowed))
             else:
+                if isinstance(column, _Gather):
+                    column = column._data
                 cached = self._arrays.get(i, _MISSING)
                 if cached is None:
                     # Known non-numeric: a pointer slice beats a lazy view

@@ -64,23 +64,41 @@ def _run_starts(codes):
     return starts
 
 
+def _digit(arr):
+    """One key column as a radix digit: ``(digits, radix)``, every digit
+    in ``[0, radix)`` and equal exactly where the keys are.  Its
+    :func:`dense_offsets` where that gate opens, its factorised ids where
+    not."""
+    dense = dense_offsets(arr, len(arr))
+    if dense is not None:
+        return dense[0], dense[1]
+    ids = _factorize(arr)[0]
+    return ids, int(ids.max()) + 1
+
+
 def _combine_codes(arrays):
-    """Collapse multiple key arrays into one int64 code array: each column
-    is factorized independently, then codes are mixed with a positional
-    radix; renormalizing after every step keeps every code below n², far
-    inside int64."""
-    codes = _factorize(arrays[0])[0]
+    """Rows → local groups over two or more key arrays: ``(inverse,
+    first)`` as :func:`_factorize` returns them.  The columns' digits
+    (:func:`_digit`) are mixed one column at a time, the mix factorised
+    after every step so each code stays below n², far inside int64.  The
+    last factorisation is the answer: any mix that is injective on the
+    digits cuts the rows into the same groups, and :func:`_factorize`
+    numbers groups by first appearance whatever their codes."""
+    codes, __ = _digit(arrays[0])
     for arr in arrays[1:]:
-        nxt = _factorize(arr)[0]
-        codes = _factorize(codes * (int(nxt.max()) + 1) + nxt)[0]
-    return codes
+        digits, radix = _digit(arr)
+        inverse, first = _factorize(codes * radix + digits)
+        codes = inverse
+    return inverse, first
 
 
-def _row_codes(batch: ColumnBatch, indexes: Sequence[int]):
-    """Per-row codes for one non-empty batch — a numpy array or a list of
-    hashable keys — equal exactly when two rows are ``=ⁿ``-equal on the
-    grouping columns.  The strategies, cheapest first, each sound for what
-    *this batch* holds and for nothing else:
+def _local_groups(batch: ColumnBatch, indexes: Sequence[int], runs: bool = False):
+    """Rows of one non-empty batch → local groups, ``(inverse, first)``:
+    :func:`_runs` of per-row codes with ``runs``, else :func:`_factorize`'s.
+    The codes — a numpy array or a list of hashable keys — are equal
+    exactly when two rows are ``=ⁿ``-equal on the grouping columns.  The
+    strategies, cheapest first, each sound for what *this batch* holds and
+    for nothing else:
 
     * *shared-selection gathers*: every grouping column is an
       unmaterialized gather through one selection vector (one side of a
@@ -89,30 +107,36 @@ def _row_codes(batch: ColumnBatch, indexes: Sequence[int]):
     * *array keys*: homogeneous NULL-free int/float columns without NaN;
       raw equality is ``=ⁿ`` equality.  (:func:`_factorize` then addresses
       them where :func:`dense_offsets` allows, and sorts them where not.)
+      Several columns are grouped as they are combined
+      (:func:`_combine_codes`), and not factorised again.
     * *raw tuples*: the type census shows no NULL (must collide with
       NULL) and no BOOLEAN (must stay apart from 0/1).
     * *per-row* ``group_key``: the specification.
     """
+    group = _runs if runs else _factorize
     if _np is not None:
         if not indexes:
-            return _np.zeros(batch.length, dtype=_np.int64)
+            return group(_np.zeros(batch.length, dtype=_np.int64))
         shared = batch.shared_gather(indexes)
         if shared is not None:
             source, selection = shared
-            inverse, __ = _factorize(_row_codes(source, range(len(indexes))))
-            return _np.asarray(inverse, dtype=_np.int64)[selection]
+            inverse, __ = _local_groups(source, range(len(indexes)))
+            return group(_np.asarray(inverse, dtype=_np.int64)[selection])
         arrays = [batch.as_array(i) for i in indexes]
         if not any(  # NaN: no array comparison agrees with group_key on it
             arr is None or (arr.dtype.kind == "f" and _np.isnan(arr).any())
             for arr in arrays
         ):
-            return arrays[0] if len(arrays) == 1 else _combine_codes(arrays)
+            if len(arrays) == 1:
+                return group(arrays[0])
+            inverse, first = _combine_codes(arrays)
+            return _runs(inverse) if runs else (inverse, first)
     if not indexes:
-        return [()] * batch.length
+        return group([()] * batch.length)
     keys: Iterable[Tuple] = zip(*(batch.columns[i] for i in indexes))
     if not batch.plain_keys_on(indexes):
         keys = map(group_key, keys)
-    return list(keys)
+    return group(list(keys))
 
 
 def dense_offsets(keys, served: int):
@@ -212,6 +236,21 @@ def _plain_keys(columns: Sequence[Sequence[SqlValue]]) -> bool:
     return all(_plain_kinds(set(map(type, column))) for column in columns)
 
 
+def _representatives(batch: ColumnBatch, index: int, first, rows: List[int]):
+    """Column ``index``'s values at the rows ``first`` names (``rows`` as
+    a list): ``(values, array)``.  Taken out of the array view the batch
+    already holds where it holds one, with that view taken at ``first``;
+    else read from the column, with ``None``."""
+    array = batch.cached_array(index)
+    if array is not None:
+        picked = array[first]
+        return picked.tolist(), picked
+    column = batch.columns[index]
+    if isinstance(column, _Gather):
+        return column.pick(rows), None
+    return [column[row] for row in rows], None
+
+
 class GroupIndex:
     """A persistent ``=ⁿ`` table: key → dense gid, fed by batches.
 
@@ -219,9 +258,12 @@ class GroupIndex:
     grouping values of their first-seen row — the row engine's choice
     (``hash_group``'s ``rows[0]``, ``sort_group``'s ``current_rows[0]``).
     ``keys`` holds them column-major: the output's key columns as they stand.
+    While every group came from one batch, ``arrays`` holds, per key column,
+    the array view that batch had of it, taken at the representatives (or
+    ``None``) — what those key columns convert back to, already converted.
 
     The table is keyed by the raw value tuples while no representative and
-    no key looked up carries a NULL or a BOOLEAN — :func:`_row_codes`'s
+    no key looked up carries a NULL or a BOOLEAN — :func:`_local_groups`'s
     raw-tuple argument, made over groups, never rows.  The first one that
     does re-keys the table through ``group_key``, once, and the index stays
     ``wrapped`` from then on.
@@ -232,6 +274,7 @@ class GroupIndex:
         self.keys: List[List[SqlValue]] = [[] for __ in range(arity)]
         self.size = 0
         self.wrapped = False
+        self.arrays: Optional[List] = None
 
     def __len__(self) -> int:
         return self.size
@@ -241,8 +284,13 @@ class GroupIndex:
         raws = zip(*columns) if columns else [()] * count  # GROUP BY (): ()
         return map(group_key, raws) if self.wrapped else raws
 
-    def _open(self, columns: Sequence[Sequence[SqlValue]], count: int) -> None:
-        """Append ``count`` new groups, keys given column-major."""
+    def _open(
+        self, columns: Sequence[Sequence[SqlValue]], count: int, arrays=None
+    ) -> None:
+        """Append ``count`` new groups, keys given column-major (and as
+        ``arrays``, kept only by an index that had no group yet)."""
+        if count:
+            self.arrays = None if self.size else arrays
         for mine, new in zip(self.keys, columns):
             mine.extend(new)
         self.size += count
@@ -283,20 +331,19 @@ class GroupIndex:
         (``sort_key`` collates TRUE with 1, ``group_key`` does not, so a key
         can come back after an interruption — as a new group, as there).
         """
-        codes = _row_codes(batch, indexes)
-        inverse, first = _runs(codes) if runs else _factorize(codes)
+        inverse, first = _local_groups(batch, indexes, runs)
         rows = first if isinstance(first, list) else first.tolist()
-        columns = [
-            column.pick(rows)
-            if isinstance(column, _Gather)
-            else [column[row] for row in rows]
-            for column in (batch.columns[i] for i in indexes)
-        ]
+        columns: List[List[SqlValue]] = []
+        arrays = []
+        for index in indexes:
+            values, array = _representatives(batch, index, first, rows)
+            columns.append(values)
+            arrays.append(array)
         before = self.size
         if runs or not before:
             # Every local group is a new group: no key is looked up, so
             # none is built — a fold fed one batch never pays for the table.
-            self._open(columns, len(rows))
+            self._open(columns, len(rows), arrays)
             of_local: Sequence[int] = range(before, self.size)
             born = rows
         else:
@@ -659,6 +706,8 @@ class GroupedFold:
         representative row (``feed``'s return, for a single batch): a
         column reference outside an aggregate reads that row, like the row
         engine's ``group_rows[0]``.  Else only grouping columns can be read.
+        The key columns' arrays the index kept (:attr:`GroupIndex.arrays`)
+        seed the output's array cache, so its next reader converts nothing.
         """
         n_groups = len(self.index)
         key_columns: List[Sequence[SqlValue]] = list(self.index.keys)
@@ -675,4 +724,9 @@ class GroupedFold:
         for spec in self.specs:
             kernel = compile_group_expression(spec.expression, self.names, self.slots)
             key_columns.append(kernel(groups, self.params))
-        return ColumnBatch(out_names, key_columns, length=n_groups)
+        arrays = {
+            j: array
+            for j, array in enumerate(self.index.arrays or ())
+            if array is not None
+        }
+        return ColumnBatch(out_names, key_columns, length=n_groups, arrays=arrays)

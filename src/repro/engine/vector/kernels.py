@@ -161,6 +161,11 @@ def _key_rows(
     return keys, valid
 
 
+def _matches_at_most_once(counts) -> bool:
+    """The lookup's gate: does no probe match more than one build row?"""
+    return int(counts.max(initial=0)) <= 1
+
+
 def _np_equi_join(left: ColumnBatch, right: ColumnBatch, left_key: int, right_key: int):
     """C-speed single-key equi-join: each probe finds its run of equal keys
     in the stably sorted build side.
@@ -169,6 +174,9 @@ def _np_equi_join(left: ColumnBatch, right: ColumnBatch, left_key: int, right_ke
     (:func:`~repro.engine.vector.grouping.dense_offsets`) are addressed: a
     probe's run is read at ``key - low`` from the per-key tables, one
     gather.  Any other build side is binary-searched, twice per probe.
+    When no probe matches more than one build row — an equality on the
+    build side's key — each matching probe's pair is read off at its run
+    start, a lookup; otherwise the runs are expanded into pairs.
 
     Either way it emits the *identical* pair sequence the dict-of-buckets
     probe does: left rows in order, and (because the argsort is stable)
@@ -207,12 +215,14 @@ def _np_equi_join(left: ColumnBatch, right: ColumnBatch, left_key: int, right_ke
             counts = _np.where(inside, lengths[at], 0)
         lo = starts[at]
     probes = int(counts.sum())
+    if _matches_at_most_once(counts):
+        # A pair per matching probe, at its run start: nothing to expand.
+        left_sel = counts.nonzero()[0]
+        return left_sel, order[lo[left_sel]], probes
     left_sel = _np.repeat(_np.arange(left.length), counts)
+    # Pair p of probe i sits at lo[i] + (p - offsets[i]) in the sorted keys.
     offsets = _np.cumsum(counts) - counts
-    positions = (
-        _np.arange(probes) - _np.repeat(offsets, counts) + _np.repeat(lo, counts)
-    )
-    right_sel = order[positions]
+    right_sel = order[_np.repeat(lo - offsets, counts) + _np.arange(probes)]
     return left_sel, right_sel, probes
 
 

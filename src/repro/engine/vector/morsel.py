@@ -59,7 +59,7 @@ from repro.engine import faults
 from repro.engine.governor import ResourceGovernor, estimate_table_bytes
 from repro.engine.stats import ExecutionStats, PipelineStats
 from repro.engine.vector import parallel
-from repro.engine.vector.batch import ColumnBatch
+from repro.engine.vector.batch import ColumnBatch, _Gather, _Repeat
 from repro.engine.vector.stages import (
     SegmentKernelError,
     _AggStage,
@@ -188,11 +188,17 @@ class MorselDriver:
                 bottom_up, source, stats, governor, position
             )
 
-        # Pre-warm the source's array cache: every morsel slice then
-        # shares the same numpy base buffers (zero-copy views) instead of
-        # re-attempting column conversions per chunk.
-        for i in range(len(source.names)):
-            source.as_array(i)
+        # Pre-warm what the morsel slices read, so no chunk converts a
+        # column again: a plain column's array (cached on ``source``; its
+        # slices are views of it) and an unmaterialized gather's *source*
+        # array (cached where that source lives; a slice narrows only the
+        # selection and gathers its own rows).  The gather itself is left
+        # alone: its full-length array is read by no slice.
+        for i, column in enumerate(source.columns):
+            if isinstance(column, _Gather) and column._data is None:
+                column.source_view()
+            elif not isinstance(column, _Repeat):
+                source.as_array(i)
 
         n_morsels = -(-n // morsel_size)
         active = 0

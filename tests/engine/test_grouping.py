@@ -7,6 +7,10 @@ selection vector but fed MIN/MAX row by row; the stage reduced MIN/MAX in
 numpy but called ``group_key`` once per joined row.  There is one fold now
 (:mod:`repro.engine.vector.grouping`); these tests count calls — not
 clocks — on the benchmark's shape so the halves cannot drift apart again.
+The same counts hold what feeds the fold and what reads it: a join on the
+dimension's key looks its pairs up instead of expanding them, a composite
+key is factorised only where its columns are not dense, and the keys a
+group keeps as arrays are not converted again by the join that reads them.
 """
 
 from __future__ import annotations
@@ -65,29 +69,27 @@ def report() -> GroupApply:
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of ``group_key`` calls made by the fold, of batches an
-    accumulator folded row by row, and of binary searches over a join's
-    build side."""
-    counts = {"group_key": 0, "fold_rows": 0, "searchsorted": 0}
-    real_key, real_fold = grouping.group_key, grouping._Accumulator._fold_rows
-
-    def counting_key(values):
-        counts["group_key"] += 1
-        return real_key(values)
-
-    def counting_fold(self, pairs):
-        counts["fold_rows"] += 1
-        return real_fold(self, pairs)
-
-    monkeypatch.setattr(grouping, "group_key", counting_key)
-    monkeypatch.setattr(grouping._Accumulator, "_fold_rows", counting_fold)
+    accumulator folded row by row, of binary searches over a join's build
+    side, of ``repeat``s expanding a join's matches into pairs, and of
+    ``_factorize`` calls."""
+    counted = {
+        "group_key": (grouping, "group_key"),
+        "fold_rows": (grouping._Accumulator, "_fold_rows"),
+        "factorize": (grouping, "_factorize"),
+    }
     if _np is not None:
-        real_search = _np.searchsorted
+        counted.update(searchsorted=(_np, "searchsorted"), repeat=(_np, "repeat"))
+    counts = dict.fromkeys(counted, 0)
 
-        def counting_search(*args, **kwargs):
-            counts["searchsorted"] += 1
-            return real_search(*args, **kwargs)
+    def counting(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(_np, "searchsorted", counting_search)
+        return call
+
+    for name, (owner, attribute) in counted.items():
+        monkeypatch.setattr(owner, attribute, counting(name, getattr(owner, attribute)))
     return counts
 
 
@@ -110,10 +112,22 @@ def test_bench_shape_takes_both_fast_halves(calls, morsel_size, workers):
     # Plain keys — no NULL, no BOOLEAN — are never wrapped: not per joined
     # row, not per dimension row, not per group looked up.  (Forked workers
     # count in their own address space; the parent still does every
-    # merge's lookups.)  Dense integer join keys are addressed, not searched.
+    # merge's lookups.)  Dense integer join keys are addressed, not searched,
+    # and a join on the dimension's key looks each pair up: no expansion.
     assert calls["group_key"] == 0
     assert calls["searchsorted"] == 0
     assert calls["fold_rows"] == 0
+    assert calls["repeat"] == 0
+
+
+@pytest.mark.skipif(_np is None, reason="counts the numpy paths")
+def test_a_build_side_with_duplicates_expands_with_two_repeats(calls):
+    database = star()
+    database.insert("C", [7, "twin-7"])
+    expected, __ = execute(database, report(), ExecutorConfig(engine="row"))
+    result, __ = execute(database, report(), ExecutorConfig(engine="vector"))
+    assert result.equals_multiset(expected)
+    assert calls["repeat"] == 2
 
 
 @pytest.mark.skipif(_np is None, reason="counts the numpy paths")
@@ -133,8 +147,9 @@ def test_a_null_fails_the_gate_closed(calls, morsel_size, workers):
 
 #: Join keys the dense gate must refuse, each answered as before: floats
 #: (no offsets to take), integers spread over more than the rows they
-#: serve — both binary-searched, twice a join — and a NaN, which no array
-#: comparison handles: that join is the dict probe's.
+#: serve — both binary-searched, twice a join, and still looked up, not
+#: expanded — and a NaN, which no array comparison handles: that join is
+#: the dict probe's.
 OLD_PATH_KEYS = {
     "float": (FLOAT, lambda i: i + 0.5, 2),
     "sparse": (INTEGER, lambda i: i * 1000, 2),
@@ -155,6 +170,7 @@ def test_keys_the_gate_refuses_take_the_search_path(calls, morsel_size, shape):
     assert result.equals_multiset(expected)
     assert stats.degradations == 0
     assert calls["searchsorted"] == searches
+    assert calls["repeat"] == 0
 
 
 # -- the index wraps its keys only from the first NULL or BOOLEAN on -----------
@@ -232,7 +248,7 @@ def test_a_late_null_or_boolean_rekeys_the_fed_index_once(calls):
     # Morsel 1 opens its groups unlooked-up, morsel 2 looks raw keys up.
     # Morsel 3 re-keys the four groups held and wraps its three local
     # groups; from there each morsel wraps its own three local groups only.
-    # (``_row_codes`` wraps a morsel's four rows when the morsel itself
+    # (``_local_groups`` wraps a morsel's four rows when the morsel itself
     # holds a NULL or a BOOLEAN: morsels 3, 5 and 6.)
     assert spent == LATE_SPENT
     assert finished(fold) == late_answer()
@@ -307,6 +323,61 @@ def test_a_taken_column_is_converted_once_per_table_version(monkeypatch):
     execute(database, plan(), config)
     execute(database, plan(), config)
     assert converted == [200, 200, 201, 201]
+
+
+def fig8(rows: int = 300) -> Database:
+    """Figure 8's eager shape: ``A`` grouped on ``(GKey, BRef)`` — ``GKey``
+    dense, ``BRef`` spread past the rows (most rows dangle) — then joined
+    to ``B`` on ``BRef``."""
+    database = Database("fig8")
+    database.create_table(
+        TableSchema("A", [Column("GKey", INTEGER), Column("BRef", INTEGER), Column("Val", INTEGER)])
+    )
+    database.create_table(TableSchema("B", [Column("BId", INTEGER)]))
+    for i in range(rows):
+        database.insert("A", [(i * 7) % 250, i % 10 if i % 6 == 0 else 1000 + i, i % 13])
+    for b in range(10):
+        database.insert("B", [b])
+    return database
+
+
+def eager_group() -> GroupApply:
+    return GroupApply(
+        Relation("A", "A"), ["A.GKey", "A.BRef"], [AggregateSpec("s", sum_("A.Val"))]
+    )
+
+
+@pytest.mark.skipif(_np is None, reason="counts the numpy paths")
+def test_a_composite_key_is_factorised_once_per_sparse_column_and_once_mixed(calls):
+    """``GKey``'s offsets are its digit as they stand; ``BRef`` is
+    factorised; the mix is factorised once, and that is the grouping."""
+    database = fig8()
+    expected, __ = execute(database, eager_group(), ExecutorConfig(engine="row"))
+    result, __ = execute(database, eager_group(), ExecutorConfig(engine="vector"))
+    assert [repr(row) for row in result.rows] == [repr(row) for row in expected.rows]
+    assert calls["factorize"] == 2
+
+
+@pytest.mark.skipif(_np is None, reason="counts array conversions")
+def test_the_join_after_a_group_reads_the_keys_the_group_kept(monkeypatch):
+    """The group's representatives come out of the scan's arrays, and those
+    arrays, taken at the representatives, are the output's: the join that
+    reads ``BRef`` next converts nothing."""
+    database = fig8()
+    plan = lambda: Join(eager_group(), Relation("B", "B"), eq(col("A.BRef"), col("B.BId")))
+    expected, __ = execute(database, plan(), ExecutorConfig(engine="row"))
+    execute(database, plan(), ExecutorConfig(engine="vector"))  # the scans convert
+    converted = []
+    real = batch_module._sequence_array
+
+    def counting(sequence):
+        converted.append(len(sequence))
+        return real(sequence)
+
+    monkeypatch.setattr(batch_module, "_sequence_array", counting)
+    result, __ = execute(database, plan(), ExecutorConfig(engine="vector"))
+    assert result.equals_multiset(expected)
+    assert converted == []
 
 
 def signed_zero_rows(morsel_size=None, workers=1, engine="vector"):

@@ -10,6 +10,7 @@ multi-core merge, and the zero-copy slicing the whole design leans on.
 
 import pytest
 
+import repro.engine.vector.batch as batch_module
 from repro.algebra.ops import (
     AggregateSpec,
     Group,
@@ -27,6 +28,7 @@ from repro.engine.governor import CancellationToken, ResourceGovernor
 from repro.engine.stats import ExecutionStats
 from repro.engine.vector.batch import ColumnBatch, _np
 from repro.engine.vector.columnar import table_to_batch
+from repro.engine.vector.morsel import MorselDriver
 from repro.errors import QueryCancelled
 from repro.expressions.builder import (
     avg,
@@ -421,3 +423,63 @@ def test_nested_slices_stay_zero_copy():
     assert part is not None
     assert _np.shares_memory(part, whole)
     assert list(part) == list(whole[15:50])
+
+
+@pytest.mark.skipif(_np is None, reason="counts array conversions")
+def test_slices_of_a_materialized_gather_view_its_one_array(monkeypatch):
+    """A gather that has been read is a plain list from then on: its
+    slices view the array its batch converted once, not each a new one."""
+    rows = 1000
+    taken = ColumnBatch.from_rows(("k",), [(i,) for i in range(rows)]).take(
+        list(range(rows - 1, -1, -1))
+    )
+    taken.columns[0].materialize()
+    converted = []
+    real = batch_module._sequence_array
+
+    def counting(sequence):
+        converted.append(len(sequence))
+        return real(sequence)
+
+    monkeypatch.setattr(batch_module, "_sequence_array", counting)
+    whole = taken.as_array(0)  # what the morsel pre-warm converts
+    for start in range(0, rows, 200):
+        part = taken.slice(start, start + 200).as_array(0)
+        assert _np.shares_memory(part, whole)
+        assert part.tolist() == list(range(rows - 1 - start, rows - 201 - start, -1))
+    assert converted == [rows]
+
+
+@pytest.mark.skipif(_np is None, reason="inspects the array cache")
+def test_the_prewarm_leaves_a_join_output_ungathered(monkeypatch):
+    """The streamed MIN/MAX shape: a join's output feeds a grouped fold in
+    morsels.  A morsel gathers its own rows through its slice of the
+    selection; a full-length gather of a join-output column is read by no
+    morsel, so the pre-warm makes none — it converts the sources only."""
+    database = _db([(i % 40, i) for i in range(512)])
+    database.create_table(TableSchema("D", [Column("k", INTEGER), Column("w", INTEGER)]))
+    for k in range(40):
+        database.insert("D", [k, k * 3])
+    plan = GroupApply(
+        Join(Relation("T", "T"), Relation("D", "D"), eq(col("T.k"), col("D.k"))),
+        ["D.k"],
+        [AggregateSpec("lo", min_("T.v")), AggregateSpec("hi", max_("T.v"))],
+    )
+    sources = []
+    real = MorselDriver._stream
+
+    def capturing(self, bottom_up, source, *rest):
+        sources.append(source)
+        return real(self, bottom_up, source, *rest)
+
+    monkeypatch.setattr(MorselDriver, "_stream", capturing)
+    __, stats = _assert_matches_row_engine(
+        database, plan, morsel_size=64, workers=1
+    )
+    assert stats.pipelines.morsels == 8
+    (source,) = sources
+    assert len(source.columns) == 4
+    full = [i for i, array in source._arrays.items() if array is not None]
+    assert full == []
+    # What the morsels read is converted, where it lives: the join's sides.
+    assert all(column.source_array is not None for column in source.columns)
