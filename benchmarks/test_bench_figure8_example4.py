@@ -17,11 +17,11 @@ from repro.algebra.display import render_annotated
 from repro.algebra.ops import AggregateSpec, fuse_group_apply
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.transform import build_eager_plan, build_standard_plan
+from repro.costing.cardinality import CardinalityEstimator
+from repro.costing.cost import CostModel
 from repro.engine.executor import execute
 from repro.expressions.builder import col, eq, sum_
 from repro.fd.derivation import TableBinding
-from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import CostModel
 from repro.workloads.generators import populate_example4
 
 

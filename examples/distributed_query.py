@@ -10,10 +10,10 @@ Run:  python examples/distributed_query.py
 from repro.algebra.ops import AggregateSpec, Join
 from repro.core.query_class import GroupByJoinQuery
 from repro.core.transform import build_eager_plan, build_standard_plan
+from repro.costing.cardinality import CardinalityEstimator
+from repro.costing.cost import CostModel, DistributedCostModel, NetworkWeights
 from repro.expressions.builder import col, eq, sum_
 from repro.fd.derivation import TableBinding
-from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import CostModel, DistributedCostModel, NetworkWeights
 from repro.workloads.generators import TwoTableSpec, make_two_table
 
 

@@ -51,7 +51,7 @@ from repro.errors import (
     TypeMismatchError,
 )
 from repro.fd import FunctionalDependency, TableBinding
-from repro.optimizer import PlanChoice, Planner
+from repro.optimizer.planner import PlanChoice, Planner
 from repro.session import QueryReport, Session
 from repro.sqltypes import (
     BOOLEAN,

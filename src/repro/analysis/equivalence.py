@@ -55,6 +55,8 @@ from repro.analysis.schema import (
 )
 from repro.analysis.verifier import analyze_plan
 from repro.catalog.catalog import Database
+from repro.costing.cardinality import CardinalityEstimator
+from repro.costing.cost import CostModel
 from repro.expressions.ast import (
     Aggregate,
     ColumnRef,
@@ -546,14 +548,9 @@ def _check_reorder(database: Database, certificate, sink: DiagnosticSink) -> Non
         )
 
 
-def _fresh_cost_model(database: Database, join_algorithm: str = "hash"):
+def _fresh_cost_model(database: Database, join_algorithm: str = "hash") -> CostModel:
     """A new cost model over a new estimator: the checker prices with the
-    optimizer's arithmetic, never with the rewriter's instances.  Deferred
-    because :mod:`repro.optimizer.rewrites` imports this module
-    (``tests/test_layering.py`` lists the edge and what would remove it)."""
-    from repro.optimizer.cardinality import CardinalityEstimator
-    from repro.optimizer.cost import CostModel
-
+    optimizer's arithmetic, never with the rewriter's instances."""
     return CostModel(CardinalityEstimator(database), join_algorithm=join_algorithm)
 
 

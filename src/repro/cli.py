@@ -43,10 +43,10 @@ from typing import Iterable, Optional, TextIO
 
 from repro.analysis.diagnostics import RULES, Severity
 from repro.catalog.catalog import Database
+from repro.costing.cost import resolve_workers
 from repro.engine.executor import ExecutorConfig
 from repro.errors import ReproError, error_exit_code
 from repro.lint import lint_sql, lint_workloads
-from repro.optimizer.cost import resolve_workers
 from repro.optimizer.planner import POLICIES
 from repro.parser.ast_nodes import SelectStatement, SetOperationStatement
 from repro.parser.binder import execute_statement
@@ -543,7 +543,7 @@ def _take_flags(arguments: list, parsers: dict):
 def parse_workers(text: str) -> int:
     """Parse a ``--workers`` / ``.workers`` value; ``auto`` means the
     autotuner sentinel 0 (resolved to ``os.cpu_count()``, clamped, by
-    :func:`repro.optimizer.cost.resolve_workers`)."""
+    :func:`repro.costing.cost.resolve_workers`)."""
     if text == "auto":
         return 0
     count = int(text)

@@ -88,7 +88,7 @@ class ExecutorConfig:
       (:mod:`repro.engine.vector.parallel`).  ``1`` keeps everything
       serial; ``0`` means *auto* — the worker-count autotuner picks
       ``os.cpu_count()`` (clamped, see
-      :func:`repro.optimizer.cost.resolve_workers`).  Results are
+      :func:`repro.costing.cost.resolve_workers`).  Results are
       bit-identical whatever the count.  Below an Exchange wire it is
       pinned to ``1`` on either transport: a shard never forks further.
 

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.dataset import DataSet
 from repro.errors import BindingError
-from repro.sqltypes.values import NULL, SqlValue
+from repro.sqltypes.values import INEXACT_TYPES, NULL, SqlValue
 
 try:  # numpy accelerates index math (selection vectors, sorts, group folds);
     import numpy as _np  # the engine stays fully functional without it.
@@ -34,11 +34,21 @@ except ImportError:  # pragma: no cover - the toolchain ships numpy
 _NULL_TYPE = type(NULL)
 
 
-def _plain_kinds(kinds) -> bool:
-    """Can raw values of these types serve as ``=ⁿ`` keys?  Not beside a
-    NULL (which must collide with NULL) or a BOOLEAN (which must stay
-    distinct from 0/1, per :func:`~repro.sqltypes.values.group_key`)."""
-    return _NULL_TYPE not in kinds and bool not in kinds
+def _plain_values(kinds, values: Iterable[SqlValue]) -> bool:
+    """Can raw ``values``, of the types ``kinds``, serve as ``=ⁿ`` keys?
+    Not beside a NULL (which must collide with NULL), a BOOLEAN (which
+    must stay distinct from 0/1) or a NaN (which must collide with every
+    NaN, where a raw one equals only itself), per
+    :func:`~repro.sqltypes.values.group_key`.  Only floats and Decimals
+    are read for NaN."""
+    return (
+        _NULL_TYPE not in kinds
+        and bool not in kinds
+        and (
+            kinds.isdisjoint(INEXACT_TYPES)
+            or not any(value != value for value in values)
+        )
+    )
 
 
 class _Repeat:
@@ -337,16 +347,18 @@ class ColumnBatch:
         """
         kinds = self._kinds.get(index)
         if kinds is None:
-            column = self.columns[index]
-            if isinstance(column, _Gather) and column._data is None:
-                # Unmaterialized gather: census the (possibly larger) source
-                # instead — a conservative superset.  Kernels only rely on
-                # *absence* of NULL/BOOLEAN, which the superset preserves.
-                kinds = frozenset(map(type, column.source))
-            else:
-                kinds = frozenset(map(type, column))
-            self._kinds[index] = kinds
+            kinds = self._kinds[index] = frozenset(map(type, self._censused(index)))
         return kinds
+
+    def _censused(self, index: int) -> Sequence[SqlValue]:
+        """What the census of column ``index`` reads: an unmaterialized
+        gather's (possibly larger) source — a conservative superset, since
+        kernels only rely on the *absence* of NULL, BOOLEAN and NaN — else
+        the column."""
+        column = self.columns[index]
+        if isinstance(column, _Gather) and column._data is None:
+            return column.source
+        return column
 
     def has_nulls(self, index: int) -> bool:
         return _NULL_TYPE in self.column_kinds(index)
@@ -426,8 +438,10 @@ class ColumnBatch:
 
     def plain_keys_on(self, indexes: Sequence[int]) -> bool:
         """Can raw value tuples serve as ``=ⁿ`` group keys on these
-        columns?  True when the census of each is :func:`_plain_kinds`."""
-        return all(_plain_kinds(self.column_kinds(i)) for i in indexes)
+        columns?  True when each is :func:`_plain_values` over its census."""
+        return all(
+            _plain_values(self.column_kinds(i), self._censused(i)) for i in indexes
+        )
 
     # -- slicing -------------------------------------------------------------
 

@@ -42,7 +42,7 @@ from repro.engine.vector.batch import (
     ColumnBatch,
     _Gather,
     _np,
-    _plain_kinds,
+    _plain_values,
     _sequence_array,
 )
 from repro.engine.vector.compile import (
@@ -110,7 +110,8 @@ def _local_groups(batch: ColumnBatch, indexes: Sequence[int], runs: bool = False
       Several columns are grouped as they are combined
       (:func:`_combine_codes`), and not factorised again.
     * *raw tuples*: the type census shows no NULL (must collide with
-      NULL) and no BOOLEAN (must stay apart from 0/1).
+      NULL) and no BOOLEAN (must stay apart from 0/1), and no float or
+      Decimal is NaN (must collide with every NaN).
     * *per-row* ``group_key``: the specification.
     """
     group = _runs if runs else _factorize
@@ -233,7 +234,7 @@ def _plain_keys(columns: Sequence[Sequence[SqlValue]]) -> bool:
     """Are raw tuples over these key columns ``=ⁿ`` keys?  A census of the
     columns as given: what :meth:`ColumnBatch.plain_keys_on` asks of a
     batch."""
-    return all(_plain_kinds(set(map(type, column))) for column in columns)
+    return all(_plain_values(set(map(type, column)), column) for column in columns)
 
 
 def _representatives(batch: ColumnBatch, index: int, first, rows: List[int]):
@@ -263,7 +264,7 @@ class GroupIndex:
     ``None``) — what those key columns convert back to, already converted.
 
     The table is keyed by the raw value tuples while no representative and
-    no key looked up carries a NULL or a BOOLEAN — :func:`_local_groups`'s
+    no key looked up carries a NULL, a BOOLEAN or a NaN — :func:`_local_groups`'s
     raw-tuple argument, made over groups, never rows.  The first one that
     does re-keys the table through ``group_key``, once, and the index stays
     ``wrapped`` from then on.

@@ -55,6 +55,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.algebra.ops import GroupApply, PlanNode, Project, Select
+from repro.costing.cost import resolve_workers
 from repro.engine import faults
 from repro.engine.governor import ResourceGovernor, estimate_table_bytes
 from repro.engine.stats import ExecutionStats, PipelineStats
@@ -69,7 +70,6 @@ from repro.engine.vector.stages import (
     run_morsel,
 )
 from repro.errors import ReproError, ResourceError, raise_through_frames
-from repro.optimizer.cost import resolve_workers
 from repro.sqltypes.values import SqlValue
 
 

@@ -171,16 +171,6 @@ def _dnf_components(expression: Expression, max_terms: int) -> List[List[Express
     return [[expression]]
 
 
-def cnf_from_clauses(clauses: Iterable[Iterable[Expression]]) -> Optional[Expression]:
-    """Rebuild an expression from CNF clause structure."""
-    conjuncts = []
-    for clause in clauses:
-        disjunction = disjoin(list(clause))
-        if disjunction is not None:
-            conjuncts.append(disjunction)
-    return conjoin(conjuncts)
-
-
 def is_always_true_literal(expression: Expression) -> bool:
     """Detect the trivial TRUE literal (used to prune rebuilt predicates)."""
     return isinstance(expression, Literal) and expression.value is True

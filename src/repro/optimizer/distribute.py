@@ -7,7 +7,7 @@ each shard ships one row per (local) group instead of its whole partition.
 cost model — it prices the **two-phase** plan (partial aggregation below
 the Exchange, global merge above it) against the **ship-all** plan (the
 bare scan region crosses the wire, the aggregate runs at the coordinator)
-and keeps whichever the :class:`~repro.optimizer.cost.NetworkWeights`
+and keeps whichever the :class:`~repro.costing.cost.NetworkWeights`
 term says is cheaper.  Eager plans are exactly where two-phase shines:
 their below-join GroupApply already sits on a single-table region, so the
 planner's eager/standard choice composes with the shard choice the way
@@ -44,8 +44,8 @@ from repro.analysis.certificates import (
 from repro.analysis.diagnostics import raise_on_errors
 from repro.analysis.equivalence import exact_decomposition_reason, verify_rewrite
 from repro.catalog.catalog import Database
-from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import CostModel
+from repro.costing.cardinality import CardinalityEstimator
+from repro.costing.cost import CostModel
 from repro.storage.partition import PartitionSpec
 
 #: The accessor lives with the other evidence accessors; it stays importable

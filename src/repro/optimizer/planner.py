@@ -28,9 +28,9 @@ from repro.core.transform import (
     check_transformable,
     normalize_having,
 )
+from repro.costing.cardinality import CardinalityEstimator, Statistics
+from repro.costing.cost import CostModel, CostWeights, resolve_workers
 from repro.errors import PlanningError
-from repro.optimizer.cardinality import CardinalityEstimator, Statistics
-from repro.optimizer.cost import CostModel, CostWeights, resolve_workers
 
 POLICIES = ("cost", "always_eager", "never_eager")
 

@@ -67,6 +67,8 @@ from repro.analysis.schema import (
     node_path,
 )
 from repro.catalog.catalog import Database
+from repro.costing.cardinality import CardinalityEstimator
+from repro.costing.cost import CostModel
 from repro.expressions.analysis import referenced_tables
 from repro.expressions.ast import (
     ColumnRef,
@@ -76,8 +78,6 @@ from repro.expressions.ast import (
     transform_expression,
 )
 from repro.expressions.normalize import conjoin, split_conjuncts
-from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import CostModel
 
 
 @dataclass(frozen=True)

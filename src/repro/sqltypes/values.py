@@ -224,14 +224,22 @@ def sort_key(values: "tuple[SqlValue, ...] | list[SqlValue]") -> "tuple[NullsFir
     return tuple(NullsFirstKey(value) for value in values)
 
 
+#: The types whose values can be NaN: a float, or a quiet ``Decimal``.
+INEXACT_TYPES = frozenset((float, decimal.Decimal))
+
+
 def group_key(values: "tuple[SqlValue, ...] | list[SqlValue]") -> "tuple[object, ...]":
     """Hashable duplicate-semantics key: NULLs collide with NULLs.
 
     Two rows produce the same key exactly when they are row-equivalent under
     ``=ⁿ`` (Definition 1 of the paper), so this key is safe for hash-based
-    GROUP BY and DISTINCT.
+    GROUP BY and DISTINCT.  Every NaN is one key, as in PostgreSQL: a raw
+    NaN would be equal only to the very object it is, through the identity
+    check a dict or a tuple comparison makes first.
     """
     return tuple(
-        ("<sql-null>",) if is_null(value) else (type(value).__name__ if isinstance(value, bool) else "", value)
+        ("<sql-null>",) if is_null(value)
+        else ("<nan>",) if type(value) in INEXACT_TYPES and value != value
+        else (type(value).__name__ if isinstance(value, bool) else "", value)
         for value in values
     )

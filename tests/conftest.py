@@ -47,7 +47,7 @@ def plant_faults():
 def statistics_scans(monkeypatch):
     """Names of the tables the optimizer's private per-table statistics
     scan ran over, in call order (``del scans[:]`` to start counting)."""
-    import repro.optimizer.cardinality as cardinality
+    import repro.costing.cardinality as cardinality
 
     scanned = []
     real = cardinality._scan_table

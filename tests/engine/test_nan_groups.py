@@ -1,0 +1,89 @@
+"""NaN is one group, whatever object holds it.
+
+``=ⁿ`` puts every NaN — a float NaN or a quiet ``Decimal`` NaN, minted
+fresh per row or shared by all of them — in one group, as PostgreSQL
+does.  Python cannot give that for free: ``nan == nan`` is false, and a
+dict or a tuple comparison checks identity first, so a shared NaN object
+collides with itself and fresh ones never do.  Each engine × morsel ×
+shard cell below must see exactly one NaN group, holding every NaN row.
+"""
+
+from __future__ import annotations
+
+import math
+from decimal import Decimal
+
+import pytest
+
+from repro.catalog.catalog import Database
+from repro.catalog.schema import Column, TableSchema
+from repro.engine.executor import ExecutorConfig
+from repro.session import Session
+from repro.sqltypes.datatypes import FLOAT, INTEGER
+from repro.sqltypes.values import NULL, group_key
+from repro.storage.partition import PartitionSpec, stable_shard
+
+ROWS = 60
+SHARED = float("nan")
+
+
+def _nan_rows(shared: bool):
+    """``(k, v)`` rows: every fourth ``k`` is NaN, the rest 0.0 / 1.0 / 2.0."""
+    for i in range(ROWS):
+        nan = SHARED if shared else float("nan")
+        yield (nan if i % 4 == 0 else float(i % 3)), i
+
+
+def _database(shared: bool, shards: int) -> Database:
+    db = Database()
+    db.create_table(TableSchema("T", [Column("k", FLOAT), Column("v", INTEGER)]))
+    db.create_table(TableSchema("D", [Column("id", INTEGER), Column("tag", INTEGER)]))
+    for k, v in _nan_rows(shared):
+        db.table("T").insert([k, v])
+    for i in range(ROWS):
+        db.table("D").insert([i, i % 2])
+    if shards > 1:
+        db.set_partitioning("T", PartitionSpec("hash", "k", shards))
+    return db
+
+
+QUERIES = {
+    "scan": "SELECT T.k, COUNT(*) AS n, SUM(T.v) AS s FROM T GROUP BY T.k",
+    "join": (
+        "SELECT T.k, COUNT(*) AS n, SUM(T.v) AS s FROM T, D "
+        "WHERE T.v = D.id GROUP BY T.k"
+    ),
+}
+NAN_ROWS = [v for k, v in _nan_rows(shared=False) if k != k]
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("morsel_size", [1, 7, 1024, None], ids=str)
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+def test_every_nan_is_one_group(shared, morsel_size, shards, query):
+    db = _database(shared, shards)
+    results = {}
+    for engine in ("row", "vector"):
+        config = ExecutorConfig(engine=engine, morsel_size=morsel_size, shards=shards)
+        result = Session(db, executor_config=config).report(QUERIES[query]).result
+        nan_groups = [row for row in result.rows if math.isnan(row[0])]
+        assert [(n, s) for __, n, s in nan_groups] == [
+            (len(NAN_ROWS), sum(NAN_ROWS))
+        ], engine
+        assert len(result.rows) == 4, engine
+        results[engine] = result
+    assert results["row"].equals_multiset(results["vector"])
+
+
+def test_group_key_equates_every_nan_and_nothing_else():
+    nans = [float("nan"), SHARED, -float("nan"), Decimal("NaN"), Decimal("-NaN")]
+    assert len({group_key((nan,)) for nan in nans}) == 1
+    others = [0.0, 1, "nan", NULL, math.inf]
+    assert all(group_key((nans[0],)) != group_key((other,)) for other in others)
+
+
+def test_every_nan_lands_on_one_shard():
+    nans = [float("nan"), SHARED, -float("nan"), Decimal("NaN"), Decimal("-NaN")]
+    for shards in (2, 3, 4, 7):
+        assert len({stable_shard(nan, shards) for nan in nans}) == 1

@@ -6,11 +6,11 @@ import pytest
 
 from repro.algebra.ops import AggregateSpec, GroupApply, Relation
 from repro.catalog import Column, Database, TableSchema
+from repro.costing.cost import MAX_AUTO_WORKERS, resolve_workers
 from repro.engine.executor import ExecutorConfig, execute
 from repro.engine.vector.batch import ColumnBatch, _np
 from repro.engine.vector.grouping import _exact_array
 from repro.expressions.builder import max_, min_
-from repro.optimizer.cost import MAX_AUTO_WORKERS, resolve_workers
 from repro.sqltypes import FLOAT, INTEGER
 from repro.sqltypes.values import NULL
 

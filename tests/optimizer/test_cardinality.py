@@ -12,8 +12,7 @@ from repro.algebra.ops import (
     Relation,
     Select,
 )
-from repro.expressions.builder import col, count, eq, gt, lit
-from repro.optimizer.cardinality import (
+from repro.costing.cardinality import (
     CardinalityEstimator,
     CardinalityEstimator as Estimator,
     Statistics,
@@ -21,6 +20,7 @@ from repro.optimizer.cardinality import (
     ColumnStats,
     collect_statistics,
 )
+from repro.expressions.builder import col, count, eq, gt, lit
 
 
 @pytest.fixture

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.transform import build_eager_plan, build_standard_plan
-from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import (
+from repro.costing.cardinality import CardinalityEstimator
+from repro.costing.cost import (
     CostModel,
     CostWeights,
     DistributedCostModel,

@@ -6,9 +6,9 @@ import pytest
 
 from repro.algebra.ops import Relation, Select
 from repro.catalog import Column, Database, TableSchema
+from repro.costing.cardinality import CardinalityEstimator, collect_statistics
+from repro.costing.histogram import Histogram
 from repro.expressions.builder import between, col, gt, le, lit, lt
-from repro.optimizer.cardinality import CardinalityEstimator, collect_statistics
-from repro.optimizer.histogram import Histogram
 from repro.sqltypes import INTEGER, VARCHAR
 from repro.sqltypes.values import NULL
 

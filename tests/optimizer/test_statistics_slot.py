@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-import repro.optimizer.cardinality as cardinality
+import repro.costing.cardinality as cardinality
 from repro.algebra.ops import Relation, Select
 from repro.catalog import (
     Column,
@@ -25,18 +25,18 @@ from repro.catalog import (
     PrimaryKeyConstraint,
     TableSchema,
 )
-from repro.engine.executor import ExecutorConfig
-from repro.engine.vector.batch import ColumnBatch
-from repro.engine.vector.columnar import table_to_batch
-from repro.errors import ConstraintViolation
-from repro.expressions.builder import col, gt, lit
-from repro.optimizer.cardinality import (
+from repro.costing.cardinality import (
     CardinalityEstimator,
     ColumnStats,
     Statistics,
     TableStats,
     collect_statistics,
 )
+from repro.engine.executor import ExecutorConfig
+from repro.engine.vector.batch import ColumnBatch
+from repro.engine.vector.columnar import table_to_batch
+from repro.errors import ConstraintViolation
+from repro.expressions.builder import col, gt, lit
 from repro.session import Session
 from repro.sqltypes import INTEGER
 from repro.storage.partition import PartitionSpec, partition_table

@@ -279,6 +279,10 @@ class TestTcpFrontend:
     def test_two_clients_are_separate_sessions(self, front):
         sock1, reader1 = self.connect(front)
         sock2, reader2 = self.connect(front)
+        # A connect returns before the server's thread has opened the
+        # session; a reply on the connection shows it has.
+        sock2.sendall(b".stats\n")
+        assert reader2.readline().startswith("OK ")
         sock1.sendall(b"QUERY SELECT Dept.DeptID FROM Dept\n")
         header = reader1.readline()
         assert header.startswith("OK 3 rows")

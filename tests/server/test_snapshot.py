@@ -260,7 +260,7 @@ def test_seeded_database_tables_get_frozen_on_wrap():
 
 
 def _emp_ids(database):
-    from repro.optimizer.cardinality import collect_statistics
+    from repro.costing.cardinality import collect_statistics
 
     return collect_statistics(database).table("Emp").columns["EmpID"].distinct
 
@@ -307,7 +307,7 @@ def test_aborted_write_leaves_published_statistics_alone():
 
 
 def test_readers_price_the_version_they_pinned_while_a_writer_commits():
-    from repro.optimizer.cardinality import collect_statistics
+    from repro.costing.cardinality import collect_statistics
 
     catalog = build_catalog()
     stop = threading.Event()

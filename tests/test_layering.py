@@ -33,6 +33,7 @@ ORDER = (
     ("catalog", "storage"),
     "workloads",
     "fd",
+    "costing",
     "core",
     "parser",
     "analysis",
@@ -59,13 +60,6 @@ SUBCOMMAND_ONLY = (
     "subcommand-only dependency: `repro serve`, `repro shard-worker` and the "
     "shell's bare `.shards` load it; no other subcommand does"
 )
-PRICING_CYCLE = (
-    "cycle through optimizer/__init__.py: the checker re-prices R703 / R704 "
-    "with the optimizer's estimator and cost model, and importing either "
-    "runs the package __init__, which imports the rewriter, which imports "
-    "the checker; a statistics-and-cost package below analysis would remove "
-    "it, and bench/ pins repro.optimizer.cardinality's path"
-)
 
 #: Every function-local ``repro`` import left in the tree:
 #: (module, imported module, reason).
@@ -85,8 +79,6 @@ SURVIVORS = (
     ("repro.cli", "repro.server.net", SUBCOMMAND_ONLY),
     ("repro.cli", "repro.server.server", SUBCOMMAND_ONLY),
     ("repro.cli", "repro.server.transport", SUBCOMMAND_ONLY),
-    ("repro.analysis.equivalence", "repro.optimizer.cardinality", PRICING_CYCLE),
-    ("repro.analysis.equivalence", "repro.optimizer.cost", PRICING_CYCLE),
 )
 ALLOWED = frozenset((module, imported) for module, imported, __ in SURVIVORS)
 
@@ -282,3 +274,36 @@ def test_the_checker_exempts_what_never_runs_and_what_is_listed():
     module, imported, __ = SURVIVORS[0]
     assert violations(module, f"def run():\n    import {imported}\n") == []
     assert violations("repro.engine.vector.fake", "from .batch import _Repeat\n") == []
+
+
+@pytest.mark.parametrize(
+    "source, upper",
+    [
+        ("from repro.analysis.equivalence import verify_rewrite\n", "analysis"),
+        ("from repro.optimizer.planner import Planner\n", "optimizer"),
+    ],
+)
+def test_costing_sits_below_the_checker_and_the_planner(source, upper):
+    [line] = violations("repro.costing.fake", source)
+    assert f"at module level: costing is below {upper}" in line
+    assert violations(
+        "repro.analysis.fake", "from repro.costing.cost import CostModel\n"
+    ) == []
+
+
+def test_the_old_estimator_path_is_one_re_export():
+    """``bench/stepwise.py`` imports the estimator from its old path; that
+    module may name it and nothing else, so it cannot become a second home."""
+    tree = ast.parse(TREE["repro.optimizer.cardinality"].read_text())
+    assert not [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    [exported] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["__all__"]
+    ]
+    assert ast.literal_eval(exported) == ["CardinalityEstimator"]
