@@ -36,6 +36,10 @@ class Database:
         self.assertions: Dict[str, Assertion] = {}
         # name -> PartitionSpec: declared shard layouts (storage/partition.py)
         self.partitioning: Dict[str, object] = {}
+        #: Bumped by every catalog change (DDL, a declared shard layout).
+        #: With each table's identity and ``Table.version`` it stamps a
+        #: session's remembered plans (:class:`repro.statement.PlanMemo`).
+        self.schema_epoch = 0
 
     # -- DDL ---------------------------------------------------------------
 
@@ -43,6 +47,7 @@ class Database:
         if domain.name in self.domains:
             raise CatalogError(f"domain {domain.name} already exists")
         self.domains[domain.name] = domain
+        self.schema_epoch += 1
         return domain
 
     def create_table(self, schema: TableSchema) -> Table:
@@ -51,6 +56,7 @@ class Database:
         self._validate_foreign_keys(schema)
         table = Table(schema)
         self.tables[schema.name] = table
+        self.schema_epoch += 1
         return table
 
     def create_view(self, name: str, definition: object) -> None:
@@ -58,17 +64,20 @@ class Database:
         if name in self.tables or name in self.views:
             raise CatalogError(f"table or view {name} already exists")
         self.views[name] = definition
+        self.schema_epoch += 1
 
     def create_assertion(self, assertion: Assertion) -> Assertion:
         if assertion.name in self.assertions:
             raise CatalogError(f"assertion {assertion.name} already exists")
         self.assertions[assertion.name] = assertion
+        self.schema_epoch += 1
         return assertion
 
     def drop_table(self, name: str) -> None:
         if name not in self.tables:
             raise CatalogError(f"no such table: {name}")
         del self.tables[name]
+        self.schema_epoch += 1
 
     def _validate_foreign_keys(self, schema: TableSchema) -> None:
         for fk in schema.foreign_keys():
@@ -134,6 +143,7 @@ class Database:
         view.views = dict(self.views)
         view.assertions = dict(self.assertions)
         view.partitioning = dict(self.partitioning)
+        view.schema_epoch = self.schema_epoch
         return view
 
     def set_partitioning(self, table_name: str, spec: object) -> None:
@@ -143,6 +153,7 @@ class Database:
         if table_name not in self.tables:
             raise CatalogError(f"no such table: {table_name}")
         self.partitioning[table_name] = spec
+        self.schema_epoch += 1
 
     def partition_spec(self, table_name: str) -> Optional[object]:
         return self.partitioning.get(table_name)

@@ -51,7 +51,7 @@ from repro.engine.vector.compile import (
     compile_group_expression,
 )
 from repro.errors import ExecutionError
-from repro.sqltypes.values import NULL, SqlValue, group_key, sql_add
+from repro.sqltypes.values import NULL, SqlValue, group_key, sorts_before, sql_add
 
 # -- group identity ----------------------------------------------------------
 
@@ -438,8 +438,9 @@ class _Accumulator:
     a row is a partial of one, ``_fold_array(gids, arr)`` reduces a batch
     to one partial per group through numpy (False when a bound refuses),
     an export is one partial per group.  SUM/AVG add, starting from the
-    first value; MIN/MAX replace on strict ``<`` only, so the first of
-    ``=ⁿ`` ties survives (what ``min(..., key=sort_key)`` returns).
+    first value; MIN/MAX replace on strict ``<`` in ``sort_key``'s order
+    only (NaN above every number), so the first of ``=ⁿ`` ties survives
+    (what ``min(..., key=sort_key)`` returns).
     DISTINCT keeps each group's values by ``group_key`` in first-seen
     order, folds a value the first time it is seen, and exports the values.
     """
@@ -584,7 +585,7 @@ class _Min(_Accumulator):
     def _merge(self, gid: int, count: int, value: SqlValue) -> None:
         had = self.counts[gid]
         self.counts[gid] = had + count
-        if had == 0 or value < self.state[gid]:  # type: ignore[operator]
+        if had == 0 or sorts_before(value, self.state[gid]):
             self.state[gid] = value
 
     def _fold_array(self, gids: _Gids, arr) -> bool:
@@ -601,7 +602,7 @@ class _Max(_Accumulator):
     def _merge(self, gid: int, count: int, value: SqlValue) -> None:
         had = self.counts[gid]
         self.counts[gid] = had + count
-        if had == 0 or self.state[gid] < value:  # type: ignore[operator]
+        if had == 0 or sorts_before(self.state[gid], value):
             self.state[gid] = value
 
     def _fold_array(self, gids: _Gids, arr) -> bool:

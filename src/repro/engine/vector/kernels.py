@@ -427,7 +427,7 @@ def sort_batch(
     perm = list(range(batch.length))
     for index, desc in reversed(list(zip(indexes, flags))):
         column = batch.columns[index]
-        if batch.has_nulls(index):
+        if not batch.plain_keys_on((index,)):  # a NULL, BOOLEAN or NaN
             perm.sort(key=lambda i: sort_key((column[i],)), reverse=desc)
         else:
             perm.sort(key=column.__getitem__, reverse=desc)

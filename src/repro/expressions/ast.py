@@ -31,9 +31,23 @@ class Expression:
 
 @dataclass(frozen=True)
 class Literal(Expression):
-    """A constant value (including NULL)."""
+    """A constant value (including NULL).
+
+    Two literals are equal only when their values are of one type: ``1``,
+    ``1.0`` and ``TRUE`` compare and hash alike in Python but type a
+    result differently (``SUM(x + 1)`` against ``SUM(x + 1.0)``), so a
+    statement holding one is not the statement holding the other.
+    """
 
     value: SqlValue
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Literal):
+            return NotImplemented
+        return (type(self.value), self.value) == (type(other.value), other.value)
+
+    def __hash__(self) -> int:
+        return hash((type(self.value), self.value))
 
     def __str__(self) -> str:
         if isinstance(self.value, str):

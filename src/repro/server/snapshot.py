@@ -225,6 +225,9 @@ class VersionedCatalog:
                     self.database.views.setdefault(name, view)
                 for name, assertion in shadow.assertions.items():
                     self.database.assertions.setdefault(name, assertion)
+                # The additions bypassed Database's DDL methods: bump the
+                # schema epoch that stamps a session's remembered plans.
+                self.database.schema_epoch += 1
                 self.epoch += 1
                 self.write_log.append((self.epoch, sql))
                 self.commits += 1

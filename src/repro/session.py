@@ -13,9 +13,15 @@ test the transformation, choose a plan cost-based, execute::
     ...                        "WHERE E.DeptID = D.DeptID GROUP BY D.DeptID, D.Name")
     >>> print(result.to_pretty())
 
-``query`` returns a :class:`~repro.engine.dataset.DataSet`; ``explain``
+``query`` returns a :class:`~repro.engine.dataset.DataSet`; ``report``
 returns the full :class:`QueryReport` (chosen strategy, estimated costs,
 TestFD verdict, executed statistics) without hiding anything.
+
+A session plans each statement once per catalog state
+(:class:`~repro.statement.PlanMemo`): reporting it again skips bind,
+TestFD, costing, the certificate audit and the rewrites, and only
+executes — until a DDL statement, a declared shard layout or a write to
+a table the plan reads, or a new ``policy`` or ``executor_config``.
 """
 
 from __future__ import annotations
@@ -46,12 +52,18 @@ from repro.parser.ast_nodes import SelectStatement, SetOperationStatement
 from repro.parser.binder import execute_statement
 from repro.parser.parser import parse_statement
 from repro.sqltypes.values import SqlValue, group_key
-from repro.statement import plan_statement
+from repro.statement import PlanMemo
 
 
 @dataclass
 class QueryReport:
-    """Everything the session knows about one executed query."""
+    """Everything the session knows about one executed query.
+
+    ``result`` and ``stats`` belong to this run.  ``plan``, ``choice`` and
+    ``rewrites`` come from the session's plan memo: a later report of the
+    same statement over the same catalog state shares those (frozen)
+    objects with this one.
+    """
 
     result: DataSet
     plan: PlanNode
@@ -133,6 +145,7 @@ class Session:
         self.policy = policy
         self.executor_config = executor_config
         self.params = params
+        self._plans = PlanMemo()
 
     # -- statements -------------------------------------------------------------
 
@@ -196,8 +209,10 @@ class Session:
     ) -> QueryReport:
         """Materialize the IN-subqueries, plan the statement
         (:func:`repro.statement.plan_statement` — the chosen, certified,
-        prepared plan), execute it, patch the empty scalar aggregate, sort."""
-        planned = plan_statement(
+        prepared plan — once per catalog state, through the session's
+        :class:`~repro.statement.PlanMemo`), execute it, patch the empty
+        scalar aggregate, sort."""
+        planned = self._plans.plan(
             self.database,
             self._resolve_subqueries(statement, params),
             self.policy,

@@ -179,12 +179,16 @@ def sql_neg(value: object) -> SqlValue:
 
 
 class NullsFirstKey:
-    """Sort key wrapper ordering NULL before every non-NULL value.
+    """Sort key wrapper ordering NULL before every non-NULL value and NaN
+    after every number.
 
     SQL2 leaves NULL placement implementation-defined; we fix NULLS FIRST so
     sort-based grouping and sort-merge joins are deterministic.  All NULLs
     compare equal to each other here (duplicate semantics), which is exactly
-    what grouping by sorting requires.
+    what grouping by sorting requires.  Every NaN (a float, or a quiet
+    ``Decimal``) sorts above every number and equals every other NaN, as in
+    PostgreSQL and :func:`group_key`; ``<`` against a NaN is always false,
+    so a raw sort would scatter NaN and non-NaN keys alike.
     """
 
     __slots__ = ("value",)
@@ -193,26 +197,34 @@ class NullsFirstKey:
         self.value = value
 
     def __lt__(self, other: "NullsFirstKey") -> bool:
-        left_null = is_null(self.value)
-        right_null = is_null(other.value)
+        left, right = self.value, other.value
+        left_null = is_null(left)
+        right_null = is_null(right)
         if left_null:
             return not right_null
         if right_null:
             return False
-        return self.value < other.value  # type: ignore[operator]
+        return sorts_before(left, right)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NullsFirstKey):
             return NotImplemented
-        left_null = is_null(self.value)
-        right_null = is_null(other.value)
+        left, right = self.value, other.value
+        left_null = is_null(left)
+        right_null = is_null(right)
         if left_null or right_null:
             return left_null and right_null
-        return self.value == other.value
+        if type(left) in INEXACT_TYPES or type(right) in INEXACT_TYPES:
+            left_nan, right_nan = _is_nan(left), _is_nan(right)
+            if left_nan or right_nan:
+                return left_nan and right_nan
+        return left == right
 
     def __hash__(self) -> int:
         if is_null(self.value):
             return hash("<sql-null>")
+        if _is_nan(self.value):
+            return hash("<nan>")  # a NaN float hashes by identity
         return hash(self.value)
 
     def __repr__(self) -> str:
@@ -226,6 +238,22 @@ def sort_key(values: "tuple[SqlValue, ...] | list[SqlValue]") -> "tuple[NullsFir
 
 #: The types whose values can be NaN: a float, or a quiet ``Decimal``.
 INEXACT_TYPES = frozenset((float, decimal.Decimal))
+
+
+def _is_nan(value: SqlValue) -> bool:
+    return type(value) in INEXACT_TYPES and value != value
+
+
+def sorts_before(left: SqlValue, right: SqlValue) -> bool:
+    """``left < right`` for two non-NULL values in :func:`sort_key`'s
+    order: every NaN above every number.  Only floats and Decimals are
+    read for NaN."""
+    if type(left) in INEXACT_TYPES or type(right) in INEXACT_TYPES:
+        if _is_nan(left):
+            return False
+        if _is_nan(right):
+            return True
+    return left < right  # type: ignore[operator]
 
 
 def group_key(values: "tuple[SqlValue, ...] | list[SqlValue]") -> "tuple[object, ...]":

@@ -10,14 +10,28 @@ shard Exchange, opt-in verification).  :class:`repro.session.Session`
 executes what it returns; :func:`repro.lint.lint_sql` analyzes what it
 returns; neither builds a plan of its own, so the two cannot disagree about
 what a statement would run.
+
+A session asks through its :class:`PlanMemo`, which calls
+:func:`plan_statement` once per statement and catalog state.  TestFD and
+the FD1/FD2 certificate read only constraints and predicates (§6), the
+cost choice reads statistics (§7): a plan stays valid until the schema or
+a table it reads changes, and the memo's stamp proves neither has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
-from repro.algebra.ops import AggregateSpec, Apply, Group, PlanNode, Project
+from repro.algebra.ops import (
+    AggregateSpec,
+    Apply,
+    Group,
+    PlanNode,
+    Project,
+    Relation,
+    walk_plan,
+)
 from repro.analysis.certificates import RuleCertificate
 from repro.catalog.catalog import Database
 from repro.core.having import grouped_plan_with_having
@@ -31,6 +45,11 @@ from repro.optimizer.prepare import prepare_plan
 from repro.parser.ast_nodes import SelectStatement
 from repro.parser.binder import bind_select
 from repro.parser.viewmerge import merge_aggregated_view
+from repro.storage.table import Table
+
+#: How many planned statements a :class:`PlanMemo` keeps; the oldest
+#: stored is evicted first.
+PLAN_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -106,3 +125,76 @@ def plan_statement(
         prepared.plan, strategy, choice, prepared.certificates, candidates,
         aggregates,
     )
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """A stored plan and the catalog state it was planned against."""
+
+    planned: PlannedStatement
+    database: Database
+    schema_epoch: int
+    #: ``(name, table, version)`` of every table the candidates and the
+    #: plan scan, taken once when the entry is stored.
+    tables: Tuple[Tuple[str, Table, int], ...]
+
+    def holds(self, database: Database) -> bool:
+        """Nothing the plan read has changed: the same catalog at the same
+        schema epoch, and each table the same object at the same version
+        (a swapped-in table may carry its predecessor's version)."""
+        if database is not self.database or database.schema_epoch != self.schema_epoch:
+            return False
+        tables = database.tables
+        return all(
+            tables.get(name) is table and table.version == version
+            for name, table, version in self.tables
+        )
+
+
+class PlanMemo:
+    """One :class:`PlannedStatement` per statement and catalog state.
+
+    The key is the statement (IN-subqueries already materialized, so their
+    values are part of it), the planner policy and the whole
+    ``ExecutorConfig``; parameters are not, because :func:`plan_statement`
+    never sees them.  An entry is served only while its stamp holds
+    (:meth:`_Entry.holds`).  Only a plan :func:`plan_statement` returned is
+    stored — a bind error, a refused certificate or rewrite audit, a failed
+    verification stores nothing — and at most :data:`PLAN_MEMO_SIZE` of
+    them.  A hit hands back the same frozen plan objects.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[Hashable, _Entry] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def plan(
+        self,
+        database: Database,
+        statement: SelectStatement,
+        policy: str,
+        config: ExecutorConfig,
+    ) -> PlannedStatement:
+        """:func:`plan_statement`'s answer, planned now or earlier."""
+        key = (statement, policy, config)
+        entry = self._entries.get(key)
+        if entry is not None:
+            if entry.holds(database):
+                return entry.planned
+            del self._entries[key]  # stale: stored again below, as the newest
+        planned = plan_statement(database, statement, policy, config)
+        tables = {
+            node.table_name: database.tables[node.table_name]
+            for root in (planned.plan,) + planned.candidates
+            for node in walk_plan(root)
+            if isinstance(node, Relation)
+        }
+        while len(self._entries) >= PLAN_MEMO_SIZE:
+            del self._entries[next(iter(self._entries))]  # the oldest
+        self._entries[key] = _Entry(
+            planned, database, database.schema_epoch,
+            tuple((name, table, table.version) for name, table in tables.items()),
+        )
+        return planned

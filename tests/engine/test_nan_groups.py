@@ -5,7 +5,10 @@ fresh per row or shared by all of them — in one group, as PostgreSQL
 does.  Python cannot give that for free: ``nan == nan`` is false, and a
 dict or a tuple comparison checks identity first, so a shared NaN object
 collides with itself and fresh ones never do.  Each engine × morsel ×
-shard cell below must see exactly one NaN group, holding every NaN row.
+shard × aggregation cell below must see exactly one NaN group, holding
+every NaN row.  Sorting (sort-based grouping, ORDER BY) orders NaN above
+every number, as PostgreSQL does: ``<`` against a NaN is always false, so
+a raw sort would scatter NaN and non-NaN keys alike.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from repro.catalog.schema import Column, TableSchema
 from repro.engine.executor import ExecutorConfig
 from repro.session import Session
 from repro.sqltypes.datatypes import FLOAT, INTEGER
-from repro.sqltypes.values import NULL, group_key
+from repro.sqltypes.values import NULL, group_key, sort_key
 from repro.storage.partition import PartitionSpec, stable_shard
 
 ROWS = 60
@@ -53,27 +56,60 @@ QUERIES = {
         "SELECT T.k, COUNT(*) AS n, SUM(T.v) AS s FROM T, D "
         "WHERE T.v = D.id GROUP BY T.k"
     ),
+    "ordered": (
+        "SELECT T.k, COUNT(*) AS n, SUM(T.v) AS s FROM T GROUP BY T.k "
+        "ORDER BY T.k"
+    ),
 }
 NAN_ROWS = [v for k, v in _nan_rows(shared=False) if k != k]
+#: The aggregation axis: hash grouping keeps the bare query ids.
+CASES = [
+    pytest.param(aggregation, query, id=f"{prefix}{query}")
+    for aggregation, prefix in (("hash", ""), ("sort", "sort-"))
+    for query in sorted(QUERIES)
+]
 
 
-@pytest.mark.parametrize("query", sorted(QUERIES))
+@pytest.mark.parametrize("aggregation, query", CASES)
 @pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("morsel_size", [1, 7, 1024, None], ids=str)
 @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
-def test_every_nan_is_one_group(shared, morsel_size, shards, query):
+def test_every_nan_is_one_group(shared, morsel_size, shards, aggregation, query):
     db = _database(shared, shards)
     results = {}
     for engine in ("row", "vector"):
-        config = ExecutorConfig(engine=engine, morsel_size=morsel_size, shards=shards)
+        config = ExecutorConfig(
+            engine=engine, morsel_size=morsel_size, shards=shards,
+            aggregation=aggregation,
+        )
         result = Session(db, executor_config=config).report(QUERIES[query]).result
         nan_groups = [row for row in result.rows if math.isnan(row[0])]
         assert [(n, s) for __, n, s in nan_groups] == [
             (len(NAN_ROWS), sum(NAN_ROWS))
         ], engine
         assert len(result.rows) == 4, engine
+        if query == "ordered":  # NaN sorts above every number, as in PostgreSQL
+            assert [k for k, __, __ in result.rows[:3]] == [0.0, 1.0, 2.0], engine
+            assert math.isnan(result.rows[3][0]), engine
         results[engine] = result
     assert results["row"].equals_multiset(results["vector"])
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("morsel_size", [1, None], ids=str)
+@pytest.mark.parametrize("engine", ["row", "vector"])
+def test_min_and_max_read_nan_in_sort_order(engine, morsel_size, shards):
+    """MAX of a NaN-bearing group is NaN and MIN skips it, on both engines:
+    the row engine folds with ``sort_key``, the vector one merges with it."""
+    db = _database(shared=False, shards=shards)
+    config = ExecutorConfig(engine=engine, morsel_size=morsel_size, shards=shards)
+    result = Session(db, executor_config=config).report(
+        "SELECT D.tag, MIN(T.k) AS lo, MAX(T.k) AS hi FROM T, D "
+        "WHERE T.v = D.id GROUP BY D.tag ORDER BY D.tag"
+    ).result
+    (tag0, lo0, hi0), (tag1, lo1, hi1) = result.rows
+    assert (tag0, lo0, tag1, lo1, hi1) == (0, 0.0, 1, 0.0, 2.0)
+    assert math.isnan(hi0)
 
 
 def test_group_key_equates_every_nan_and_nothing_else():
@@ -81,6 +117,19 @@ def test_group_key_equates_every_nan_and_nothing_else():
     assert len({group_key((nan,)) for nan in nans}) == 1
     others = [0.0, 1, "nan", NULL, math.inf]
     assert all(group_key((nans[0],)) != group_key((other,)) for other in others)
+
+
+def test_sort_key_orders_every_nan_last_and_equal():
+    nans = [float("nan"), SHARED, -float("nan"), Decimal("NaN"), Decimal("-NaN")]
+    numbers = [-math.inf, -1, 0.0, Decimal("2.5"), 3, math.inf]
+    values = [NULL] + numbers + nans
+    for shuffled in (values, values[::-1], nans + numbers + [NULL]):
+        ordered = sorted(shuffled, key=lambda value: sort_key((value,)))
+        assert ordered[0] is NULL
+        assert ordered[1:7] == numbers
+        assert all(value != value for value in ordered[7:])
+    assert len({sort_key((nan,)) for nan in nans}) == 1
+    assert all(sort_key((nans[0],)) != sort_key((other,)) for other in numbers)
 
 
 def test_every_nan_lands_on_one_shard():

@@ -20,7 +20,7 @@ import pytest
 
 import repro.core.transform as core_transform
 import repro.lint as lint_module
-import repro.session as session_module
+import repro.statement as statement_module
 from repro.algebra.ops import fuse_group_apply
 from repro.analysis import verifier
 from repro.analysis.certificates import get_certificate
@@ -31,7 +31,6 @@ from repro.parser.ast_nodes import SelectStatement
 from repro.parser.binder import execute_statement
 from repro.parser.parser import parse_script
 from repro.session import Session
-from repro.workloads.schemas import make_retail_star
 from tests.test_layering import PACKAGES, TREE, package_of
 
 REPO = Path(__file__).resolve().parent.parent.parent
@@ -139,36 +138,88 @@ def script_paths():
 def test_the_session_runs_a_plan_the_lint_driver_analyzed(
     monkeypatch, path, rewrites
 ):
+    """Each SELECT is reported twice on one session: the second report is
+    the warm case, served from the session's plan memo."""
     script = path.read_text()
     lint_planned, lint_analyzed = [], []
     spy(monkeypatch, lint_module, "plan_statement", lint_planned)
     spy(monkeypatch, lint_module, "analyze_plan", lint_analyzed)
     assert lint_sql(script, rewrites=bool(rewrites)).ok
 
-    session_planned, executed = [], []
-    spy(monkeypatch, session_module, "plan_statement", session_planned)
-    spy(monkeypatch, Executor, "run_prepared", executed)
-    session = Session(executor_config=ExecutorConfig(rewrites=rewrites))
-    selects = 0
+    config = ExecutorConfig(rewrites=rewrites)
+    session = Session(executor_config=config)
+    session_planned, executed, reports = [], [], []
     for statement in parse_script(script):
-        if isinstance(statement, SelectStatement):
-            selects += 1
-            session.report_statement(statement)
-        else:
+        if not isinstance(statement, SelectStatement):
             execute_statement(session.database, statement)
+            continue
+        with monkeypatch.context() as watched:
+            spy(watched, statement_module, "plan_statement", session_planned)
+            spy(watched, Executor, "run_prepared", executed)
+            session.report_statement(statement)
+            warm = session.report_statement(statement)
+        fresh = Session(session.database, executor_config=config)
+        reports.append((warm, fresh.report_statement(statement)))
 
     # Both sides went through plan_statement, once per SELECT, and nothing
     # reached the executor that plan_statement had not returned.
+    selects = len(reports)
     assert selects and len(lint_planned) == len(session_planned) == selects
-    assert len(executed) == selects
+    assert len(executed) == 2 * selects
     analyzed = [fuse_group_apply(args[0]) for args, __, __ in lint_analyzed]
-    for (__, __, ours), (__, __, theirs), (args, __, __) in zip(
-        session_planned, lint_planned, executed
-    ):
-        handed_to_the_executor = args[1]  # args[0] is the Executor
+    for (__, __, ours), (__, __, theirs), (cold_args, __, __), (
+        warm_args, __, __
+    ) in zip(session_planned, lint_planned, executed[::2], executed[1::2]):
+        handed_to_the_executor = cold_args[1]  # args[0] is the Executor
         assert handed_to_the_executor is ours.plan
+        assert warm_args[1] is ours.plan
         assert handed_to_the_executor == theirs.plan
         assert handed_to_the_executor in analyzed
+    # What a hit runs is what a fresh session plans, with the same answer.
+    for warm, fresh in reports:
+        assert warm.plan == fresh.plan
+        assert warm.result.rows == fresh.result.rows
+        assert warm.strategy == fresh.strategy
+        assert [c.rule for c in warm.rewrites] == [c.rule for c in fresh.rewrites]
+
+
+def test_a_statement_united_with_itself_keeps_both_sides_statistics(star):
+    """``q UNION ALL q``: the right side is a hit on the plan the left side
+    stored, so both run the same plan objects.  The merged statistics still
+    read as two runs of ``q``, operator by operator, as when each side
+    planned its own."""
+    config = ExecutorConfig(engine="vector", rewrites="all")
+    alone = Session(star, executor_config=config).report(PER_CUSTOMER)
+    united = Session(star, executor_config=config).report(
+        f"{PER_CUSTOMER} UNION ALL {PER_CUSTOMER}"
+    )
+    once = [alone.stats.nodes[node] for node in alone.stats.order]
+    assert [united.stats.nodes[node] for node in united.stats.order] == once * 2
+    assert united.stats.total_work() == 2 * alone.stats.total_work()
+    assert united.result.rows == alone.result.rows * 2
+
+
+def test_an_in_subquery_re_plans_when_its_table_gains_a_row(monkeypatch, star):
+    """The subquery's current values are part of the statement the memo
+    keys on: a row added to its table re-plans the subquery (its table
+    changed) and then the statement (its values did)."""
+    query = (
+        "SELECT C.CustID, C.Name, SUM(S.Amount) AS total "
+        "FROM Sales S, Customer C WHERE S.CustID = C.CustID "
+        "AND C.CustID IN (SELECT P.ProdID FROM Product P) "
+        "GROUP BY C.CustID, C.Name"
+    )
+    session = Session(star)
+    planned = []
+    spy(monkeypatch, statement_module, "plan_statement", planned)
+    assert session.report(query).result.rows == [(1, "Ann", 10)]
+    star.table("Product").insert((2, "Ink", "office"))
+    after = session.report(query)
+    assert len(planned) == 4  # subquery and statement, before and after
+    session.report(query)
+    assert len(planned) == 4
+    assert sorted(after.result.rows) == [(1, "Ann", 10), (2, "Bob", 50)]
+    assert after.result.rows == Session(star).report(query).result.rows
 
 
 # -- the eager plan is audited before it runs ---------------------------------
@@ -182,20 +233,6 @@ PER_CUSTOMER = (
     "FROM Sales S, Customer C WHERE S.CustID = C.CustID "
     "GROUP BY C.CustID, C.Name"
 )
-
-
-@pytest.fixture
-def star():
-    database = make_retail_star()
-    database.table("Customer").insert_many(
-        [(1, "Ann", "retail"), (2, "Bob", "retail")]
-    )
-    database.table("Product").insert((1, "Pen", "office"))
-    database.table("Store").insert((1, "Oslo", "north"))
-    database.table("Sales").insert_many(
-        [(1, 1, 1, 1, 2, 10), (2, 2, 1, 1, 1, 20), (3, 2, 1, 1, 4, 30)]
-    )
-    return database
 
 
 @pytest.mark.parametrize("policy", ["always_eager", "cost"])
