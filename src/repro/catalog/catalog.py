@@ -192,17 +192,7 @@ class Database:
             self._check_row_assertions(table, row.values)
         except ConstraintViolation:
             # Roll the insert back so a failed statement leaves no trace.
-            table._rows.pop()
-            for index in table._key_indexes.values():
-                index.pop(
-                    next((k for k, rid in index.items() if rid == row.rowid), None),
-                    None,
-                )
-            # The rollback mutates _rows, so it must bump the version like
-            # every other mutation path: derived physical representations
-            # (columnar scan caches) key on it and must never serve the
-            # transiently-inserted row.
-            table.version += 1
+            table.rollback_insert(row)
             raise
 
     def insert_many(
@@ -217,11 +207,8 @@ class Database:
         return count
 
     def _check_foreign_keys(self, table: Table, values: Tuple[SqlValue, ...]) -> None:
-        for fk in table.schema.foreign_keys():
-            assert isinstance(fk, ForeignKeyConstraint)
-            fk_values = [
-                values[table.schema.index_of(column)] for column in fk.columns
-            ]
+        for fk, positions in table.insert_plan.foreign_keys:
+            fk_values = [values[i] for i in positions]
             # SQL2: a foreign key with any NULL component places no demand.
             if any(is_null(v) for v in fk_values):
                 continue
@@ -234,12 +221,12 @@ class Database:
                 )
 
     def _check_row_assertions(self, table: Table, values: Tuple[SqlValue, ...]) -> None:
-        scope = RowScope.from_pairs(
-            (f"{table.name}.{c}" for c in table.schema.column_names()), values
-        )
+        scope = None  # built only for an assertion that names this table alone
         for assertion in self.assertions.values():
             tables = referenced_tables(assertion.expression)
             if tables == frozenset({table.name}):
+                if scope is None:
+                    scope = RowScope.from_pairs(table.insert_plan.scope_names, values)
                 truth = evaluate_predicate(assertion.expression, scope)
                 if truth.is_false():
                     raise ConstraintViolation(

@@ -12,11 +12,19 @@ produce the same result" means in the theorems.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import BindingError
 from repro.expressions.eval import RowScope
-from repro.sqltypes.values import SqlValue, group_key, sort_key
+from repro.sqltypes.values import NULL, SqlValue, group_key, sort_key
+
+#: The value types on which raw equality is ``=ⁿ``: an int equals only an
+#: equal int, a str an equal str, and the one NULL object only itself.
+#: Exact types only: ``bool`` (an int subclass) keys apart from ``1`` under
+#: ``=ⁿ``, and a float or Decimal may be NaN, which a dict matches only by
+#: identity.
+PLAIN_TYPES = frozenset((int, str, type(NULL)))
 
 
 def rowid_column(correlation: str) -> str:
@@ -124,10 +132,20 @@ class DataSet:
         """Bag equality with NULL=NULL duplicate semantics.
 
         Column *names* are not compared (E1 and E2 may label the aggregate
-        output differently); arity and content are.
+        output differently); arity and content are.  When every value on
+        both sides is an exact ``int``, ``str`` or NULL (the census gate
+        of :data:`PLAIN_TYPES`), the raw rows are counted: there, tuple
+        equality is ``=ⁿ``.  Any other value takes :meth:`multiset_key`.
         """
         if len(self.columns) != len(other.columns):
             return False
+        if len(self.rows) != len(other.rows):
+            return False
+        if all(
+            PLAIN_TYPES.issuperset(map(type, chain.from_iterable(side.rows)))
+            for side in (self, other)
+        ):
+            return Counter(self.rows) == Counter(other.rows)
         return self.multiset_key() == other.multiset_key()
 
     def sorted_rows(self) -> List[Tuple[SqlValue, ...]]:

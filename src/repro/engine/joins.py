@@ -7,7 +7,9 @@ they report, which is what the cost study consumes.
 Equi-join keys are extracted from the conjuncts of the join condition;
 non-equality residue is applied as a post-filter.  NULL join keys never
 match under ``=`` (UNKNOWN ⇒ drop), per SQL2 — this differs from the
-grouping semantics and both are exercised by tests.
+grouping semantics and both are exercised by tests.  A NaN key matches
+every NaN key (NaN = NaN is TRUE, as in PostgreSQL and ``group_key``) in
+all three algorithms, whatever object holds it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ from repro.expressions.analysis import classify_atomic, Type2Condition
 from repro.expressions.ast import Expression
 from repro.expressions.eval import ReusableRowScope, evaluate_predicate
 from repro.expressions.normalize import conjoin, split_conjuncts
-from repro.sqltypes.values import SqlValue, is_null, sort_key
+from repro.sqltypes.values import (
+    SqlValue,
+    inexact_positions,
+    is_null,
+    nan_keyed,
+    sort_key,
+)
 
 
 def _combined(left: DataSet, right: DataSet) -> Tuple[str, ...]:
@@ -133,6 +141,9 @@ def hash_join(
     columns = _combined(left, right)
     left_keys = [p[0] for p in pairs]
     right_keys = [p[1] for p in pairs]
+    # NaN = NaN: a key component whose build census holds a float or a
+    # Decimal keys every NaN as one token; int and str keys stay raw.
+    inexact = inexact_positions(right.rows, right_keys)
 
     if governor is not None:
         build_bytes = estimate_table_bytes(
@@ -140,7 +151,7 @@ def hash_join(
         )
         if governor.should_spill(build_bytes, "hash join build"):
             return _grace_hash_join(
-                left, right, columns, left_keys, right_keys,
+                left, right, columns, left_keys, right_keys, inexact,
                 residual, params, governor, build_bytes,
             )
 
@@ -149,6 +160,8 @@ def hash_join(
         key_values = tuple(right_row[i] for i in right_keys)
         if any(is_null(v) for v in key_values):
             continue  # NULL keys never match under `=`
+        if inexact:
+            key_values = nan_keyed(key_values, inexact)
         table.setdefault(key_values, []).append(right_row)
 
     out_rows: List[Tuple[SqlValue, ...]] = []
@@ -160,6 +173,8 @@ def hash_join(
         key_values = tuple(left_row[i] for i in left_keys)
         if any(is_null(v) for v in key_values):
             continue
+        if inexact:
+            key_values = nan_keyed(key_values, inexact)
         for right_row in table.get(key_values, ()):
             probes += 1
             combined = left_row + right_row
@@ -177,6 +192,7 @@ def _grace_hash_join(
     columns: Tuple[str, ...],
     left_keys: List[int],
     right_keys: List[int],
+    inexact: Tuple[int, ...],
     residual: Optional[Expression],
     params: Optional[Mapping[str, SqlValue]],
     governor: ResourceGovernor,
@@ -193,11 +209,15 @@ def _grace_hash_join(
     partitions = governor.spill_partitions(build_bytes)
     spill = governor.spill_manager()
     chunk = max(16, governor.rows_per_run(len(columns)) // partitions)
+    # ``inexact`` as in memory: a NaN hashes to one partition, one bucket.
+    def key_of(row, keys):
+        key_values = tuple(row[i] for i in keys)
+        return nan_keyed(key_values, inexact) if inexact else key_values
 
     build = PartitionedSpill(spill, partitions, chunk, "join-build")
     for right_row in right.rows:
         governor.tick("hash join partition")
-        key_values = tuple(right_row[i] for i in right_keys)
+        key_values = key_of(right_row, right_keys)
         if any(is_null(v) for v in key_values):
             continue  # NULL keys never match under `=`
         build.add(hash(key_values) % partitions, right_row)
@@ -205,7 +225,7 @@ def _grace_hash_join(
     probe = PartitionedSpill(spill, partitions, chunk, "join-probe")
     for index, left_row in enumerate(left.rows):
         governor.tick("hash join partition")
-        key_values = tuple(left_row[i] for i in left_keys)
+        key_values = key_of(left_row, left_keys)
         if any(is_null(v) for v in key_values):
             continue
         probe.add(hash(key_values) % partitions, (index, left_row))
@@ -218,11 +238,10 @@ def _grace_hash_join(
         table: dict = {}
         for right_row in build.read(partition):
             governor.tick("hash join build")
-            key_values = tuple(right_row[i] for i in right_keys)
-            table.setdefault(key_values, []).append(right_row)
+            table.setdefault(key_of(right_row, right_keys), []).append(right_row)
         for index, left_row in probe.read(partition):
             governor.tick("hash join probe")
-            key_values = tuple(left_row[i] for i in left_keys)
+            key_values = key_of(left_row, left_keys)
             for right_row in table.get(key_values, ()):
                 probes += 1
                 combined = left_row + right_row

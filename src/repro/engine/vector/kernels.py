@@ -26,7 +26,14 @@ from repro.engine.vector.batch import ColumnBatch, _Gather, _Repeat, _np
 from repro.engine.vector.compile import TRUE_CODE, compile_predicate
 from repro.engine.vector.grouping import GroupedFold, dense_offsets, key_runs
 from repro.expressions.ast import Expression
-from repro.sqltypes.values import NULL, SqlValue, group_key, sort_key
+from repro.sqltypes.values import (
+    INEXACT_TYPES,
+    NULL,
+    SqlValue,
+    group_key,
+    nan_keyed,
+    sort_key,
+)
 
 Params = Optional[Mapping[str, SqlValue]]
 
@@ -235,7 +242,8 @@ def hash_join_batch(
     """Hash join on extracted equi-keys; nested-loop fallback without one.
 
     Same contract as :func:`repro.engine.joins.hash_join`: NULL keys are
-    dropped on both sides, work = |L| + |R| + bucket matches examined.
+    dropped on both sides, every NaN key matches every NaN key, work =
+    |L| + |R| + bucket matches examined.
     """
     pairs, residual = extract_equi_keys(condition, left, right)
     if not pairs:
@@ -254,12 +262,25 @@ def hash_join_batch(
             return combined, left.length + right.length + probes
 
     right_key_rows, __ = _key_rows(right, right_keys)
+    left_key_rows, __ = _key_rows(left, left_keys)
+    # NaN = NaN, as in the row engine's hash join: a key component whose
+    # build census holds a float or a Decimal keys every NaN as one token.
+    inexact = tuple(
+        c for c, i in enumerate(right_keys)
+        if not INEXACT_TYPES.isdisjoint(right.column_kinds(i))
+    )
+    if inexact:
+        right_key_rows = [
+            None if key is None else nan_keyed(key, inexact) for key in right_key_rows
+        ]
+        left_key_rows = [
+            None if key is None else nan_keyed(key, inexact) for key in left_key_rows
+        ]
     table: Dict[Tuple[SqlValue, ...], List[int]] = {}
     for j, key in enumerate(right_key_rows):
         if key is not None:
             table.setdefault(key, []).append(j)
 
-    left_key_rows, __ = _key_rows(left, left_keys)
     left_sel: List[int] = []
     right_sel: List[int] = []
     probes = 0

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import datetime
 import decimal
-from typing import Iterable, Union
+from operator import itemgetter
+from typing import Collection, Iterable, Sequence, Union
 
 from repro.errors import ExecutionError, TypeMismatchError
 from repro.sqltypes.truth import UNKNOWN, Truth, floor_interpret, from_bool
@@ -77,18 +78,20 @@ def _require_comparable(left: object, right: object) -> None:
 
 
 def sql_compare_eq(left: object, right: object) -> Truth:
-    """SQL ``=``: UNKNOWN if either side is NULL."""
+    """SQL ``=``: UNKNOWN if either side is NULL.  NaN = NaN is TRUE, as in
+    PostgreSQL, :func:`group_key` and :func:`sort_key`."""
     if is_null(left) or is_null(right):
         return UNKNOWN
     _require_comparable(left, right)
-    return from_bool(left == right)
+    return from_bool(left == right or (_is_nan(left) and _is_nan(right)))
 
 
 def sql_compare_ne(left: object, right: object) -> Truth:
+    """SQL ``<>``: the negation of :func:`sql_compare_eq`."""
     if is_null(left) or is_null(right):
         return UNKNOWN
     _require_comparable(left, right)
-    return from_bool(left != right)
+    return from_bool(left != right and not (_is_nan(left) and _is_nan(right)))
 
 
 def sql_compare_lt(left: object, right: object) -> Truth:
@@ -242,6 +245,40 @@ INEXACT_TYPES = frozenset((float, decimal.Decimal))
 
 def _is_nan(value: SqlValue) -> bool:
     return type(value) in INEXACT_TYPES and value != value
+
+
+#: What a NaN join-key component is keyed as: one token, so every NaN
+#: matches every NaN, whatever object holds it (a raw float NaN equals only
+#: itself, through the identity check a dict makes first).
+NAN_TOKEN = ("<nan>",)
+
+
+def nan_keyed(
+    key: "tuple[SqlValue, ...]", positions: "tuple[int, ...]"
+) -> "tuple[object, ...]":
+    """``key`` with each NaN at ``positions`` replaced by :data:`NAN_TOKEN`.
+
+    ``positions`` are the components whose census holds a float or a
+    Decimal (:func:`inexact_positions`); the rest are left as they are."""
+    if not any(_is_nan(key[i]) for i in positions):
+        return key
+    return tuple(
+        NAN_TOKEN if i in positions and _is_nan(value) else value
+        for i, value in enumerate(key)
+    )
+
+
+def inexact_positions(
+    rows: "Collection[Sequence[SqlValue]]", columns: "Sequence[int]"
+) -> "tuple[int, ...]":
+    """The positions ``c`` in ``columns`` whose column ``columns[c]`` of
+    ``rows`` holds a float or a Decimal: the only key components a NaN can
+    sit in.  A C-speed census per column, stopped at the first inexact
+    value."""
+    return tuple(
+        c for c, column in enumerate(columns)
+        if not INEXACT_TYPES.isdisjoint(map(type, map(itemgetter(column), rows)))
+    )
 
 
 def sorts_before(left: SqlValue, right: SqlValue) -> bool:

@@ -27,16 +27,60 @@ from typing import (
 
 from repro.catalog.constraints import (
     CheckConstraint,
+    ForeignKeyConstraint,
     PrimaryKeyConstraint,
     UniqueConstraint,
 )
 from repro.catalog.schema import TableSchema
 from repro.errors import CatalogError, ConstraintViolation
 from repro.expressions.eval import RowScope
-from repro.sqltypes.values import NULL, SqlValue, group_key, is_null
+from repro.sqltypes.values import NULL, SqlValue, group_key
 from repro.storage.row import Row
 
 T = TypeVar("T")
+
+
+class InsertPlan:
+    """What an insert into one schema checks, resolved once per schema.
+
+    ``validators`` holds each column's bound ``validate`` (in column
+    order), ``not_null`` the positions of NOT NULL columns, ``checks`` the
+    CHECK constraints and ``scope_names`` the qualified names a row scope
+    for them is built from.  ``keys`` holds one ``(constraint, positions)``
+    per PRIMARY KEY or UNIQUE constraint, in declaration order, and
+    ``foreign_keys`` one ``(constraint, positions)`` per FOREIGN KEY.
+
+    Bound methods do not pickle through the wire's restricted loader, so a
+    table never pickles its plan: :meth:`Table.__setstate__` rebuilds it.
+    """
+
+    __slots__ = (
+        "validators", "not_null", "checks", "scope_names", "keys", "foreign_keys",
+    )
+
+    def __init__(self, schema: TableSchema) -> None:
+        self.validators = tuple(column.datatype.validate for column in schema.columns)
+        self.not_null = tuple(
+            (i, column.name)
+            for i, column in enumerate(schema.columns)
+            if not column.nullable
+        )
+        self.checks = tuple(
+            c for c in schema.constraints if isinstance(c, CheckConstraint)
+        )
+        self.scope_names = tuple(
+            f"{schema.name}.{column}" for column in schema.column_names()
+        )
+        self.keys = tuple(
+            (c, tuple(schema.index_of(column) for column in c.columns))
+            for c in schema.constraints
+            if isinstance(c, (PrimaryKeyConstraint, UniqueConstraint))
+        )
+        self.foreign_keys = tuple(
+            (c, tuple(schema.index_of(column) for column in c.columns))
+            for c in schema.constraints
+            if isinstance(c, ForeignKeyConstraint)
+        )
 
 
 class Table:
@@ -64,6 +108,8 @@ class Table:
         }
         pk = schema.primary_key()
         self._pk: Optional[Tuple[str, ...]] = pk
+        #: Per schema, not per version; never pickled (see :class:`InsertPlan`).
+        self.insert_plan = InsertPlan(schema)
 
     # -- basic accessors -------------------------------------------------
 
@@ -118,13 +164,14 @@ class Table:
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
-        del state["_derived"], state["_derived_lock"]
+        del state["_derived"], state["_derived_lock"], state["insert_plan"]
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
         self._derived = (self.version, {})
         self._derived_lock = threading.RLock()
+        self.insert_plan = InsertPlan(self.schema)
 
     # -- copy-on-write snapshots ------------------------------------------
 
@@ -177,20 +224,37 @@ class Table:
         from column name to value (missing columns default to NULL).
         """
         self._mutable()
-        ordered = self._order_values(values)
-        typed = self._validate_types(ordered)
-        scope = RowScope.from_pairs(
-            (f"{self.name}.{c}" for c in self.schema.column_names()), typed
+        plan = self.insert_plan
+        typed = tuple(
+            validate(value)
+            for validate, value in zip(plan.validators, self._order_values(values))
         )
         self._check_not_null(typed)
-        self._check_checks(scope)
-        self._check_keys(typed)
+        if plan.checks:
+            scope = RowScope.from_pairs(plan.scope_names, typed)
+            for constraint in plan.checks:
+                constraint.check_row(self.name, scope)
+        keys = self._check_keys(typed)
         row = Row(typed, self._next_rowid)
         self._next_rowid += 1
         self._rows.append(row)
-        self._register_keys(row)
+        for columns, key in keys:
+            self._key_indexes[columns][key] = row.rowid
         self.version += 1
         return row
+
+    def rollback_insert(self, row: Row) -> None:
+        """Undo the :meth:`insert` that returned ``row``, the last row
+        stored: a cross-table check (a foreign key, an assertion) refused it.
+
+        The rollback bumps :attr:`version` like every other mutation:
+        derived values (columnar scan caches) key on it and must never
+        serve the transiently inserted row.
+        """
+        self._mutable()
+        self._rows.pop()
+        self._unregister_keys(row)
+        self.version += 1
 
     def insert_many(
         self, rows: Iterable["Sequence[SqlValue] | Mapping[str, SqlValue]"]
@@ -221,16 +285,7 @@ class Table:
         if not doomed:
             return 0
         for row in doomed:
-            for key_columns, index in self._key_indexes.items():
-                key_values = [
-                    row.values[self.schema.index_of(column)]
-                    for column in key_columns
-                ]
-                if any(is_null(v) for v in key_values):
-                    continue
-                key = self._key_tuple(key_columns, row.values)
-                if index.get(key) == row.rowid:
-                    del index[key]
+            self._unregister_keys(row)
         self._rows = [row for row in self._rows if row.rowid not in rowids]
         self.version += 1
         return len(doomed)
@@ -257,7 +312,7 @@ class Table:
     def _order_values(
         self, values: "Sequence[SqlValue] | Mapping[str, SqlValue]"
     ) -> Tuple[SqlValue, ...]:
-        if isinstance(values, Mapping):
+        if not isinstance(values, (tuple, list)) and isinstance(values, Mapping):
             unknown = set(values) - set(self.schema.column_names())
             if unknown:
                 raise CatalogError(
@@ -274,70 +329,56 @@ class Table:
             )
         return ordered
 
-    def _validate_types(self, values: Tuple[SqlValue, ...]) -> Tuple[SqlValue, ...]:
-        return tuple(
-            column.datatype.validate(value)
-            for column, value in zip(self.schema.columns, values)
-        )
-
     def _check_not_null(self, values: Tuple[SqlValue, ...]) -> None:
-        for column, value in zip(self.schema.columns, values):
-            if not column.nullable and is_null(value):
+        for position, column in self.insert_plan.not_null:
+            if values[position] is NULL:
                 raise ConstraintViolation(
-                    f"{self.name}.{column.name} NOT NULL",
-                    f"{column.name} is NULL",
+                    f"{self.name}.{column} NOT NULL", f"{column} is NULL"
                 )
 
-    def _check_checks(self, scope: RowScope) -> None:
-        for constraint in self.schema.constraints:
-            if isinstance(constraint, CheckConstraint):
-                constraint.check_row(self.name, scope)
-
-    def _key_tuple(self, key: Tuple[str, ...], values: Tuple[SqlValue, ...]) -> Tuple:
-        indexes = [self.schema.index_of(column) for column in key]
-        return group_key(tuple(values[i] for i in indexes))
-
-    def _check_keys(self, values: Tuple[SqlValue, ...]) -> None:
-        for constraint in self.schema.constraints:
-            if isinstance(constraint, PrimaryKeyConstraint):
-                key_values = [
-                    values[self.schema.index_of(column)]
-                    for column in constraint.columns
-                ]
-                if any(is_null(v) for v in key_values):
+    def _check_keys(
+        self, values: Tuple[SqlValue, ...]
+    ) -> List[Tuple[Tuple[str, ...], Tuple]]:
+        """Refuse a NULL primary key or a duplicate key; returns each
+        registrable key as ``(key columns, group_key)``.  A UNIQUE key
+        with a NULL component is neither checked nor registered (SQL2:
+        it never conflicts)."""
+        keys = []
+        for constraint, positions in self.insert_plan.keys:
+            key_values = [values[i] for i in positions]
+            if any(v is NULL for v in key_values):
+                if isinstance(constraint, PrimaryKeyConstraint):
                     raise ConstraintViolation(
                         constraint.constraint_name(self.name),
                         "primary key column is NULL",
                     )
-                key = self._key_tuple(constraint.columns, values)
-                if key in self._key_indexes[constraint.columns]:
-                    raise ConstraintViolation(
-                        constraint.constraint_name(self.name),
-                        f"duplicate key value {key_values!r}",
-                    )
-            elif isinstance(constraint, UniqueConstraint):
-                key_values = [
-                    values[self.schema.index_of(column)]
-                    for column in constraint.columns
-                ]
-                # SQL2 UNIQUE: rows with any NULL key column never conflict.
-                if any(is_null(v) for v in key_values):
-                    continue
-                key = self._key_tuple(constraint.columns, values)
-                if key in self._key_indexes[constraint.columns]:
-                    raise ConstraintViolation(
-                        constraint.constraint_name(self.name),
-                        f"duplicate key value {key_values!r}",
-                    )
+                continue
+            key = group_key(key_values)
+            if key in self._key_indexes[constraint.columns]:
+                raise ConstraintViolation(
+                    constraint.constraint_name(self.name),
+                    f"duplicate key value {key_values!r}",
+                )
+            keys.append((constraint.columns, key))
+        return keys
+
+    def _row_keys(self, row: Row) -> Iterator[Tuple[Tuple[str, ...], Tuple]]:
+        """``(key columns, group_key)`` of each key ``row`` registers."""
+        for constraint, positions in self.insert_plan.keys:
+            key_values = [row.values[i] for i in positions]
+            if not any(v is NULL for v in key_values):
+                yield constraint.columns, group_key(key_values)
 
     def _register_keys(self, row: Row) -> None:
-        for key_columns, index in self._key_indexes.items():
-            key_values = [
-                row.values[self.schema.index_of(column)] for column in key_columns
-            ]
-            if any(is_null(v) for v in key_values):
-                continue  # NULL-bearing UNIQUE keys never participate
-            index[self._key_tuple(key_columns, row.values)] = row.rowid
+        for columns, key in self._row_keys(row):
+            self._key_indexes[columns][key] = row.rowid
+
+    def _unregister_keys(self, row: Row) -> None:
+        """Drop the key-index entries ``row`` registered."""
+        for columns, key in self._row_keys(row):
+            index = self._key_indexes[columns]
+            if index.get(key) == row.rowid:
+                del index[key]
 
     # -- lookups used by FK enforcement -----------------------------------
 

@@ -8,7 +8,8 @@ collides with itself and fresh ones never do.  Each engine × morsel ×
 shard × aggregation cell below must see exactly one NaN group, holding
 every NaN row.  Sorting (sort-based grouping, ORDER BY) orders NaN above
 every number, as PostgreSQL does: ``<`` against a NaN is always false, so
-a raw sort would scatter NaN and non-NaN keys alike.
+a raw sort would scatter NaN and non-NaN keys alike.  ``=`` agrees: NaN =
+NaN is TRUE in every join algorithm on both engines, fresh or shared.
 """
 
 from __future__ import annotations
@@ -18,12 +19,19 @@ from decimal import Decimal
 
 import pytest
 
+import repro.engine.joins as joins
 from repro.catalog.catalog import Database
 from repro.catalog.schema import Column, TableSchema
 from repro.engine.executor import ExecutorConfig
 from repro.session import Session
 from repro.sqltypes.datatypes import FLOAT, INTEGER
-from repro.sqltypes.values import NULL, group_key, sort_key
+from repro.sqltypes.values import (
+    NULL,
+    group_key,
+    sort_key,
+    sql_compare_eq,
+    sql_compare_ne,
+)
 from repro.storage.partition import PartitionSpec, stable_shard
 
 ROWS = 60
@@ -110,6 +118,64 @@ def test_min_and_max_read_nan_in_sort_order(engine, morsel_size, shards):
     (tag0, lo0, hi0), (tag1, lo1, hi1) = result.rows
     assert (tag0, lo0, tag1, lo1, hi1) == (0, 0.0, 1, 0.0, 2.0)
     assert math.isnan(hi0)
+
+
+def _join_database(shared: bool, shards: int) -> Database:
+    """``T(k, v)`` and ``U(k, w)``: four NaN rows and one ``1.0`` row each."""
+    db = Database()
+    for name, second in (("T", "v"), ("U", "w")):
+        db.create_table(TableSchema(name, [Column("k", FLOAT), Column(second, INTEGER)]))
+        for i in range(4):
+            db.table(name).insert([SHARED if shared else float("nan"), i])
+        db.table(name).insert([1.0, 9])
+        if shards > 1:
+            db.set_partitioning(name, PartitionSpec("hash", "k", shards))
+    return db
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+@pytest.mark.parametrize("join", ["hash", "nested_loop", "sort_merge", "auto"])
+def test_every_nan_key_joins_every_nan_key(join, shared, shards):
+    """NaN = NaN is TRUE, whatever the join algorithm and whatever object
+    holds the NaN: the 4 × 4 NaN pairs and the one ``1.0`` pair join."""
+    db = _join_database(shared, shards)
+    for engine in ("row", "vector"):
+        config = ExecutorConfig(engine=engine, join_algorithm=join, shards=shards)
+        result = Session(db, executor_config=config).report(
+            "SELECT T.v, COUNT(*) AS n FROM T, U WHERE T.k = U.k GROUP BY T.v"
+        ).result
+        assert sorted(result.rows) == [(0, 4), (1, 4), (2, 4), (3, 4), (9, 1)], engine
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+def test_a_spilled_hash_join_joins_every_nan_key(shared, monkeypatch):
+    """The grace path partitions by key hash: every NaN must land in one
+    partition and key one bucket there."""
+    graced = []
+    real = joins._grace_hash_join
+    monkeypatch.setattr(
+        joins, "_grace_hash_join", lambda *a: graced.append(1) or real(*a)
+    )
+    config = ExecutorConfig(
+        engine="row", join_algorithm="hash", memory_limit_bytes=600, spill=True
+    )
+    result = Session(_join_database(shared, 1), executor_config=config).report(
+        "SELECT T.v, COUNT(*) AS n FROM T, U WHERE T.k = U.k GROUP BY T.v"
+    ).result
+    assert graced
+    assert sorted(result.rows) == [(0, 4), (1, 4), (2, 4), (3, 4), (9, 1)]
+
+
+def test_equality_on_nan_is_true_and_its_negation_false():
+    nans = [float("nan"), SHARED, Decimal("NaN")]
+    for left in nans:
+        for right in nans:
+            assert sql_compare_eq(left, right).is_true()
+            assert sql_compare_ne(left, right).is_false()
+    assert sql_compare_eq(SHARED, 1.0).is_false()
+    assert sql_compare_ne(SHARED, 1.0).is_true()
+    assert sql_compare_eq(1, 1.0).is_true()
 
 
 def test_group_key_equates_every_nan_and_nothing_else():
