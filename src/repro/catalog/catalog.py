@@ -20,7 +20,12 @@ from repro.catalog.schema import Column, TableSchema
 from repro.errors import CatalogError, ConstraintViolation
 from repro.expressions.analysis import referenced_tables
 from repro.expressions.ast import ColumnRef, Expression, transform_expression
-from repro.expressions.eval import RowScope, evaluate_predicate, evaluate_scalar
+from repro.expressions.eval import (
+    ReusableRowScope,
+    RowScope,
+    evaluate_predicate,
+    evaluate_scalar,
+)
 from repro.sqltypes.values import SqlValue, is_null
 from repro.storage.table import Table
 
@@ -248,12 +253,11 @@ class Database:
                 continue
             (table_name,) = tables
             table = self.table(table_name)
+            scope = ReusableRowScope(table.insert_plan.scope_names)
             for row in table:
-                scope = RowScope.from_pairs(
-                    (f"{table.name}.{c}" for c in table.schema.column_names()),
-                    row.values,
+                truth = evaluate_predicate(
+                    assertion.expression, scope.bind(row.values)
                 )
-                truth = evaluate_predicate(assertion.expression, scope)
                 if truth.is_false():
                     raise ConstraintViolation(
                         f"ASSERTION {assertion.name}",
@@ -275,15 +279,11 @@ class Database:
         """
         table = self.table(table_name)
         doomed = []
+        scope = ReusableRowScope(table.insert_plan.scope_names)
         for row in table:
-            if condition is None:
-                doomed.append(row)
-                continue
-            scope = RowScope.from_pairs(
-                (f"{table_name}.{c}" for c in table.schema.column_names()),
-                row.values,
-            )
-            if evaluate_predicate(condition, scope, params).is_true():
+            if condition is None or evaluate_predicate(
+                condition, scope.bind(row.values), params
+            ).is_true():
                 doomed.append(row)
         if not doomed:
             return 0
@@ -310,11 +310,9 @@ class Database:
             table.schema.index_of(column)  # raises on unknown column
 
         targets = []
+        scope = ReusableRowScope(table.insert_plan.scope_names)
         for row in table:
-            scope = RowScope.from_pairs(
-                (f"{table_name}.{c}" for c in table.schema.column_names()),
-                row.values,
-            )
+            scope.bind(row.values)
             if (
                 condition is None
                 or evaluate_predicate(condition, scope, params).is_true()

@@ -104,7 +104,7 @@ from repro.engine.vector.batch import ColumnBatch
 from repro.engine.wire import PartitionStore, restricted_loads, wire_dumps
 from repro.errors import ExecutionError, ShardUnavailable, WireFormatError
 from repro.expressions.ast import Aggregate, ColumnRef
-from repro.sqltypes.values import SqlValue
+from repro.sqltypes.values import SqlValue, sort_key
 from repro.storage.partition import PartitionSpec, identified_partitions
 
 #: Hidden partial column carrying each group's first-appearance RowID.
@@ -493,12 +493,18 @@ def _open_block(block: bytes, width: int, row_count: int, label: str) -> List[li
 def _in_ordinal_order(union: ColumnBatch, ordinal_column: str) -> ColumnBatch:
     """``union``'s rows by ascending ordinal, NULL first (an empty shard's
     scalar partial carries a NULL ordinal: MIN over no rows), ties as they
-    stand.  The Sort operator's own kernel: a stable argsort of the one
-    column — ``sorted(range(n), key=…)`` without numpy — handed to
+    stand.  The Sort operator's own kernel, a stable argsort of the one
+    column, or — where it has none (no numpy, a NULL ordinal) — a stable
+    ``sorted(range(n), key=…)`` of it; either permutation is handed to
     :meth:`ColumnBatch.take`, so no row is built and no column is gathered
     until something reads it."""
-    ordered, __ = kernels.sort_batch(union, (ordinal_column,))
-    return ordered
+    ordered = kernels.sort_batch(union, (ordinal_column,))
+    if ordered is not None:
+        return ordered[0]
+    index = union.index_of(ordinal_column)
+    column = union.columns[index]
+    perm = sorted(range(union.length), key=lambda i: sort_key((column[i],)))
+    return union.take(perm, ordering=(union.names[index],))
 
 
 def _merge_ordinal(

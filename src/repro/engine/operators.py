@@ -8,7 +8,8 @@ type to its
   work)``: the specification, and the owner of the spill machinery;
 * **vector kernel** — ``(node, input ColumnBatches, env) -> (ColumnBatch,
   work)``: the same operator over columns, differentially tested against
-  the row body;
+  the row body — or ``None`` when it has no array path for these inputs,
+  and the row body takes them (a hand-off, not a degradation);
 * **spill rule** — ``(node, input ColumnBatches, env, governor) -> bool``:
   when the vector engine must hand the operator to the row body because
   its state would not fit the memory budget (the same deterministic
@@ -21,8 +22,8 @@ type to its
 and ``params`` (both executors qualify).  Three consumers read the table
 and none re-spells a body: :class:`repro.engine.executor.Executor` runs the
 row bodies, :meth:`repro.engine.vector.executor.VectorExecutor.apply` runs
-the kernels with the row body as spill route and degradation fallback, and
-the morsel driver replays segments through that same ``apply``.
+the kernels with the row body as hand-off, spill route and degradation
+fallback, and the morsel driver replays segments through that same ``apply``.
 :func:`evaluate` is the frameless entry the Exchange merge uses.
 """
 
@@ -128,13 +129,10 @@ def project_columns(node: Project, batch):
 
 
 def _project_batch(node: Project, inputs, env):
-    (child,) = inputs
-    batch = project_columns(node, child)
-    work = child.length
     if node.distinct:
-        batch, distinct_work = kernels.distinct_batch(batch)
-        work += distinct_work
-    return batch, work
+        return None  # a materialized DISTINCT is the row body's
+    (child,) = inputs
+    return project_columns(node, child), child.length
 
 
 # -- × and ⋈ -----------------------------------------------------------------
@@ -164,10 +162,8 @@ def _join_batch(node, inputs, env):
     algorithm = env.config.join_algorithm
     if condition is None:
         return kernels.cartesian_product_batch(left, right)
-    if algorithm == "nested_loop":
-        return kernels.nested_loop_join_batch(left, right, condition, env.params)
-    if algorithm == "sort_merge":
-        return kernels.sort_merge_join_batch(left, right, condition, env.params)
+    if algorithm in ("nested_loop", "sort_merge"):
+        return None  # no array path: the row body's
     return kernels.hash_join_batch(left, right, condition, env.params)
 
 
@@ -302,11 +298,14 @@ def child_frames(node: PlanNode) -> Iterator[Tuple[PlanNode, str]]:
 def evaluate(node: PlanNode, inputs, env, governor=None):
     """One operator on ``env.config.engine`` over input batches, a batch
     back — no frame, no statistics (the Exchange merge above the wire).
-    The vector kernel takes them as they are; the row body is handed rows
-    and its rows are transposed back."""
+    The vector kernel takes them as they are; the row body — the row
+    engine's, or a kernel's hand-off — is handed rows and its rows are
+    transposed back."""
     operator = operator_for(node)
     if env.config.engine == "vector":
-        return operator.vector(node, inputs, env)
+        result = operator.vector(node, inputs, env)
+        if result is not None:
+            return result
     dataset, work = operator.row(
         node, tuple(batch.to_dataset() for batch in inputs), env, governor
     )

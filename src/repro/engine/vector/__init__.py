@@ -2,7 +2,7 @@
 
 Selected with ``ExecutorConfig(engine="vector")``; the default row backend
 stays untouched.  Operators consume and produce :class:`ColumnBatch`
-(column-major data with per-column validity information), predicates and
+(column-major data with a per-column type census), predicates and
 scalar expressions are compiled once per operator to closures over whole
 columns (:mod:`repro.engine.vector.compile`), and every kernel reports the
 same :class:`~repro.engine.stats.ExecutionStats` counters as the row

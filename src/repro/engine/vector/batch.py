@@ -8,11 +8,10 @@ sequences — and row selection (:meth:`take`) gathers through a selection
 vector.
 
 NULL is represented in-band by the :data:`~repro.sqltypes.values.NULL`
-singleton, exactly as in row tuples; the *validity mask* of a column
-(:meth:`validity`) and the cached per-column type census
-(:meth:`column_kinds`) let kernels decide **per batch** whether the
-null-aware slow path is needed at all — the "where does 3VL actually
-matter" observation applied to execution.
+singleton, exactly as in row tuples; the cached per-column type census
+(:meth:`column_kinds`) lets a kernel decide **per batch** whether raw
+values or arrays are sound at all — the "where does 3VL actually matter"
+observation applied to execution.
 
 ``ordering`` is the same physical property a DataSet carries: the columns
 the rows are known to be sorted on (ascending, NULLS FIRST).
@@ -359,15 +358,6 @@ class ColumnBatch:
         if isinstance(column, _Gather) and column._data is None:
             return column.source
         return column
-
-    def has_nulls(self, index: int) -> bool:
-        return _NULL_TYPE in self.column_kinds(index)
-
-    def validity(self, index: int) -> List[bool]:
-        """The validity mask of a column: True where the value is non-NULL."""
-        if not self.has_nulls(index):
-            return [True] * self.length
-        return [value is not NULL for value in self.columns[index]]
 
     def as_array(self, index: int):
         """A numpy view of column ``index``, or ``None`` if not expressible.

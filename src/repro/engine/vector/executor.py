@@ -8,6 +8,11 @@ only the per-operator inner loops differ.  That contract is what keeps the
 §7 cost study backend-independent, and the differential harness
 (:mod:`tests.engine.differential`) holds it to account.
 
+A kernel with no array path for its inputs (:mod:`.kernels`: no numpy, a
+NULL or NaN key, nested loop, sort-merge, DISTINCT) returns ``None`` and
+the operator's row body runs over the same child batches — a hand-off, not
+a degradation: nothing is counted, and the stats are the row body's own.
+
 Resilience rides on the same contract in two ways:
 
 * **Spill routing** — blocking operators whose estimated state exceeds the
@@ -150,9 +155,10 @@ class VectorExecutor:
         """One operator of the table over already-computed input batches.
 
         Spill-routed operators run the row body (it owns the spill
-        machinery).  Everything else runs the vector kernel, and a failing
-        kernel retries once on that same row body when ``config.degrade``
-        is on, the failure recorded in the stats.  Resource-budget errors
+        machinery).  Everything else runs the vector kernel; a kernel that
+        answers ``None`` hands its inputs to that same row body, uncounted,
+        and a failing kernel retries once on it when ``config.degrade`` is
+        on, the failure recorded in the stats.  Resource-budget errors
         (and raw allocation failures) are never retried — the row engine
         shares the same budget and would only fail later.  The
         fault-injection point lives inside the guard so an injected kernel
@@ -170,14 +176,13 @@ class VectorExecutor:
             )
             return ColumnBatch.from_dataset(dataset), work
 
-        if operator.spills is not None and operator.spills(
+        result = None
+        if operator.spills is None or not operator.spills(
             node, inputs, self, governor
         ):
-            batch, work = row_body()
-        else:
             try:
                 faults.injection_point("vector", label)
-                batch, work = operator.vector(node, inputs, self)
+                result = operator.vector(node, inputs, self)
             except (ResourceError, MemoryError):
                 raise
             except Exception as error:
@@ -185,7 +190,7 @@ class VectorExecutor:
                     raise
                 stats.note_degradation(label, error)
                 governor.check(label)  # don't retry past the deadline
-                batch, work = row_body()
+        batch, work = row_body() if result is None else result
         stats.record_node(
             node,
             operator.kind,

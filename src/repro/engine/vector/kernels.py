@@ -1,39 +1,39 @@
 """Vectorized operator kernels over :class:`ColumnBatch`.
 
-Each kernel mirrors one row-engine operator (``engine/joins.py``,
-``engine/aggregation.py``, ``engine/sorting.py``) and returns the same
-``(result, work)`` pair computing the *identical* work formula — the §7
-cost study must not be able to tell the backends apart.  What changes is
-the inner loop: predicates and aggregate arguments are compiled once per
-operator (:mod:`repro.engine.vector.compile`) and applied to whole columns,
-selection vectors replace row copying, and grouped aggregation folds
-per-group accumulators (:mod:`.grouping`) instead of row lists per group.
+Each kernel is one row-engine operator (``engine/joins.py``,
+``engine/aggregation.py``, ``engine/sorting.py``) over arrays, and returns
+the same ``(result, work)`` pair computing the *identical* work formula —
+the §7 cost study must not be able to tell the backends apart.  What
+changes is the inner loop: predicates and aggregate arguments are compiled
+once per operator (:mod:`repro.engine.vector.compile`) and applied to whole
+columns, selection vectors replace row copying, joins and sorts are numpy
+permutations, and grouped aggregation folds per-group accumulators
+(:mod:`.grouping`) instead of row lists per group.
 
-NULL handling follows the per-batch type census: kernels consult
-:meth:`ColumnBatch.column_kinds` to decide whether the ``=ⁿ``/3VL-aware
-slow path is needed at all, and use raw values when it is not.
+A join, a sort or a sort-mode grouping whose inputs fail its array gate —
+no numpy, a NULL, a BOOLEAN, a NaN, mixed dtypes, no equi-key, or an
+algorithm with no array path (nested loop, sort-merge, DISTINCT) — returns
+``None``, and the caller runs the row engine's body: there is one Python
+body per algorithm, and it is the specification.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.ops import AggregateSpec
 from repro.engine.joins import extract_equi_keys
-from repro.engine.sorting import is_sorted_on
-from repro.engine.vector.batch import ColumnBatch, _Gather, _Repeat, _np
+from repro.engine.vector.batch import ColumnBatch, _Gather, _np
 from repro.engine.vector.compile import TRUE_CODE, compile_predicate
-from repro.engine.vector.grouping import GroupedFold, dense_offsets, key_runs
-from repro.expressions.ast import Expression
-from repro.sqltypes.values import (
-    INEXACT_TYPES,
-    NULL,
-    SqlValue,
-    group_key,
-    nan_keyed,
-    sort_key,
+from repro.engine.vector.grouping import (
+    GroupedFold,
+    _combine_codes,
+    dense_offsets,
+    key_runs,
 )
+from repro.expressions.ast import Expression
+from repro.sqltypes.values import SqlValue
 
 Params = Optional[Mapping[str, SqlValue]]
 
@@ -76,27 +76,6 @@ def project_batch(batch: ColumnBatch, columns: Sequence[str]) -> ColumnBatch:
     return batch.select_columns(indexes, ordering=surviving)
 
 
-def distinct_batch(batch: ColumnBatch) -> Tuple[ColumnBatch, int]:
-    """π^D duplicate elimination under ``=ⁿ`` (keeps first occurrence)."""
-    indexes = range(len(batch.names))
-    selection: List[int] = []
-    if batch.plain_keys_on(indexes):
-        seen_raw: Dict[Tuple[SqlValue, ...], None] = {}
-        for i, row in enumerate(batch.iter_rows()):
-            if row not in seen_raw:
-                seen_raw[row] = None
-                selection.append(i)
-    else:
-        seen: Dict[Tuple, None] = {}
-        for i, row in enumerate(batch.iter_rows()):
-            key = group_key(row)
-            if key not in seen:
-                seen[key] = None
-                selection.append(i)
-    # The row engine's distinct() drops the ordering property.
-    return batch.take(selection), batch.length
-
-
 # -- joins -------------------------------------------------------------------
 
 
@@ -136,72 +115,81 @@ def _apply_residual(
     return pairs.take(selection)
 
 
-def _key_rows(
-    batch: ColumnBatch, key_indexes: Sequence[int]
-) -> Tuple[List[Optional[Tuple[SqlValue, ...]]], int]:
-    """Per-row raw key tuples, with ``None`` marking NULL-containing keys.
-
-    Returns (keys, valid_count).  The row engine keys its hash table with
-    raw value tuples (after dropping NULL keys), so raw tuples are exactly
-    right here too.
-    """
-    key_columns = [batch.columns[i] for i in key_indexes]
-    if len(key_columns) == 1:
-        column = key_columns[0]
-        if not batch.has_nulls(key_indexes[0]):
-            return [(value,) for value in column], batch.length
-        keys: List[Optional[Tuple[SqlValue, ...]]] = [
-            None if value is NULL else (value,) for value in column
-        ]
-        return keys, sum(1 for k in keys if k is not None)
-    if not any(batch.has_nulls(i) for i in key_indexes):
-        rows = list(zip(*key_columns)) if key_columns else [()] * batch.length
-        return rows, batch.length
-    keys = []
-    valid = 0
-    for row in zip(*key_columns):
-        if any(value is NULL for value in row):
-            keys.append(None)
-        else:
-            keys.append(row)
-            valid += 1
-    return keys, valid
-
-
 def _matches_at_most_once(counts) -> bool:
     """The lookup's gate: does no probe match more than one build row?"""
     return int(counts.max(initial=0)) <= 1
 
 
-def _np_equi_join(left: ColumnBatch, right: ColumnBatch, left_key: int, right_key: int):
-    """C-speed single-key equi-join: each probe finds its run of equal keys
-    in the stably sorted build side.
+def _key_arrays(
+    left: ColumnBatch,
+    right: ColumnBatch,
+    left_keys: Sequence[int],
+    right_keys: Sequence[int],
+):
+    """The join key as one array per side, equal exactly where the key
+    tuples are equal, or ``None``.
 
-    Integer build keys whose span the two inputs cover
-    (:func:`~repro.engine.vector.grouping.dense_offsets`) are addressed: a
-    probe's run is read at ``key - low`` from the per-key tables, one
-    gather.  Any other build side is binary-searched, twice per probe.
-    When no probe matches more than one build row — an equality on the
-    build side's key — each matching probe's pair is read off at its run
-    start, a lookup; otherwise the runs are expanded into pairs.
-
-    Either way it emits the *identical* pair sequence the dict-of-buckets
-    probe does: left rows in order, and (because the argsort is stable)
-    each left row's matches in original right-row order.  Only taken when
-    both key columns have exact same-dtype array views — mixed dtypes or
-    NaN would change equality semantics.  Returns (left_sel, right_sel,
-    probes) or ``None``.
+    The gate, per key pair: both columns have array views of one dtype
+    (never NULL or BOOLEAN), and a float pair holds no NaN — there raw
+    equality is ``=``.  A single pair is its own key.  Several pairs are
+    coded together: each pair's two columns are concatenated and the
+    concatenations combined (:func:`~repro.engine.vector.grouping._combine_codes`),
+    so both sides are coded over one dictionary and equal key tuples get
+    equal codes; the codes are then split back into the two sides.  A side
+    with no rows matches nothing whatever its key, so its first pair is
+    key enough.
     """
     if _np is None:
         return None
-    left_arr = left.as_array(left_key)
-    right_arr = right.as_array(right_key)
-    if left_arr is None or right_arr is None or left_arr.dtype != right_arr.dtype:
+    left_arrays = []
+    right_arrays = []
+    for left_key, right_key in zip(left_keys, right_keys):
+        left_arr = left.as_array(left_key)
+        right_arr = right.as_array(right_key)
+        if left_arr is None or right_arr is None or left_arr.dtype != right_arr.dtype:
+            return None
+        if left_arr.dtype.kind == "f" and (
+            _np.isnan(left_arr).any() or _np.isnan(right_arr).any()
+        ):
+            return None
+        left_arrays.append(left_arr)
+        right_arrays.append(right_arr)
+    if len(left_arrays) == 1 or not (left.length and right.length):
+        return left_arrays[0], right_arrays[0]
+    codes, __ = _combine_codes(
+        [_np.concatenate(pair) for pair in zip(left_arrays, right_arrays)]
+    )
+    return codes[: left.length], codes[left.length :]
+
+
+def _np_equi_join(
+    left: ColumnBatch,
+    right: ColumnBatch,
+    left_keys: Sequence[int],
+    right_keys: Sequence[int],
+):
+    """C-speed equi-join: each probe finds its run of equal keys in the
+    stably sorted build side.
+
+    Integer build keys whose span the two inputs cover
+    (:func:`~repro.engine.vector.grouping.dense_offsets`) — a composite
+    key's codes always — are addressed: a probe's run is read at ``key -
+    low`` from the per-key tables, one gather.  Any other build side is
+    binary-searched, twice per probe.  When no probe matches more than one
+    build row — an equality on the build side's key — each matching
+    probe's pair is read off at its run start, a lookup; otherwise the
+    runs are expanded into pairs.
+
+    Either way it emits the *identical* pair sequence the row engine's
+    hash join does: left rows in order, and (because the argsort is
+    stable) each left row's matches in original right-row order.  Returns
+    (left_sel, right_sel, probes), or ``None`` when the key fails
+    :func:`_key_arrays`' gate.
+    """
+    keys = _key_arrays(left, right, left_keys, right_keys)
+    if keys is None:
         return None
-    if left_arr.dtype.kind == "f" and (
-        _np.isnan(left_arr).any() or _np.isnan(right_arr).any()
-    ):
-        return None
+    left_arr, right_arr = keys
     order = _np.argsort(right_arr, kind="stable")
     dense = dense_offsets(right_arr, left.length + right.length)
     if dense is None:
@@ -238,174 +226,25 @@ def hash_join_batch(
     right: ColumnBatch,
     condition: Optional[Expression],
     params: Params,
-) -> Tuple[ColumnBatch, int]:
-    """Hash join on extracted equi-keys; nested-loop fallback without one.
+) -> Optional[Tuple[ColumnBatch, int]]:
+    """Hash join on extracted equi-keys through :func:`_np_equi_join`, or
+    ``None`` — no equi-key, or a key that fails the array gate — for the
+    row engine's :func:`repro.engine.joins.hash_join` to take.
 
-    Same contract as :func:`repro.engine.joins.hash_join`: NULL keys are
-    dropped on both sides, every NaN key matches every NaN key, work =
-    |L| + |R| + bucket matches examined.
+    Same contract as that body: NULL keys never match, pairs in probe
+    order, work = |L| + |R| + bucket matches examined.
     """
     pairs, residual = extract_equi_keys(condition, left, right)
     if not pairs:
-        return nested_loop_join_batch(left, right, condition, params)
-
-    left_keys = [p[0] for p in pairs]
-    right_keys = [p[1] for p in pairs]
-
-    if len(pairs) == 1:
-        fast = _np_equi_join(left, right, left_keys[0], right_keys[0])
-        if fast is not None:
-            left_sel, right_sel, probes = fast
-            combined = _apply_residual(
-                _pair_batch(left, right, left_sel, right_sel), residual, params
-            )
-            return combined, left.length + right.length + probes
-
-    right_key_rows, __ = _key_rows(right, right_keys)
-    left_key_rows, __ = _key_rows(left, left_keys)
-    # NaN = NaN, as in the row engine's hash join: a key component whose
-    # build census holds a float or a Decimal keys every NaN as one token.
-    inexact = tuple(
-        c for c, i in enumerate(right_keys)
-        if not INEXACT_TYPES.isdisjoint(right.column_kinds(i))
+        return None
+    fast = _np_equi_join(left, right, [p[0] for p in pairs], [p[1] for p in pairs])
+    if fast is None:
+        return None
+    left_sel, right_sel, probes = fast
+    combined = _apply_residual(
+        _pair_batch(left, right, left_sel, right_sel), residual, params
     )
-    if inexact:
-        right_key_rows = [
-            None if key is None else nan_keyed(key, inexact) for key in right_key_rows
-        ]
-        left_key_rows = [
-            None if key is None else nan_keyed(key, inexact) for key in left_key_rows
-        ]
-    table: Dict[Tuple[SqlValue, ...], List[int]] = {}
-    for j, key in enumerate(right_key_rows):
-        if key is not None:
-            table.setdefault(key, []).append(j)
-
-    left_sel: List[int] = []
-    right_sel: List[int] = []
-    probes = 0
-    get_bucket = table.get
-    for i, key in enumerate(left_key_rows):
-        if key is None:
-            continue
-        bucket = get_bucket(key)
-        if bucket:
-            probes += len(bucket)
-            left_sel.extend([i] * len(bucket))
-            right_sel.extend(bucket)
-
-    combined = _apply_residual(_pair_batch(left, right, left_sel, right_sel), residual, params)
-    work = left.length + right.length + probes
-    return combined, work
-
-
-def nested_loop_join_batch(
-    left: ColumnBatch,
-    right: ColumnBatch,
-    condition: Optional[Expression],
-    params: Params,
-) -> Tuple[ColumnBatch, int]:
-    """Examine every pair; work = |L| × |R|.
-
-    The condition is compiled once; each left row is broadcast against the
-    whole right batch, producing one selection vector per left row.
-    """
-    names = left.names + right.names
-    work = left.length * right.length
-    left_sel: List[int] = []
-    right_sel: List[int] = []
-    if right.length:
-        predicate = (
-            None if condition is None else compile_predicate(condition, names)
-        )
-        for i in range(left.length):
-            if predicate is None:
-                left_sel.extend([i] * right.length)
-                right_sel.extend(range(right.length))
-                continue
-            broadcast = ColumnBatch(
-                names,
-                [_Repeat(column[i], right.length) for column in left.columns]
-                + list(right.columns),
-                length=right.length,
-            )
-            codes = predicate(broadcast, params)
-            matched = [j for j, code in enumerate(codes) if code == TRUE_CODE]
-            left_sel.extend([i] * len(matched))
-            right_sel.extend(matched)
-    return _pair_batch(left, right, left_sel, right_sel), work
-
-
-def sort_merge_join_batch(
-    left: ColumnBatch,
-    right: ColumnBatch,
-    condition: Optional[Expression],
-    params: Params,
-) -> Tuple[ColumnBatch, int]:
-    """Sort-merge join on extracted equi-keys (nested-loop fallback).
-
-    Mirrors :func:`repro.engine.joins.sort_merge_join`: NULL-key rows are
-    dropped pre-merge, presorted inputs skip their sort phase, work =
-    sort costs + |L| + |R| + matches, output carries left-key ordering.
-    """
-    pairs, residual = extract_equi_keys(condition, left, right)
-    if not pairs:
-        return nested_loop_join_batch(left, right, condition, params)
-
-    left_keys = [p[0] for p in pairs]
-    right_keys = [p[1] for p in pairs]
-    left_presorted = is_sorted_on(left, [left.names[i] for i in left_keys])
-    right_presorted = is_sorted_on(right, [right.names[i] for i in right_keys])
-
-    def merge_side(batch: ColumnBatch, key_indexes: List[int], presorted: bool):
-        key_rows, __ = _key_rows(batch, key_indexes)
-        indices = [i for i, key in enumerate(key_rows) if key is not None]
-        keys = [sort_key(key_rows[i]) for i in indices]
-        if not presorted:
-            order = sorted(range(len(indices)), key=keys.__getitem__)
-            indices = [indices[t] for t in order]
-            keys = [keys[t] for t in order]
-        return indices, keys
-
-    left_idx, left_sorted_keys = merge_side(left, left_keys, left_presorted)
-    right_idx, right_sorted_keys = merge_side(right, right_keys, right_presorted)
-
-    left_sel: List[int] = []
-    right_sel: List[int] = []
-    matches = 0
-    i = j = 0
-    n_left, n_right = len(left_idx), len(right_idx)
-    while i < n_left and j < n_right:
-        left_key = left_sorted_keys[i]
-        right_key = right_sorted_keys[j]
-        if left_key < right_key:
-            i += 1
-        elif right_key < left_key:
-            j += 1
-        else:
-            j_end = j
-            while j_end < n_right and right_sorted_keys[j_end] == right_key:
-                j_end += 1
-            run = right_idx[j:j_end]
-            i_run = i
-            while i_run < n_left and left_sorted_keys[i_run] == left_key:
-                matches += len(run)
-                left_sel.extend([left_idx[i_run]] * len(run))
-                right_sel.extend(run)
-                i_run += 1
-            i = i_run
-            j = j_end
-
-    combined = _apply_residual(_pair_batch(left, right, left_sel, right_sel), residual, params)
-    work = (
-        (0 if left_presorted else _sort_cost(left.length))
-        + (0 if right_presorted else _sort_cost(right.length))
-        + left.length
-        + right.length
-        + matches
-    )
-    ordering = tuple(left.names[i] for i in left_keys)
-    return combined.with_ordering(ordering), work
+    return combined, left.length + right.length + probes
 
 
 def cartesian_product_batch(
@@ -431,37 +270,26 @@ def sort_batch(
     batch: ColumnBatch,
     columns: Sequence[str],
     descending: Optional[Sequence[bool]] = None,
-) -> Tuple[ColumnBatch, int]:
-    """Sort on ``columns`` (NULLS FIRST); mirrors ``sort_dataset``.
-
-    A stable multi-pass sort over a permutation vector, least-significant
-    key first; null-free columns sort on raw values (same order, no
-    wrapper allocation).
-    """
+) -> Optional[Tuple[ColumnBatch, int]]:
+    """Sort on ``columns`` (NULLS FIRST) through :func:`_np_sort_perm`, or
+    ``None`` where it has no permutation, for the row engine's
+    :func:`~repro.engine.sorting.sort_dataset` to take."""
     indexes = batch.indexes_of(columns)
     flags = tuple(descending) if descending else tuple(False for __ in columns)
-    work = _sort_cost(batch.length)
+    perm = _np_sort_perm(batch, indexes, flags)
+    if perm is None:
+        return None
     ordering = tuple(batch.names[i] for i in indexes) if not any(flags) else ()
-    fast = _np_sort_perm(batch, indexes, flags)
-    if fast is not None:
-        return batch.take(fast, ordering=ordering), work
-    perm = list(range(batch.length))
-    for index, desc in reversed(list(zip(indexes, flags))):
-        column = batch.columns[index]
-        if not batch.plain_keys_on((index,)):  # a NULL, BOOLEAN or NaN
-            perm.sort(key=lambda i: sort_key((column[i],)), reverse=desc)
-        else:
-            perm.sort(key=column.__getitem__, reverse=desc)
-    return batch.take(perm, ordering=ordering), work
+    return batch.take(perm, ordering=ordering), _sort_cost(batch.length)
 
 
 def _np_sort_perm(batch: ColumnBatch, indexes: Sequence[int], flags: Sequence[bool]):
-    """A C-speed stable sort permutation, or ``None`` when Python-only.
+    """A C-speed stable sort permutation, or ``None``.
 
     Valid only for homogeneous null-free int/float key columns without
     NaN: there raw ``<`` agrees with ``sort_key`` order, and a stable
     argsort (descending keys negated — stability makes that equivalent to
-    ``reverse=True``) reproduces the multi-pass ``list.sort`` exactly.
+    ``reverse=True``) reproduces the row engine's multi-pass sort exactly.
     A single integer key whose span the rows cover and 16 bits hold
     (:func:`~repro.engine.vector.grouping.dense_offsets`) sorts as its
     ``uint16`` offsets — numpy's radix sort, and the same permutation: a
@@ -498,20 +326,24 @@ def grouped_aggregate(
     params: Params = None,
     mode: str = "hash",
     presorted: bool = False,
-) -> Tuple[ColumnBatch, int]:
+) -> Optional[Tuple[ColumnBatch, int]]:
     """G[GA] + F(AA): the grouped fold (:mod:`.grouping`) fed one batch.
 
     ``mode="hash"`` mirrors :func:`repro.engine.aggregation.hash_group`
     (groups in first-appearance order, work = n + groups); ``mode="sort"``
     mirrors :func:`~repro.engine.aggregation.sort_group` (sort then
     boundary scan, output ordered by the grouping columns, work =
-    n·log₂n + n, or n + groups when ``presorted``).
+    n·log₂n + n, or n + groups when ``presorted``).  Sort mode is ``None``
+    where :func:`sort_batch` is.
     """
     n = batch.length
-    fold = GroupedFold(batch, grouping_columns, specs, params)
     sort_work = 0
     if mode == "sort" and not presorted:
-        batch, sort_work = sort_batch(batch, grouping_columns)
+        ordered = sort_batch(batch, grouping_columns)
+        if ordered is None:
+            return None
+        batch, sort_work = ordered
+    fold = GroupedFold(batch, grouping_columns, specs, params)
     representatives = fold.feed(batch, runs=mode == "sort")
     result = fold.finish(batch, representatives)
     if mode != "sort":

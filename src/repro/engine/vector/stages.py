@@ -74,9 +74,9 @@ class _ProjectStage:
         self.in_rows = 0
         self.out_rows = 0
         self.distinct = bool(node.distinct)
-        # Persistent =ⁿ dedup state.  group_key equality coincides with
-        # raw-tuple equality whenever distinct_batch's raw path is sound,
-        # so one key scheme serves every morsel whatever its type census.
+        # Persistent =ⁿ dedup state, keyed by group_key as the row
+        # engine's distinct() is, so one key scheme serves every morsel
+        # whatever its type census.
         self.seen: Dict[Tuple, None] = {}
 
     def begin(self, schema: ColumnBatch, params) -> ColumnBatch:
@@ -93,7 +93,7 @@ class _ProjectStage:
             if key not in seen:
                 seen[key] = None
                 selection.append(i)
-        # Like distinct_batch / the row engine, DISTINCT drops the ordering.
+        # Like the row engine's distinct(), DISTINCT drops the ordering.
         return out.take(selection)
 
     def work(self) -> int:

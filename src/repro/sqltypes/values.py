@@ -95,30 +95,44 @@ def sql_compare_ne(left: object, right: object) -> Truth:
 
 
 def sql_compare_lt(left: object, right: object) -> Truth:
+    """SQL ``<`` in :func:`sort_key`'s order: a NaN sorts above every
+    number and equals every NaN, as in PostgreSQL.  Only a float or a
+    Decimal operand is read for NaN; others compare raw."""
     if is_null(left) or is_null(right):
         return UNKNOWN
     _require_comparable(left, right)
+    if type(left) in INEXACT_TYPES or type(right) in INEXACT_TYPES:
+        return from_bool(sorts_before(left, right))
     return from_bool(left < right)
 
 
 def sql_compare_le(left: object, right: object) -> Truth:
+    """SQL ``<=``: not ``right < left`` (:func:`sql_compare_lt`)."""
     if is_null(left) or is_null(right):
         return UNKNOWN
     _require_comparable(left, right)
+    if type(left) in INEXACT_TYPES or type(right) in INEXACT_TYPES:
+        return from_bool(not sorts_before(right, left))
     return from_bool(left <= right)
 
 
 def sql_compare_gt(left: object, right: object) -> Truth:
+    """SQL ``>``: ``right < left`` (:func:`sql_compare_lt`)."""
     if is_null(left) or is_null(right):
         return UNKNOWN
     _require_comparable(left, right)
+    if type(left) in INEXACT_TYPES or type(right) in INEXACT_TYPES:
+        return from_bool(sorts_before(right, left))
     return from_bool(left > right)
 
 
 def sql_compare_ge(left: object, right: object) -> Truth:
+    """SQL ``>=``: not ``left < right`` (:func:`sql_compare_lt`)."""
     if is_null(left) or is_null(right):
         return UNKNOWN
     _require_comparable(left, right)
+    if type(left) in INEXACT_TYPES or type(right) in INEXACT_TYPES:
+        return from_bool(not sorts_before(left, right))
     return from_bool(left >= right)
 
 

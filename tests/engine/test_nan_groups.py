@@ -9,7 +9,9 @@ shard × aggregation cell below must see exactly one NaN group, holding
 every NaN row.  Sorting (sort-based grouping, ORDER BY) orders NaN above
 every number, as PostgreSQL does: ``<`` against a NaN is always false, so
 a raw sort would scatter NaN and non-NaN keys alike.  ``=`` agrees: NaN =
-NaN is TRUE in every join algorithm on both engines, fresh or shared.
+NaN is TRUE in every join algorithm on both engines, fresh or shared.  So
+do ``<``, ``<=``, ``>``, ``>=`` and ``BETWEEN``: they order a float or a
+Decimal NaN as the sort does.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.catalog.catalog import Database
 from repro.catalog.schema import Column, TableSchema
 from repro.engine.executor import ExecutorConfig
 from repro.session import Session
-from repro.sqltypes.datatypes import FLOAT, INTEGER
+from repro.sqltypes.datatypes import FLOAT, INTEGER, DecimalType
 from repro.sqltypes.values import (
     NULL,
     group_key,
@@ -165,6 +167,49 @@ def test_a_spilled_hash_join_joins_every_nan_key(shared, monkeypatch):
     ).result
     assert graced
     assert sorted(result.rows) == [(0, 4), (1, 4), (2, 4), (3, 4), (9, 1)]
+
+
+#: ``WHERE`` clauses over ``T(k)`` = {NaN, NaN, 1, 2} (and its self-join
+#: ``A``, ``B``) and the rows each keeps: NaN sorts above every number and
+#: equals every NaN.
+COMPARISONS = {
+    "k = k": 4,
+    "k <= k": 4,
+    "k >= k": 4,
+    "k < k": 0,
+    "k > k": 0,
+    "k > 1.5": 3,
+    "k < 1.5": 1,
+    "k >= 1": 4,
+    "k BETWEEN 0 AND 5": 2,
+    "k NOT BETWEEN 0 AND 5": 2,
+    "A.k >= B.k": 11,
+    "A.k < B.k": 5,
+    "A.k <= B.k": 11,
+    "A.k > B.k": 5,
+}
+
+
+@pytest.mark.parametrize("compare", sorted(COMPARISONS))
+@pytest.mark.parametrize("kind", ["float", "decimal"])
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+def test_every_comparison_orders_nan_as_the_sort_does(shared, kind, compare):
+    if kind == "float":
+        datatype, shared_nan, fresh_nan = FLOAT, SHARED, lambda: float("nan")
+        numbers = [1.0, 2.0]
+    else:
+        shared_decimal = Decimal("NaN")
+        datatype, shared_nan, fresh_nan = DecimalType(18, 1), shared_decimal, lambda: Decimal("NaN")
+        numbers = [Decimal(1), Decimal(2)]
+    db = Database()
+    db.create_table(TableSchema("T", [Column("k", datatype)]))
+    for value in [shared_nan if shared else fresh_nan() for __ in range(2)] + numbers:
+        db.table("T").insert([value])
+    source = "T A, T B" if "A." in compare else "T"
+    sql = f"SELECT COUNT(*) AS n FROM {source} WHERE {compare}"
+    for engine in ("row", "vector"):
+        result = Session(db, executor_config=ExecutorConfig(engine=engine)).report(sql)
+        assert result.result.rows == [(COMPARISONS[compare],)], engine
 
 
 def test_equality_on_nan_is_true_and_its_negation_false():

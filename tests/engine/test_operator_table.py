@@ -2,10 +2,14 @@
 
 (i) The row body registered in :data:`repro.engine.operators.OPERATORS` is
 the one the row engine runs, the one a faulted vector kernel falls back
-to, and the one a degraded streamed segment replays through — with the
-statistics of the unfaulted run each time.  (ii) Nothing else under
-``src/repro/engine/`` calls the operator implementations directly, and
-nothing under ``engine/vector/`` but ``grouping.py`` folds values per group.
+to, the one a kernel without an array path hands its inputs to, and the
+one a degraded streamed segment replays through — with the statistics of
+the unfaulted run each time.  (ii) Nothing else under
+``src/repro/engine/`` calls the operator implementations directly, nothing
+under ``engine/vector/`` but ``grouping.py`` folds values per group, and
+``vector/kernels.py`` spells none of the row bodies' value semantics.
+(iii) The benchmarked statements and plans reach no row body on the vector
+engine when numpy is there.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from repro.engine import faults
 from repro.engine.executor import ExecutorConfig, execute
 from repro.engine.operators import OPERATORS
 from repro.engine.stats import NodeStats
+from repro.engine.vector.batch import _np
 from tests.engine.differential import stats_signature
 from repro.expressions.builder import col, count_star, eq, gt, sum_
 from repro.sqltypes.datatypes import INTEGER
@@ -78,15 +83,20 @@ def test_every_path_runs_the_one_row_body(monkeypatch, node_type):
     expected, row_stats = run(engine="row")
     signature = stats_signature(row_stats)
     assert calls == ["Executor"]
+    # Without numpy the join kernel has no array path: an unfaulted vector
+    # run hands the join to the row body, uncounted, with the same stats.
+    handed = ["VectorExecutor"] if node_type is Join and _np is None else []
 
-    # A materialized vector run: unfaulted it never touches the row body;
-    # with a kernel fault at the operator it falls back to exactly it.
+    # A materialized vector run: unfaulted it never touches the row body
+    # unless handed; with a kernel fault at the operator it falls back to
+    # exactly it.
     materialized = {"engine": "vector", "morsel_size": None}
     __, clean_stats = run(**materialized)
-    assert calls == ["Executor"] and clean_stats.degradations == 0
+    assert calls == ["Executor", *handed] and clean_stats.degradations == 0
+    assert stats_signature(clean_stats) == signature
     with faults.inject(kernel_fault()):
         result, stats = run(**materialized)
-    assert calls == ["Executor", "VectorExecutor"]
+    assert calls == ["Executor", *handed, "VectorExecutor"]
     assert stats.degradations == 1
     assert result.equals_multiset(expected)
     assert stats_signature(stats) == signature == stats_signature(clean_stats)
@@ -103,7 +113,7 @@ def test_every_path_runs_the_one_row_body(monkeypatch, node_type):
     with faults.inject(*planted) as injector:
         result, stats = run(**streamed)
     assert len(injector.fired) == len(planted)
-    assert calls == ["Executor", "VectorExecutor", "VectorExecutor"]
+    assert calls == ["Executor", *handed, "VectorExecutor", *handed, "VectorExecutor"]
     assert stats.degradations == len(planted)
     assert result.equals_multiset(expected)
     assert stats_signature(stats) == signature == stats_signature(clean_stats)
@@ -166,6 +176,45 @@ def test_the_grouped_fold_is_spelled_once(name):
         assert any(site.startswith("vector/grouping.py:") for site in call_sites(name))
 
 
+#: The row bodies' value semantics: what a Python join, sort or distinct
+#: loop is made of.
+ROW_SEMANTICS = ("sort_key", "group_key", "nan_keyed", "evaluate_predicate")
+
+
+@pytest.mark.parametrize("name", ROW_SEMANTICS)
+def test_the_kernels_spell_no_row_body(name):
+    """``vector/kernels.py`` keeps array paths only; an input without one
+    is handed to the row body, which is the one Python spelling."""
+    assert [
+        site for site in call_sites(name) if site.startswith("vector/kernels.py:")
+    ] == []
+
+
 def test_node_stats_is_built_in_one_place():
     [site] = call_sites(NodeStats.__name__)
     assert site.startswith("stats.py:")  # ExecutionStats.record_node
+
+
+# -- (iii) what the benchmark reaches ------------------------------------------
+
+
+@pytest.mark.skipif(_np is None, reason="without numpy joins and sorts are handed off")
+def test_the_benchmarked_statements_reach_no_row_body(monkeypatch):
+    """The six ``star_sql`` statements and the ``plan_exec`` plans, set up
+    and warmed as the benchmark does, run every operator on a kernel."""
+    from bench.workloads import plan_exec, star_sql
+
+    reached = []
+    for node_type, operator in list(OPERATORS.items()):
+        def counting_row(node, inputs, env, governor, operator=operator):
+            reached.append(node.label())
+            return operator.row(node, inputs, env, governor)
+
+        monkeypatch.setitem(
+            OPERATORS, node_type, dataclasses.replace(operator, row=counting_row)
+        )
+    star_sql.StarSql().setup(seed=1, sizes=star_sql.FULL)
+    context = plan_exec.setup(seed=1, sizes=plan_exec.QUICK)
+    for plan in plan_exec.PLANS:
+        plan_exec.execute(context, plan)
+    assert reached == []

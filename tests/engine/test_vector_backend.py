@@ -6,13 +6,17 @@ the component contracts it rests on — ``=ⁿ`` key handling, 3VL truth
 codes, lazy gathers, array-view gating, and the columnar scan cache.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.algebra.ops import (
     AggregateSpec,
     Apply,
     Group,
+    GroupApply,
     Join,
+    Project,
     Relation,
     Select,
     Sort,
@@ -21,6 +25,7 @@ from repro.catalog import Column, Database, PrimaryKeyConstraint, TableSchema
 from repro.engine.dataset import DataSet
 from repro.engine.executor import Executor, ExecutorConfig
 from repro.engine.joins import hash_join
+from repro.engine.operators import evaluate
 from repro.engine.vector.batch import ColumnBatch, _Gather, _Repeat, _np
 from repro.engine.vector.columnar import table_to_batch
 from repro.engine.vector.compile import (
@@ -30,13 +35,7 @@ from repro.engine.vector.compile import (
     compile_predicate,
     compile_scalar,
 )
-from repro.engine.vector.kernels import (
-    distinct_batch,
-    filter_batch,
-    grouped_aggregate,
-    hash_join_batch,
-    sort_batch,
-)
+from repro.engine.vector.kernels import filter_batch, grouped_aggregate
 from repro.expressions.builder import (
     and_,
     col,
@@ -55,6 +54,15 @@ from repro.sqltypes.values import NULL
 
 def batch_of(names, rows, ordering=()):
     return ColumnBatch.from_rows(names, rows, ordering=ordering)
+
+
+def on_the_vector_engine(node, *inputs, **config):
+    """``node``'s operator over input batches as the vector engine runs it:
+    its kernel, or the row body the kernel hands them to."""
+    env = SimpleNamespace(
+        database=None, params=None, config=ExecutorConfig(engine="vector", **config)
+    )
+    return evaluate(node, inputs, env)
 
 
 class TestColumnBatch:
@@ -77,11 +85,8 @@ class TestColumnBatch:
         assert batch.plain_keys_on([0])
         assert not batch.plain_keys_on([1])  # NULL present
         assert not batch.plain_keys_on([2])  # BOOLEAN present
-        assert batch.has_nulls(1) and not batch.has_nulls(0)
-
-    def test_validity_mask(self):
-        batch = batch_of(("a",), [(1,), (NULL,), (3,)])
-        assert batch.validity(0) == [True, False, True]
+        assert batch.column_kinds(1) == {int, type(NULL)}
+        assert batch.column_kinds(0) == {int}
 
 
 class TestRepeatAndGather:
@@ -227,14 +232,17 @@ class TestFilterKernel:
 
 
 class TestDistinctKernel:
+    def distinct(self, batch):
+        return on_the_vector_engine(Project(Relation("T"), ["a"], distinct=True), batch)
+
     def test_null_collides_with_null(self):
         batch = batch_of(("a",), [(NULL,), (1,), (NULL,)])
-        result, __ = distinct_batch(batch)
+        result, __ = self.distinct(batch)
         assert result.length == 2
 
     def test_bool_stays_distinct_from_int(self):
         batch = batch_of(("a",), [(True,), (1,), (False,), (0,)])
-        result, __ = distinct_batch(batch)
+        result, __ = self.distinct(batch)
         assert result.length == 4
 
 
@@ -245,15 +253,17 @@ class TestJoinKernelParity:
     def right(self):
         return DataSet(("R.k", "R.w"), [(1, 10), (2, 20), (3, 30), (NULL, 40)])
 
+    def join(self, condition, left, right):
+        return on_the_vector_engine(
+            Join(Relation("L"), Relation("R"), condition),
+            ColumnBatch.from_dataset(left),
+            ColumnBatch.from_dataset(right),
+        )
+
     def test_matches_and_stats_mirror_row_engine(self):
         condition = eq(col("L.k"), col("R.k"))
         row_result, row_work = hash_join(self.left(), self.right(), condition)
-        vec_result, vec_work = hash_join_batch(
-            ColumnBatch.from_dataset(self.left()),
-            ColumnBatch.from_dataset(self.right()),
-            condition,
-            None,
-        )
+        vec_result, vec_work = self.join(condition, self.left(), self.right())
         assert vec_result.to_dataset().equals_multiset(row_result)
         assert vec_work == row_work
 
@@ -265,13 +275,12 @@ class TestJoinKernelParity:
         left = DataSet(("L.k",), [(2,), (1,), (2,)])
         right = DataSet(("R.k", "R.i"), [(2, 0), (1, 1), (2, 2), (2, 3)])
         row_result, __ = hash_join(left, right, condition)
-        vec_result, __ = hash_join_batch(
-            ColumnBatch.from_dataset(left),
-            ColumnBatch.from_dataset(right),
-            condition,
-            None,
-        )
+        vec_result, __ = self.join(condition, left, right)
         assert list(vec_result.iter_rows()) == list(row_result.rows)
+
+
+def sort_batch(batch, columns, descending=()):
+    return on_the_vector_engine(Sort(Relation("T"), columns, descending), batch)
 
 
 class TestSortKernel:
@@ -316,7 +325,11 @@ class TestGroupedAggregateKernel:
         assert work == 6 + 3
 
     def test_sort_mode_orders_output(self):
-        result, __ = grouped_aggregate(self.batch(), ["g"], self.specs(), mode="sort")
+        result, __ = on_the_vector_engine(
+            GroupApply(Relation("T"), ["g"], self.specs()),
+            self.batch(),
+            aggregation="sort",
+        )
         assert result.ordering == ("g",)
         assert [r[0] for r in result.iter_rows()] == [NULL, 1, 2]
 

@@ -108,7 +108,7 @@ def test_the_addressed_probe_is_the_searched_probe(sides):
     probe, build = sides
     left, right = column(probe), column(build)
     addressed, searched, opened = both_ways(
-        lambda: listed(kernels._np_equi_join(left, right, 0, 0))
+        lambda: listed(kernels._np_equi_join(left, right, [0], [0]))
     )
     assert addressed == searched
     assert opened == [max(build) - min(build) + 1 <= len(probe) + len(build)]
@@ -125,7 +125,7 @@ def test_the_addressed_probe_is_the_searched_probe(sides):
 def test_an_empty_probe_side_joins_to_nothing_both_ways():
     left, right = column([5, 6], selection=[]), column([3, 4, 4, 5])
     addressed, searched, opened = both_ways(
-        lambda: listed(kernels._np_equi_join(left, right, 0, 0))
+        lambda: listed(kernels._np_equi_join(left, right, [0], [0]))
     )
     assert opened == [True]
     assert addressed == searched
@@ -137,7 +137,7 @@ def test_a_probe_at_int64s_minimum_is_masked_not_wrapped():
     build = [1, 2, 3, 3]
     probe = [INT64_MIN, 3, INT64_MAX, INT64_MIN + 2, 0, 4]
     addressed, searched, opened = both_ways(
-        lambda: listed(kernels._np_equi_join(column(probe), column(build), 0, 0))
+        lambda: listed(kernels._np_equi_join(column(probe), column(build), [0], [0]))
     )
     assert opened == [True]
     assert addressed == searched
@@ -152,7 +152,7 @@ def test_the_join_gate_closes_one_past_the_rows_it_serves(slack):
     build = [span - 1, 0]
     probe = [(i * 7) % (span + 2) for i in range(span - len(build) + slack)]
     addressed, searched, opened = both_ways(
-        lambda: listed(kernels._np_equi_join(column(probe), column(build), 0, 0))
+        lambda: listed(kernels._np_equi_join(column(probe), column(build), [0], [0]))
     )
     assert opened == [slack >= 0]
     assert addressed == searched

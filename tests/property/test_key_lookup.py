@@ -1,16 +1,21 @@
 """Property: a key join's lookup and a composite key's digits change nothing.
 
-Two shortcuts, each held to the code it shortcuts:
+Three shortcuts, each held to the code it shortcuts:
 
 * ``_np_equi_join`` reads a probe's one pair off its run start when no
   probe matches twice (:func:`~repro.engine.vector.kernels._matches_at_most_once`),
   and expands runs into pairs otherwise.  With that gate as shipped and
   forced shut, the kernel returns the same ``left_sel`` / ``right_sel`` —
-  values and dtype — and ``probes``; both agree with the dict-of-buckets
-  probe of ``hash_join_batch``, which shares no code with either.  Build
-  sides with unique keys and with duplicates, dense and sparse spans,
-  probes below, above and between the build keys, int64's two ends, empty
-  sides, and float keys (the ``searchsorted`` path).
+  values and dtype — and ``probes``; both agree with the row engine's
+  :func:`~repro.engine.joins.hash_join`, which shares no code with either.
+  Build sides with unique keys and with duplicates, dense and sparse
+  spans, probes below, above and between the build keys, int64's two
+  ends, empty sides, and float keys (the ``searchsorted`` path).
+* A join on two or three key pairs codes each pair's two columns over one
+  dictionary (:func:`~repro.engine.vector.kernels._key_arrays`) and probes
+  the codes.  It gives the same rows in the same order, and the same work,
+  as the row engine's hash join; a key with a NULL, a NaN or an
+  int-against-float pair is handed to that body instead.
 * ``_combine_codes`` takes each column's :func:`dense_offsets` as its radix
   digit where that gate opens and factorises only the others, and hands
   back the final grouping.  It returns the same ``(inverse, first)`` as
@@ -22,12 +27,15 @@ from contextlib import contextmanager
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import repro.engine.vector.grouping as grouping
 import repro.engine.vector.kernels as kernels
+from repro.engine.dataset import DataSet
+from repro.engine.joins import hash_join
 from repro.engine.vector.batch import ColumnBatch, _np
-from repro.expressions.builder import col, eq
+from repro.expressions.builder import and_, col, eq
+from repro.sqltypes.values import NULL
 
 pytestmark = pytest.mark.skipif(_np is None, reason="compares the numpy paths")
 
@@ -56,15 +64,17 @@ def lookup_shut():
         yield
 
 
-def bucket_pairs(left, right):
-    """``hash_join_batch``'s dict-of-buckets probe: ``(left_sel, right_sel,
-    probes)``, the numpy kernel refused."""
-    with patch.object(kernels, "_np_equi_join", lambda *sides: None):
-        pairs, work = kernels.hash_join_batch(
-            left, right, eq(col("L.k"), col("R.k")), None
-        )
-    left_sel, right_sel = (list(column.sel) for column in pairs.columns)
-    return left_sel, right_sel, work - left.length - right.length
+def row_engine_pairs(probe, build):
+    """The row engine's hash join of two key lists: ``(left_sel, right_sel,
+    probes)``, each side's row number carried as a second column."""
+    joined, work = hash_join(
+        DataSet(("L.k", "L.i"), [(key, i) for i, key in enumerate(probe)]),
+        DataSet(("R.k", "R.j"), [(key, j) for j, key in enumerate(build)]),
+        eq(col("L.k"), col("R.k")),
+    )
+    left_sel = [row[1] for row in joined.rows]
+    right_sel = [row[3] for row in joined.rows]
+    return left_sel, right_sel, work - len(probe) - len(build)
 
 
 #: Where a key range sits: around zero, negative, far out, and flush with
@@ -113,22 +123,22 @@ def _sides(draw):
 def test_the_lookup_is_the_expansion_and_the_bucket_probe(sides):
     probe, build = sides
     left, right = side("L.k", probe), side("R.k", build)
-    fast = kernels._np_equi_join(left, right, 0, 0)
+    fast = kernels._np_equi_join(left, right, [0], [0])
     if fast is None:  # mixed dtypes: the kernel's own refusal, not ours
         assert {type(key) for key in probe} != {type(key) for key in build}
         return
     with lookup_shut():
-        expanded = kernels._np_equi_join(left, right, 0, 0)
+        expanded = kernels._np_equi_join(left, right, [0], [0])
     assert listed(fast) == listed(expanded)
     left_sel, right_sel, probes = fast
-    assert (left_sel.tolist(), right_sel.tolist(), probes) == bucket_pairs(left, right)
+    assert (left_sel.tolist(), right_sel.tolist(), probes) == row_engine_pairs(probe, build)
 
 
 def test_a_key_join_looks_up_and_a_duplicate_expands():
     """Both branches on one build side, before and after a duplicate."""
     probe = [3, 9, 1, 3, 2]
-    unique = kernels._np_equi_join(side("L.k", probe), side("R.k", [1, 2, 3]), 0, 0)
-    doubled = kernels._np_equi_join(side("L.k", probe), side("R.k", [1, 3, 2, 3]), 0, 0)
+    unique = kernels._np_equi_join(side("L.k", probe), side("R.k", [1, 2, 3]), [0], [0])
+    doubled = kernels._np_equi_join(side("L.k", probe), side("R.k", [1, 3, 2, 3]), [0], [0])
     assert listed(unique) == (("int64", [0, 2, 3, 4]), ("int64", [2, 0, 2, 1]), 4)
     assert listed(doubled) == (
         ("int64", [0, 0, 2, 3, 3, 4]), ("int64", [1, 3, 0, 1, 3, 2]), 6,
@@ -217,3 +227,111 @@ def test_a_dense_column_is_a_digit_and_a_sparse_one_is_factorised(columns):
     sparse = sum(column is SPARSE for column in columns)
     assert len(factorised) == sparse + len(columns) - 1
     assert listed(combined) == listed(factorised_every_column(arrays))
+
+
+# -- composite join keys -------------------------------------------------------
+
+
+def pool_of(shape, base, width):
+    """A narrow pool of key values, so that key tuples repeat and match."""
+    if shape == "float":
+        return [-0.0, 0.0, 0.5, -1.5, 1e300][:width + 1]
+    if shape == "ends":
+        return [INT64_MIN, INT64_MAX, INT64_MIN + 1, INT64_MAX - 1, 0][:width + 1]
+    stride = 1 if shape == "dense" else 10 ** 6
+    return [base + offset * stride for offset in range(width + 1)]
+
+
+@st.composite
+def _composite_sides(draw):
+    """Two or three key pairs; per pair a shape (dense, sparse, int64's
+    ends, float with both zeros) and a pool both sides draw from; either
+    side may be empty."""
+    pools = [
+        pool_of(
+            draw(st.sampled_from(["dense", "dense", "sparse", "ends", "float"])),
+            draw(st.sampled_from([0, -7, 10 ** 9, INT64_MIN])),
+            draw(st.integers(0, 3)),
+        )
+        for __ in range(draw(st.integers(2, 3)))
+    ]
+
+    def rows(max_size):
+        n = draw(st.integers(0, max_size))
+        return [tuple(draw(st.sampled_from(pool)) for pool in pools) for __ in range(n)]
+
+    return pools, rows(30), rows(30)
+
+
+def keyed_batch(prefix, pools, keys):
+    """Key columns ``k0…`` plus the row number ``i``; an empty side is a
+    selection of nothing, so it keeps its columns' array views."""
+    names = tuple(f"{prefix}.k{c}" for c in range(len(pools))) + (f"{prefix}.i",)
+    if not keys:
+        template = tuple(pool[0] for pool in pools) + (0,)
+        return DataSet(names, []), ColumnBatch.from_rows(names, [template]).take([])
+    rows = [key + (i,) for i, key in enumerate(keys)]
+    return DataSet(names, rows), ColumnBatch.from_rows(names, rows)
+
+
+def composite_join(pools, probe, build):
+    """The coded join (``None`` when handed off) and the row engine's."""
+    condition = and_(
+        *(eq(col(f"L.k{c}"), col(f"R.k{c}")) for c in range(len(pools)))
+    )
+    left_rows, left = keyed_batch("L", pools, probe)
+    right_rows, right = keyed_batch("R", pools, build)
+    coded = kernels.hash_join_batch(left, right, condition, None)
+    return coded, hash_join(left_rows, right_rows, condition)
+
+
+def exactly(rows):
+    """Rows as reprs: ``-0.0`` and ``0.0`` stay apart, as do 1 and 1.0."""
+    return [tuple(map(repr, row)) for row in rows]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(sides=_composite_sides())
+def test_a_coded_composite_key_joins_as_the_row_engine(sides):
+    pools, probe, build = sides
+    coded, (expected, work) = composite_join(pools, probe, build)
+    assert coded is not None
+    result, coded_work = coded
+    assert exactly(result.iter_rows()) == exactly(expected.rows)
+    assert coded_work == work
+
+
+def with_column(keys, column, change):
+    return [key[:column] + (change(key[column]),) + key[column + 1:] for key in keys]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    sides=_composite_sides(),
+    spoiler=st.sampled_from(["null", "nan", "int-against-float"]),
+    on_probe=st.booleans(),
+    column=st.integers(0, 2),
+)
+def test_a_null_nan_or_mixed_key_is_the_row_engines(sides, spoiler, on_probe, column):
+    """One key column of one non-empty side holds a NULL, a NaN (its pair
+    made float on both sides first) or floats against the other side's
+    ints: the gate refuses the key."""
+    pools, probe, build = sides
+    column %= len(pools)
+    assume(probe if on_probe else build)
+    if spoiler == "nan":
+        pools = pools[:column] + [[float(v) for v in pools[column]]] + pools[column + 1:]
+        probe, build = (with_column(keys, column, float) for keys in (probe, build))
+    if spoiler == "int-against-float":
+        assume(not isinstance(pools[column][0], float))
+        planted = with_column(probe if on_probe else build, column, float)
+    else:
+        value = NULL if spoiler == "null" else float("nan")
+        keys = probe if on_probe else build
+        planted = with_column(keys[:1], column, lambda __: value) + keys[1:]
+    if on_probe:
+        probe = planted
+    else:
+        build = planted
+    coded, __ = composite_join(pools, probe, build)
+    assert coded is None
