@@ -8,7 +8,10 @@ Python closures that each consume and produce whole columns:
   ``(batch, params) -> column`` of SQL values (NULL-propagating, same
   semantics as :func:`repro.expressions.eval.evaluate_scalar`);
 * :func:`compile_predicate` — boolean expressions; returns a function
-  ``(batch, params) -> truth codes``.
+  ``(batch, params) -> truth codes``;
+* :func:`compile_selection` — a predicate's ``⌊P⌋`` as a selection
+  vector, through a numpy mask where every operand is a null-free numeric
+  array view and through :func:`compile_predicate`'s codes elsewhere.
 
 Three-valued logic is encoded per batch as small integers —
 ``FALSE=0, UNKNOWN=1, TRUE=2`` — so Figure 2's connectives become branch
@@ -28,10 +31,11 @@ pass plus one pass over the groups.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.engine.vector.batch import _Repeat
+from repro.engine.vector.batch import _Repeat, _np
 from repro.errors import BindingError, ExecutionError
 from repro.expressions.ast import (
     Aggregate,
@@ -288,6 +292,141 @@ def compile_predicate(expression: Expression, names: Sequence[str]) -> Predicate
         return out
 
     return coerce
+
+
+# -- selection ---------------------------------------------------------------
+
+#: A compiled selection: (batch, params) -> the row positions where ⌊P⌋.
+SelectionKernel = Callable[[object, Optional[Mapping[str, SqlValue]]], Sequence[int]]
+
+_MASK_COMPARATORS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+#: The Python ints each array dtype compares exactly: int64's range, and
+#: the ints a float64 holds without rounding.
+_EXACT_INTS = {"i": (-(2 ** 63), 2 ** 63 - 1), "f": (-(2 ** 53), 2 ** 53)}
+
+
+def compile_selection(expression: Expression, names: Sequence[str]) -> SelectionKernel:
+    """Lower a predicate to ``⌊P⌋`` (paper Figure 3) as a selection vector.
+
+    Where every operand passes the mask gate (:func:`_compile_mask`) the
+    rows are ``flatnonzero`` of one numpy mask; anything else takes
+    :func:`compile_predicate`'s truth codes, which also raise every error
+    the predicate raises — the mask path admits no operand that could.
+    """
+    predicate = compile_predicate(expression, names)
+    mask = None if _np is None else _compile_mask(expression, names)
+
+    def select(batch, params):
+        if mask is not None:
+            bits = mask(batch, params)
+            if bits is not None:
+                return _np.flatnonzero(bits)
+        codes = predicate(batch, params)
+        return [i for i, code in enumerate(codes) if code == TRUE_CODE]
+
+    return select
+
+
+def _compile_mask(expression: Expression, names: Sequence[str]):
+    """A ``(batch, params) -> boolean mask | None`` closure for ``⌊P⌋``, or
+    ``None`` when the predicate's shape has no mask.
+
+    The gate admits comparisons whose operands are int64 / float64 array
+    views (:meth:`ColumnBatch.as_array`) or non-bool ``int`` / ``float``
+    literals and bound host variables, at least one of them an array, and
+    ``AND`` / ``OR`` / ``NOT`` over admitted children.  Every such operand
+    is null-free, so three-valued logic is two-valued there (Libkin): a
+    comparison is its numpy comparison, and the connectives are ``&``,
+    ``|`` and ``~``.  Per batch it refuses (``None``) a NaN, an int64
+    array against a float, and an int that the other side's dtype cannot
+    hold exactly (:data:`_EXACT_INTS`).
+    """
+    if isinstance(expression, Comparison):
+        left = _mask_operand(expression.left, names)
+        right = _mask_operand(expression.right, names)
+        if left is None or right is None:
+            return None
+        compare = _MASK_COMPARATORS[expression.op]
+        return lambda batch, params: _compare_mask(
+            compare, left(batch, params), right(batch, params)
+        )
+    if isinstance(expression, (And, Or)):
+        left = _compile_mask(expression.left, names)
+        right = _compile_mask(expression.right, names)
+        if left is None or right is None:
+            return None
+        combine = operator.and_ if isinstance(expression, And) else operator.or_
+
+        def connect(batch, params):
+            first = left(batch, params)
+            if first is None:
+                return None
+            second = right(batch, params)
+            return None if second is None else combine(first, second)
+
+        return connect
+    if isinstance(expression, Not):
+        operand = _compile_mask(expression.operand, names)
+        if operand is None:
+            return None
+
+        def negate(batch, params):
+            bits = operand(batch, params)
+            return None if bits is None else ~bits
+
+        return negate
+    return None
+
+
+def _mask_operand(expression: Expression, names: Sequence[str]):
+    """A ``(batch, params) -> array | int | float | None`` closure for one
+    comparison operand, or ``None`` when no value of its shape qualifies."""
+    if isinstance(expression, ColumnRef):
+        index = resolve_column(names, expression)
+        return lambda batch, params: batch.as_array(index)
+    if isinstance(expression, Literal):
+        value = expression.value
+        if type(value) not in (int, float):
+            return None
+        return lambda batch, params: value
+    if isinstance(expression, HostVariable):
+        name = expression.name
+        # Unbound: refused, so the closure raises as it always has.
+        return lambda batch, params: None if params is None else params.get(name)
+    return None
+
+
+def _compare_mask(compare, left, right):
+    """``left <op> right`` as a boolean mask, or ``None`` where numpy's
+    answer could differ from :mod:`repro.sqltypes.values`'."""
+    arrays = [x for x in (left, right) if isinstance(x, _np.ndarray)]
+    if not arrays:
+        return None
+    kind = arrays[0].dtype.kind
+    if any(array.dtype.kind != kind for array in arrays):
+        return None  # int64 against float64
+    for operand in (left, right):
+        if isinstance(operand, _np.ndarray):
+            if kind == "f" and _np.isnan(operand).any():
+                return None
+        elif type(operand) is float:
+            if kind == "i" or operand != operand:
+                return None
+        elif type(operand) is int:
+            low, high = _EXACT_INTS[kind]
+            if not low <= operand <= high:
+                return None
+        else:
+            return None  # NULL, bool, Decimal, str, date, unbound
+    return compare(left, right)
 
 
 # -- aggregation -------------------------------------------------------------

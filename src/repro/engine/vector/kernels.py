@@ -25,7 +25,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from repro.algebra.ops import AggregateSpec
 from repro.engine.joins import extract_equi_keys
 from repro.engine.vector.batch import ColumnBatch, _Gather, _np
-from repro.engine.vector.compile import TRUE_CODE, compile_predicate
+from repro.engine.vector.compile import compile_selection
 from repro.engine.vector.grouping import (
     GroupedFold,
     _combine_codes,
@@ -48,10 +48,8 @@ def _sort_cost(n: int) -> int:
 def filter_batch(
     batch: ColumnBatch, condition: Expression, params: Params
 ) -> Tuple[ColumnBatch, int]:
-    """σ[C]: keep rows where the predicate's truth code is TRUE (⌊C⌋)."""
-    predicate = compile_predicate(condition, batch.names)
-    codes = predicate(batch, params)
-    selection = [i for i, code in enumerate(codes) if code == TRUE_CODE]
+    """σ[C]: keep the rows where ⌊C⌋ (:func:`compile_selection`)."""
+    selection = compile_selection(condition, batch.names)(batch, params)
     if len(selection) == batch.length:
         result = batch  # nothing filtered: share the columns outright
     else:
@@ -107,9 +105,7 @@ def _apply_residual(
 ) -> ColumnBatch:
     if residual is None:
         return pairs
-    predicate = compile_predicate(residual, pairs.names)
-    codes = predicate(pairs, params)
-    selection = [i for i, code in enumerate(codes) if code == TRUE_CODE]
+    selection = compile_selection(residual, pairs.names)(pairs, params)
     if len(selection) == pairs.length:
         return pairs
     return pairs.take(selection)

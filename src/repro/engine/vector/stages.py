@@ -15,7 +15,7 @@ from repro.algebra.ops import GroupApply, Project, Select
 from repro.engine.governor import estimate_table_bytes
 from repro.engine.operators import project_columns
 from repro.engine.vector.batch import ColumnBatch
-from repro.engine.vector.compile import TRUE_CODE, compile_predicate
+from repro.engine.vector.compile import compile_selection
 from repro.engine.vector.grouping import GroupedFold
 from repro.sqltypes.values import group_key
 
@@ -44,17 +44,16 @@ class _SelectStage:
         self.label = node.label()
         self.in_rows = 0
         self.out_rows = 0
-        self.predicate = None
+        self.select = None
         self.params = None
 
     def begin(self, schema: ColumnBatch, params) -> ColumnBatch:
-        self.predicate = compile_predicate(self.node.condition, schema.names)
+        self.select = compile_selection(self.node.condition, schema.names)
         self.params = params
         return self.apply(schema)
 
     def apply(self, batch: ColumnBatch) -> ColumnBatch:
-        codes = self.predicate(batch, self.params)
-        selection = [i for i, code in enumerate(codes) if code == TRUE_CODE]
+        selection = self.select(batch, self.params)
         if len(selection) == batch.length:
             return batch  # nothing filtered: share the columns outright
         return batch.take(selection, ordering=batch.ordering)

@@ -25,6 +25,7 @@ Figure 5 writes ``CHECK VALUE > 0 AND VALUE < 100`` without parentheses.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple
 
 from repro.errors import ParseError
@@ -674,8 +675,21 @@ class Parser:
         )
 
 
+#: How many SQL texts :func:`parse_statement` keeps parsed, least recently
+#: used evicted first, so one-off texts (an INSERT's literals) cannot push
+#: the texts a session repeats out of the cache.
+PARSE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_statement(text: str):
-    """Parse exactly one SQL statement."""
+    """Parse exactly one SQL statement.
+
+    Each text is parsed once per process while it stays among the
+    :data:`PARSE_CACHE_SIZE` most recently parsed: a statement is a frozen
+    dataclass and the parser reads no catalog, so every caller may share
+    it.  A text that fails to parse is not kept, and raises every time.
+    """
     parser = Parser(text)
     statement = parser.parse_statement()
     trailing = parser._peek()

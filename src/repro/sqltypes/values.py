@@ -71,6 +71,8 @@ def _comparable(left: object, right: object) -> bool:
 
 
 def _require_comparable(left: object, right: object) -> None:
+    if type(left) is type(right):
+        return  # one type is one domain: no isinstance census needed
     if not _comparable(left, right):
         raise TypeMismatchError(
             f"cannot compare {type(left).__name__} with {type(right).__name__}"

@@ -6,7 +6,8 @@ to, the one a kernel without an array path hands its inputs to, and the
 one a degraded streamed segment replays through — with the statistics of
 the unfaulted run each time.  (ii) Nothing else under
 ``src/repro/engine/`` calls the operator implementations directly, nothing
-under ``engine/vector/`` but ``grouping.py`` folds values per group, and
+under ``engine/vector/`` but ``grouping.py`` folds values per group, nothing
+there but ``compile.py`` turns truth codes into rows, and
 ``vector/kernels.py`` spells none of the row bodies' value semantics.
 (iii) The benchmarked statements and plans reach no row body on the vector
 engine when numpy is there.
@@ -174,6 +175,18 @@ def test_the_grouped_fold_is_spelled_once(name):
     assert elsewhere == []
     if name != "sql_div":  # AVG divides in aggregation.finish_average
         assert any(site.startswith("vector/grouping.py:") for site in call_sites(name))
+
+
+def test_truth_codes_become_a_selection_in_one_place():
+    """Under ``engine/vector/`` only ``compile.py`` turns truth codes into
+    rows (``compile_selection``): a filter that spells it again skips the
+    mask path."""
+    spelled = sorted(
+        path.relative_to(ENGINE_ROOT).as_posix()
+        for path in (ENGINE_ROOT / "vector").glob("*.py")
+        if "code == TRUE_CODE" in path.read_text()
+    )
+    assert spelled == ["vector/compile.py"]
 
 
 #: The row bodies' value semantics: what a Python join, sort or distinct

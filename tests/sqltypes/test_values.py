@@ -78,6 +78,31 @@ class TestComparisons:
         with pytest.raises(TypeMismatchError):
             sql_compare_lt(True, 1)
 
+    @pytest.mark.parametrize(
+        "compare",
+        [
+            sql_compare_eq, sql_compare_ne, sql_compare_lt,
+            sql_compare_le, sql_compare_gt, sql_compare_ge,
+        ],
+    )
+    def test_boolean_against_integer_raises_whichever_side(self, compare):
+        # Same-type operands skip the domain check; True and 1 are of two
+        # types (bool subclasses int), so it still runs and refuses them.
+        with pytest.raises(TypeMismatchError):
+            compare(True, 1)
+        with pytest.raises(TypeMismatchError):
+            compare(1, True)
+        with pytest.raises(TypeMismatchError):
+            compare(False, 0.0)
+
+    def test_same_type_operands_compare_without_the_domain_check(self):
+        import datetime
+
+        assert sql_compare_eq(True, True) is TRUE
+        assert sql_compare_lt(False, True) is TRUE
+        assert sql_compare_gt(datetime.date(2020, 1, 2), datetime.date(2020, 1, 1)) is TRUE
+        assert sql_compare_ne(7, 7) is FALSE
+
     def test_strings(self):
         assert sql_compare_lt("abc", "abd") is TRUE
 
