@@ -44,7 +44,6 @@ from repro.analysis.certificates import (
 from repro.analysis.diagnostics import RULES, Diagnostic, Severity
 from repro.analysis.equivalence import verify_rewrite
 from repro.analysis.nullability import (
-    null_rejected_columns,
     possible_truth_values,
     rejects_null,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "get_certificate",
     "infer_schema",
     "issue_certificate",
-    "null_rejected_columns",
     "possible_truth_values",
     "rejects_null",
     "transform",

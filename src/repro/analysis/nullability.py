@@ -208,13 +208,6 @@ def rejects_null(predicate: Expression, column: str) -> bool:
     return TRUE not in possible_truth_values(predicate, (column,))
 
 
-def null_rejected_columns(
-    predicate: Expression, columns: Iterable[str]
-) -> Tuple[str, ...]:
-    """The subset of ``columns`` on which ``predicate`` rejects NULLs."""
-    return tuple(c for c in columns if rejects_null(predicate, c))
-
-
 def null_rejection_premises(
     pushed: Sequence[Expression], canonical_keys: Sequence[str]
 ) -> Tuple[Tuple[str, str], ...]:

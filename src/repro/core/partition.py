@@ -7,16 +7,12 @@ partition and is untransformable (concluding remarks, case (a)).
 :class:`FlatQuery` is the pre-partition form — what the SQL binder produces
 — and :func:`to_group_by_join_query` turns it into the normalized
 :class:`~repro.core.query_class.GroupByJoinQuery`.
-:func:`enumerate_partitions` lists every admissible R1 choice (any superset
-of the aggregation tables), which the column-substitution search of
-Section 9 walks through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from repro.algebra.ops import AggregateSpec
 from repro.core.query_class import GroupByJoinQuery
@@ -111,38 +107,14 @@ def default_partition(
     return (flat.bindings[0],), tuple(flat.bindings[1:])
 
 
-def enumerate_partitions(
-    flat: FlatQuery,
-) -> Iterator[Tuple[Tuple[TableBinding, ...], Tuple[TableBinding, ...]]]:
-    """Every admissible (R1, R2): R1 ⊇ aggregation tables, R2 nonempty.
-
-    Yielded smallest-R1 first, since a smaller R1 usually means a cheaper
-    eager aggregate.  The count is exponential in the number of *free*
-    tables, which is small in practice; callers cap the search.
-    """
-    agg_aliases = aggregation_aliases(flat.aggregates)
-    required = tuple(b for b in flat.bindings if b.alias in agg_aliases)
-    free = tuple(b for b in flat.bindings if b.alias not in agg_aliases)
-    # R2 must stay nonempty, so at most len(free) - 1 free tables join R1;
-    # R1 must be nonempty, so with no required tables the empty extra is
-    # skipped.
-    for size in range(0, len(free)):
-        for extra in combinations(free, size):
-            r1 = required + extra
-            if not r1:
-                continue
-            r2 = tuple(b for b in free if b not in extra)
-            yield r1, r2
-
-
 def to_group_by_join_query(
     flat: FlatQuery,
     r1: Optional[Sequence[TableBinding]] = None,
 ) -> GroupByJoinQuery:
     """Normalize a flat query into the Section 3 form.
 
-    ``r1`` overrides the default partition (used by the substitution
-    search); it must cover all aggregation tables.
+    ``r1`` overrides the default partition; it must cover all aggregation
+    tables.
     """
     if r1 is None:
         r1_group, r2_group = default_partition(flat)

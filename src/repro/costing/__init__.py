@@ -1,2 +1,2 @@
-"""Statistics and cost: the histograms, the cardinality estimator and the
-cost model that the planner chooses with and the checker re-prices with."""
+"""Statistics and cost: the cardinality estimator and the cost model that
+the planner chooses with and the checker re-prices with."""

@@ -35,7 +35,6 @@ from repro.algebra.ops import (
     Sort,
 )
 from repro.catalog.catalog import Database
-from repro.costing.histogram import Histogram
 from repro.expressions.analysis import classify_atomic, Type1Condition, Type2Condition
 from repro.expressions.ast import (
     Between,
@@ -45,10 +44,9 @@ from repro.expressions.ast import (
     InList,
     IsNull,
     Like,
-    Literal,
 )
 from repro.expressions.normalize import split_conjuncts
-from repro.sqltypes.values import group_key, is_null
+from repro.sqltypes.values import group_key
 from repro.storage.table import Table
 
 #: Selectivity guesses for predicates we cannot analyse (System R defaults).
@@ -59,10 +57,9 @@ DEFAULT_SELECTIVITY = 0.25
 
 @dataclass(frozen=True)
 class ColumnStats:
-    """Distinct-value count (and optional histogram) for one column."""
+    """Distinct-value count for one column."""
 
     distinct: int = 1
-    histogram: "Histogram | None" = None
 
 
 @dataclass(frozen=True)
@@ -93,13 +90,8 @@ class Statistics:
         return self.tables.get(name, TableStats())
 
 
-def collect_statistics(
-    database: Database, histogram_buckets: int = 0
-) -> Statistics:
+def collect_statistics(database: Database) -> Statistics:
     """Exact statistics of the tables as stored now.
-
-    With ``histogram_buckets > 0``, equi-depth histograms are built for
-    numeric columns and used for range-predicate selectivities.
 
     Each table is scanned once per :attr:`~repro.storage.table.Table.version`
     (:meth:`~repro.storage.table.Table.derived`); until it mutates, every
@@ -108,22 +100,19 @@ def collect_statistics(
     """
     return Statistics(
         {
-            name: _table_statistics(table, histogram_buckets)
+            name: _table_statistics(table)
             for name, table in database.tables.items()
         }
     )
 
 
-def _table_statistics(table: Table, histogram_buckets: int) -> TableStats:
-    return table.derived(
-        ("statistics", histogram_buckets),
-        lambda: _scan_table(table, histogram_buckets),
-    )
+def _table_statistics(table: Table) -> TableStats:
+    return table.derived("statistics", lambda: _scan_table(table))
 
 
-def _scan_table(table: Table, histogram_buckets: int) -> TableStats:
-    """One pass over ``table``: row count, per-column NDV under the
-    null-aware duplicate equality ``=ⁿ`` (``group_key``), histograms."""
+def _scan_table(table: Table) -> TableStats:
+    """One pass over ``table``: row count and per-column NDV under the
+    null-aware duplicate equality ``=ⁿ`` (``group_key``)."""
     names = table.schema.column_names()
     rows = table.rows()
     values_by_column = (
@@ -132,36 +121,16 @@ def _scan_table(table: Table, histogram_buckets: int) -> TableStats:
     columns = {}
     for name, values in zip(names, values_by_column):
         distinct = len({group_key((value,)) for value in values})
-        histogram = (
-            Histogram.build(values, histogram_buckets)
-            if histogram_buckets > 0
-            else None
-        )
-        columns[name] = ColumnStats(max(1, distinct), histogram)
+        columns[name] = ColumnStats(max(1, distinct))
     return TableStats(len(rows), columns)
 
 
 @dataclass
 class EstimateContext:
-    """Row count, column NDVs, and histograms flowing up the plan.
-
-    Histograms are source-level approximations: they are propagated
-    unscaled through joins and selections (a documented simplification).
-    """
+    """Row count and column NDVs flowing up the plan."""
 
     rows: float
     ndv: Dict[str, float]
-    histograms: Dict[str, object] = field(default_factory=dict)
-
-    def histogram_for(self, column: str):
-        exact = self.histograms.get(column)
-        if exact is not None:
-            return exact
-        bare = column.rsplit(".", 1)[-1]
-        matches = [
-            v for k, v in self.histograms.items() if k.rsplit(".", 1)[-1] == bare
-        ]
-        return matches[0] if len(matches) == 1 else None
 
     def column_ndv(self, column: str) -> float:
         exact = self.ndv.get(column)
@@ -223,19 +192,14 @@ class CardinalityEstimator:
             f"{correlation}.{column}": float(stats.distinct)
             for column, stats in table_stats.columns.items()
         }
-        histograms = {
-            f"{correlation}.{column}": stats.histogram
-            for column, stats in table_stats.columns.items()
-            if stats.histogram is not None
-        }
-        return EstimateContext(float(table_stats.row_count), ndv, histograms)
+        return EstimateContext(float(table_stats.row_count), ndv)
 
     def _select(self, plan: Select) -> EstimateContext:
         child = self.estimate(plan.child)
         selectivity = self._condition_selectivity(plan.condition, child, child)
         rows = child.rows * selectivity
         ndv = {k: min(v, max(rows, 1.0)) for k, v in child.ndv.items()}
-        return EstimateContext(rows, ndv, child.histograms)
+        return EstimateContext(rows, ndv)
 
     def _project(self, plan: Project) -> EstimateContext:
         child = self.estimate(plan.child)
@@ -245,10 +209,10 @@ class CardinalityEstimator:
             if k in plan.columns or k.rsplit(".", 1)[-1] in plan.columns
         }
         if not plan.distinct:
-            return EstimateContext(child.rows, kept, child.histograms)
+            return EstimateContext(child.rows, kept)
         distinct_rows = _group_count(child, plan.columns)
         ndv = {k: min(v, max(distinct_rows, 1.0)) for k, v in kept.items()}
-        return EstimateContext(distinct_rows, ndv, child.histograms)
+        return EstimateContext(distinct_rows, ndv)
 
     def _join(self, plan: "Join | Product") -> EstimateContext:
         left = self.estimate(plan.left)
@@ -259,9 +223,7 @@ class CardinalityEstimator:
         if isinstance(plan, Join) and plan.condition is not None:
             rows *= self._condition_selectivity(plan.condition, left, right)
         capped = {k: min(v, max(rows, 1.0)) for k, v in ndv.items()}
-        histograms = dict(left.histograms)
-        histograms.update(right.histograms)
-        return EstimateContext(rows, capped, histograms)
+        return EstimateContext(rows, capped)
 
     def _group(
         self, child_plan: PlanNode, grouping_columns: Tuple[str, ...], n_aggregates: int
@@ -273,7 +235,7 @@ class CardinalityEstimator:
             for k, v in child.ndv.items()
             if k in grouping_columns or k.rsplit(".", 1)[-1] in grouping_columns
         }
-        return EstimateContext(groups, ndv, child.histograms)
+        return EstimateContext(groups, ndv)
 
     # -- selectivity ------------------------------------------------------------
 
@@ -284,9 +246,7 @@ class CardinalityEstimator:
         right: EstimateContext,
     ) -> float:
         combined = EstimateContext(
-            max(left.rows, right.rows),
-            {**left.ndv, **right.ndv},
-            {**left.histograms, **right.histograms},
+            max(left.rows, right.rows), {**left.ndv, **right.ndv}
         )
         selectivity = 1.0
         for conjunct in split_conjuncts(condition):
@@ -308,9 +268,6 @@ class CardinalityEstimator:
             right_ndv = combined.column_ndv(classified.right.qualified)
             return 1.0 / max(left_ndv, right_ndv, 1.0)
         if isinstance(conjunct, Comparison) and conjunct.op in ("<", "<=", ">", ">="):
-            histogram_selectivity = _histogram_range_selectivity(conjunct, combined)
-            if histogram_selectivity is not None:
-                return histogram_selectivity
             return DEFAULT_RANGE_SELECTIVITY
         if isinstance(conjunct, Comparison) and conjunct.op == "<>":
             return 1.0 - DEFAULT_EQ_SELECTIVITY
@@ -321,57 +278,13 @@ class CardinalityEstimator:
             selectivity = min(1.0, len(conjunct.items) * per_item)
             return 1.0 - selectivity if conjunct.negated else selectivity
         if isinstance(conjunct, Between):
-            selectivity = None
-            if isinstance(conjunct.operand, ColumnRef):
-                histogram = combined.histogram_for(conjunct.operand.qualified)
-                low = _constant_value(conjunct.low)
-                high = _constant_value(conjunct.high)
-                if histogram is not None and low is not None and high is not None:
-                    selectivity = histogram.selectivity_between(low, high)
-            if selectivity is None:
-                # Two range bounds: the square of the single-bound default.
-                selectivity = DEFAULT_RANGE_SELECTIVITY * DEFAULT_RANGE_SELECTIVITY * 2
+            # Two range bounds: the square of the single-bound default.
+            selectivity = DEFAULT_RANGE_SELECTIVITY * DEFAULT_RANGE_SELECTIVITY * 2
             return 1.0 - selectivity if conjunct.negated else selectivity
         if isinstance(conjunct, Like):
             selectivity = DEFAULT_EQ_SELECTIVITY
             return 1.0 - selectivity if conjunct.negated else selectivity
         return DEFAULT_SELECTIVITY
-
-
-def _constant_value(expression: Expression) -> "float | None":
-    """The numeric value of a literal expression, else None."""
-    if isinstance(expression, Literal):
-        value = expression.value
-        if not is_null(value) and isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-    return None
-
-
-def _histogram_range_selectivity(
-    conjunct: Comparison, combined: EstimateContext
-) -> "float | None":
-    """Histogram-based selectivity for ``col op constant`` (either order)."""
-    left, right = conjunct.left, conjunct.right
-    op = conjunct.op
-    if isinstance(right, ColumnRef) and not isinstance(left, ColumnRef):
-        # constant op col  ≡  col (flipped op) constant
-        left, right = right, left
-        op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
-    if not isinstance(left, ColumnRef) or isinstance(right, ColumnRef):
-        return None
-    value = _constant_value(right)
-    if value is None:
-        return None
-    histogram = combined.histogram_for(left.qualified)
-    if histogram is None:
-        return None
-    if op == "<":
-        return histogram.selectivity_lt(value)
-    if op == "<=":
-        return histogram.selectivity_le(value)
-    if op == ">":
-        return histogram.selectivity_gt(value)
-    return histogram.selectivity_ge(value)
 
 
 def _group_count(child: EstimateContext, grouping_columns: Tuple[str, ...]) -> float:

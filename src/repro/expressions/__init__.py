@@ -19,7 +19,6 @@ from repro.expressions.ast import (
     aggregates,
     column_refs,
     contains_aggregate,
-    host_variables,
     transform_expression,
     walk,
 )
@@ -43,9 +42,6 @@ from repro.expressions.analysis import (
     Type1Condition,
     Type2Condition,
     classify_atomic,
-    constant_bindings,
-    equality_pairs,
-    partition_atomics,
     referenced_tables,
     split_predicate,
 )
@@ -54,11 +50,10 @@ __all__ = [
     "Aggregate", "And", "Arithmetic", "Between", "ColumnRef", "Comparison",
     "Expression", "HostVariable", "InList", "IsNull", "Like", "Literal",
     "Negate", "Not", "Or", "aggregates", "column_refs", "contains_aggregate",
-    "host_variables", "transform_expression", "walk",
+    "transform_expression", "walk",
     "RowScope", "evaluate_predicate", "evaluate_scalar", "qualifies",
     "conjoin", "disjoin", "split_conjuncts", "split_disjuncts",
     "to_cnf", "to_dnf", "to_nnf",
     "PredicateSplit", "Type1Condition", "Type2Condition", "classify_atomic",
-    "constant_bindings", "equality_pairs", "partition_atomics",
     "referenced_tables", "split_predicate",
 ]

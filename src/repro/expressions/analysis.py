@@ -13,7 +13,7 @@ Two jobs live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 from repro.expressions.ast import (
     ColumnRef,
@@ -140,46 +140,3 @@ def classify_atomic(
     if right_is_col and isinstance(left, (Literal, HostVariable)):
         return Type1Condition(right, left)
     return None
-
-
-def partition_atomics(
-    conditions: Sequence[Expression],
-) -> Tuple[Tuple[Type1Condition, ...], Tuple[Type2Condition, ...], Tuple[Expression, ...]]:
-    """Split atomic conditions into (type-1, type-2, other)."""
-    type1: list[Type1Condition] = []
-    type2: list[Type2Condition] = []
-    other: list[Expression] = []
-    for condition in conditions:
-        classified = classify_atomic(condition)
-        if isinstance(classified, Type1Condition):
-            type1.append(classified)
-        elif isinstance(classified, Type2Condition):
-            type2.append(classified)
-        else:
-            other.append(condition)
-    return tuple(type1), tuple(type2), tuple(other)
-
-
-def equality_pairs(where: Optional[Expression]) -> Tuple[Tuple[ColumnRef, ColumnRef], ...]:
-    """Column-equality pairs among the top-level conjuncts of ``where``.
-
-    Used by derived-FD reasoning and by predicate expansion: ``A.x = B.y``
-    as a conjunct means the two columns are interchangeable on qualifying
-    rows (both non-NULL there, since UNKNOWN rows are dropped).
-    """
-    pairs: list[Tuple[ColumnRef, ColumnRef]] = []
-    for conjunct in split_conjuncts(where):
-        classified = classify_atomic(conjunct)
-        if isinstance(classified, Type2Condition):
-            pairs.append((classified.left, classified.right))
-    return tuple(pairs)
-
-
-def constant_bindings(where: Optional[Expression]) -> Tuple[Type1Condition, ...]:
-    """Type-1 bindings among the top-level conjuncts of ``where``."""
-    bindings: list[Type1Condition] = []
-    for conjunct in split_conjuncts(where):
-        classified = classify_atomic(conjunct)
-        if isinstance(classified, Type1Condition):
-            bindings.append(classified)
-    return tuple(bindings)

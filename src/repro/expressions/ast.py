@@ -383,7 +383,3 @@ def aggregates(expression: Expression) -> Tuple[Aggregate, ...]:
 
 def contains_aggregate(expression: Expression) -> bool:
     return any(isinstance(node, Aggregate) for node in walk(expression))
-
-
-def host_variables(expression: Expression) -> Tuple[HostVariable, ...]:
-    return tuple(node for node in walk(expression) if isinstance(node, HostVariable))

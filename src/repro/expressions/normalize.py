@@ -23,7 +23,6 @@ from repro.expressions.ast import (
     InList,
     IsNull,
     Like,
-    Literal,
     Not,
     Or,
 )
@@ -169,8 +168,3 @@ def _dnf_components(expression: Expression, max_terms: int) -> List[List[Express
                     raise TransformationError("DNF expansion exceeded max_terms")
         return product
     return [[expression]]
-
-
-def is_always_true_literal(expression: Expression) -> bool:
-    """Detect the trivial TRUE literal (used to prune rebuilt predicates)."""
-    return isinstance(expression, Literal) and expression.value is True

@@ -11,7 +11,7 @@ The closure is also used by the derived-FD reasoning of Example 2.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Set
 
 from repro.fd.dependency import FunctionalDependency
 
@@ -51,30 +51,3 @@ def implies(
 ) -> bool:
     """Armstrong-style implication test: does the set imply ``candidate``?"""
     return candidate.rhs <= closure(candidate.lhs, dependencies)
-
-
-def minimal_keys(
-    all_columns: Iterable[str],
-    dependencies: Sequence[FunctionalDependency],
-) -> Tuple[FrozenSet[str], ...]:
-    """All minimal keys of a relation schema under ``dependencies``.
-
-    Exponential in the worst case; intended for the small derived-table
-    schemas in tests and for Example 2 style reasoning, not for production
-    schema mining.
-    """
-    columns = tuple(sorted(set(all_columns)))
-    universe = frozenset(columns)
-    keys: List[FrozenSet[str]] = []
-
-    # Breadth-first over subset sizes guarantees minimality by construction.
-    from itertools import combinations
-
-    for size in range(0, len(columns) + 1):
-        for subset in combinations(columns, size):
-            candidate = frozenset(subset)
-            if any(key <= candidate for key in keys):
-                continue
-            if closure(candidate, dependencies) >= universe:
-                keys.append(candidate)
-    return tuple(keys)

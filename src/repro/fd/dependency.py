@@ -13,7 +13,7 @@ and FD2 are verified on concrete instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Sequence, Tuple
 
 from repro.sqltypes.values import group_key
 
@@ -65,27 +65,3 @@ def fd_holds_in(
         if previous != right_key:
             return False
     return True
-
-
-def violating_pair(
-    dataset: DataSet,
-    lhs: Sequence[str],
-    rhs: Sequence[str],
-) -> Optional[Tuple[Tuple, Tuple]]:
-    """A pair of rows witnessing an FD violation, or ``None`` if it holds.
-
-    Useful in tests and error messages; semantics match :func:`fd_holds_in`.
-    """
-    lhs_indexes = dataset.indexes_of(lhs)
-    rhs_indexes = dataset.indexes_of(rhs)
-    seen: Dict[Tuple, Tuple[Tuple, Tuple]] = {}
-    for row in dataset.rows:
-        left_key = group_key(tuple(row[i] for i in lhs_indexes))
-        right_key = group_key(tuple(row[i] for i in rhs_indexes))
-        if left_key in seen:
-            first_right, first_row = seen[left_key]
-            if first_right != right_key:
-                return (first_row, row)
-        else:
-            seen[left_key] = (right_key, row)
-    return None

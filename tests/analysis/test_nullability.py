@@ -8,7 +8,6 @@ from repro.analysis.nullability import (
     TRUE,
     TWO_VALUED,
     UNKNOWN,
-    null_rejected_columns,
     possible_truth_values,
     rejects_null,
 )
@@ -95,14 +94,6 @@ class TestRejectsNull:
         assert rejects_null(in_(col("E.DeptID"), lit(1), lit(2)), "E.DeptID")
         assert rejects_null(like(col("E.LastName"), "Y%"), "E.LastName")
 
-    def test_null_rejected_columns_collects_only_rejecting_refs(self):
-        pred = and_(
-            eq(col("A.x"), lit(1)),
-            or_(eq(col("A.y"), lit(2)), is_null_(col("A.y"))),
-        )
-        rejected = null_rejected_columns(pred, ["A.x", "A.y"])
-        assert "A.x" in rejected
-        assert "A.y" not in rejected
 
 
 class TestDomains:

@@ -52,9 +52,9 @@ def statistics_scans(monkeypatch):
     scanned = []
     real = cardinality._scan_table
 
-    def counting(table, histogram_buckets):
+    def counting(table):
         scanned.append(table.name)
-        return real(table, histogram_buckets)
+        return real(table)
 
     monkeypatch.setattr(cardinality, "_scan_table", counting)
     return scanned

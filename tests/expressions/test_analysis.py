@@ -6,9 +6,6 @@ from repro.expressions.analysis import (
     Type1Condition,
     Type2Condition,
     classify_atomic,
-    constant_bindings,
-    equality_pairs,
-    partition_atomics,
     referenced_tables,
     split_predicate,
 )
@@ -105,36 +102,3 @@ class TestAtomClassification:
 
     def test_constant_constant_is_neither(self):
         assert classify_atomic(eq(lit(1), lit(1))) is None
-
-    def test_partition_atomics(self):
-        atoms = [
-            eq(col("A.x"), 1),
-            eq(col("A.x"), col("B.y")),
-            lt(col("A.x"), 9),
-        ]
-        type1, type2, other = partition_atomics(atoms)
-        assert len(type1) == 1 and len(type2) == 1 and len(other) == 1
-
-
-class TestConjunctHelpers:
-    def test_equality_pairs(self):
-        where = and_(
-            eq(col("A.x"), col("B.y")),
-            eq(col("A.x"), 1),
-            lt(col("A.z"), 2),
-        )
-        pairs = equality_pairs(where)
-        assert len(pairs) == 1
-        assert pairs[0][0].qualified == "A.x"
-
-    def test_constant_bindings(self):
-        where = and_(eq(col("A.x"), col("B.y")), eq(col("A.x"), 1))
-        bindings = constant_bindings(where)
-        assert len(bindings) == 1
-        assert bindings[0].column.qualified == "A.x"
-
-    def test_disjunction_contributes_nothing(self):
-        """An OR at the top level guarantees neither branch."""
-        where = or_(eq(col("A.x"), 1), eq(col("A.x"), col("B.y")))
-        assert equality_pairs(where) == ()
-        assert constant_bindings(where) == ()

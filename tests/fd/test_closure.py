@@ -1,6 +1,6 @@
 """Attribute closure and FD implication — including the Figure 7 scenario."""
 
-from repro.fd.closure import closure, implies, minimal_keys
+from repro.fd.closure import closure, implies
 from repro.fd.dependency import FunctionalDependency
 
 FD = FunctionalDependency
@@ -50,24 +50,3 @@ class TestImplies:
     def test_augmentation(self):
         fds = [FD(["a"], ["b"])]
         assert implies(fds, FD(["a", "c"], ["b", "c"]))
-
-
-class TestMinimalKeys:
-    def test_single_key(self):
-        fds = [FD(["id"], ["name", "age"])]
-        keys = minimal_keys(["id", "name", "age"], fds)
-        assert keys == (frozenset({"id"}),)
-
-    def test_multiple_keys(self):
-        fds = [FD(["a"], ["b", "c"]), FD(["b"], ["a", "c"])]
-        keys = set(minimal_keys(["a", "b", "c"], fds))
-        assert keys == {frozenset({"a"}), frozenset({"b"})}
-
-    def test_composite_key(self):
-        fds = [FD(["a", "b"], ["c"])]
-        keys = minimal_keys(["a", "b", "c"], fds)
-        assert keys == (frozenset({"a", "b"}),)
-
-    def test_no_fds_whole_set_is_key(self):
-        keys = minimal_keys(["a", "b"], [])
-        assert keys == (frozenset({"a", "b"}),)

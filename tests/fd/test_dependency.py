@@ -1,7 +1,7 @@
 """Instance-level functional dependency checks (Definition 2)."""
 
 from repro.engine.dataset import DataSet
-from repro.fd.dependency import FunctionalDependency, fd_holds_in, violating_pair
+from repro.fd.dependency import FunctionalDependency, fd_holds_in
 from repro.sqltypes.values import NULL
 
 
@@ -60,16 +60,3 @@ class TestFdHoldsIn:
         ds = DataSet(("a", "b", "c"), [(1, 1, "x"), (1, 2, "y"), (1, 1, "x")])
         assert fd_holds_in(ds, ["a", "b"], ["c"])
         assert not fd_holds_in(ds, ["a"], ["c"])
-
-
-class TestViolatingPair:
-    def test_returns_witness(self):
-        ds = DataSet(("a", "b"), [(1, "x"), (2, "z"), (1, "y")])
-        pair = violating_pair(ds, ["a"], ["b"])
-        assert pair is not None
-        first, second = pair
-        assert first[0] == second[0] == 1
-
-    def test_none_when_holds(self):
-        ds = DataSet(("a", "b"), [(1, "x"), (2, "y")])
-        assert violating_pair(ds, ["a"], ["b"]) is None

@@ -20,7 +20,7 @@ from repro.costing.cardinality import (
     ColumnStats,
     collect_statistics,
 )
-from repro.expressions.builder import col, count, eq, gt, lit
+from repro.expressions.builder import between, col, count, eq, gt, lit, lt
 
 
 @pytest.fixture
@@ -100,3 +100,28 @@ class TestNodeEstimates:
         assert estimator.rows(Relation("T", "T")) == 1000
         plan = Select(Relation("T", "T"), eq(col("T.a"), lit(1)))
         assert estimator.rows(plan) == pytest.approx(20, rel=0.01)
+
+
+class TestRangeDefaults:
+    """Range predicates have no statistics behind them: System R's 1/3 per
+    bound, (1/3)² × 2 = 2/9 for a BETWEEN and 7/9 for its negation."""
+
+    def select(self, condition):
+        return Select(Relation("Employee", "E"), condition)
+
+    def test_column_above_constant(self, estimator):
+        plan = self.select(gt(col("E.EmpID"), lit(100)))
+        assert estimator.rows(plan) == pytest.approx(200 / 3)
+
+    def test_flipped_comparison(self, estimator):
+        """``c < col`` is priced as ``col > c``."""
+        plan = self.select(lt(lit(100), col("E.EmpID")))
+        assert estimator.rows(plan) == pytest.approx(200 / 3)
+
+    def test_between(self, estimator):
+        plan = self.select(between(col("E.EmpID"), 50, 150))
+        assert estimator.rows(plan) == pytest.approx(200 * 2 / 9)
+
+    def test_not_between(self, estimator):
+        plan = self.select(between(col("E.EmpID"), 50, 150, negated=True))
+        assert estimator.rows(plan) == pytest.approx(200 * 7 / 9)

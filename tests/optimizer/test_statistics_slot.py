@@ -5,8 +5,8 @@ table's ``derived`` slot: the planner, the rewriter, the distributor and
 the certificate auditors of one statement — and of every later statement
 until the table mutates — read one snapshot.  These tests count calls of
 the private per-table scan, walk every mutation path's invalidation, and
-pin the properties sharing depends on: read-only values, no aliasing
-between histogram settings, nothing extra in a pickled table.
+pin the properties sharing depends on: read-only values, nothing extra in
+a pickled table.
 """
 
 import dataclasses
@@ -121,12 +121,9 @@ class TestOneScanPerTableVersion:
         assert sorted(scans) == sorted(set(scans))
 
     def test_served_statistics_equal_a_fresh_scan(self, star):
-        for buckets in (0, 20):
-            served = collect_statistics(star, buckets)
-            for name, table in star.tables.items():
-                assert served.tables[name] == cardinality._scan_table(
-                    table, buckets
-                )
+        served = collect_statistics(star)
+        for name, table in star.tables.items():
+            assert served.tables[name] == cardinality._scan_table(table)
 
 
 class TestInvalidation:
@@ -184,18 +181,6 @@ class TestInvalidation:
 
 
 class TestSharedValues:
-    def test_histogram_settings_do_not_alias(self, star):
-        plain = collect_statistics(star)
-        bucketed = collect_statistics(star, histogram_buckets=20)
-        assert plain.table("Sales").columns["Amount"].histogram is None
-        assert bucketed.table("Sales").columns["Amount"].histogram is not None
-        # Asking again in either order still serves each its own entry.
-        assert collect_statistics(star).table("Sales") is plain.table("Sales")
-        assert (
-            collect_statistics(star, 20).table("Sales")
-            is bucketed.table("Sales")
-        )
-
     def test_explicit_statistics_bypass_the_slot(self, star, scans):
         what_if = Statistics(
             {"Sales": TableStats(10**6, {"Amount": ColumnStats(50)})}
@@ -209,7 +194,7 @@ class TestSharedValues:
         assert collect_statistics(star).table("Sales").row_count == 300
 
     def test_served_statistics_reject_mutation(self, star):
-        sales = collect_statistics(star, 5).table("Sales")
+        sales = collect_statistics(star).table("Sales")
         with pytest.raises(dataclasses.FrozenInstanceError):
             sales.row_count = 0
         with pytest.raises(TypeError):
@@ -218,11 +203,9 @@ class TestSharedValues:
             del sales.columns["Amount"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             sales.columns["Amount"].distinct = 1
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            sales.columns["Amount"].histogram.null_count = 7
 
     def test_statistics_pickle_round_trip(self, star):
-        served = collect_statistics(star, 5)
+        served = collect_statistics(star)
         assert pickle.loads(pickle.dumps(served)) == served
 
     def test_two_threads_missing_at_once_share_one_scan(
@@ -234,11 +217,11 @@ class TestSharedValues:
         scanning = threading.Event()
         second_is_waiting = threading.Event()
 
-        def slow_scan(table, histogram_buckets):
+        def slow_scan(table):
             if table.name == "Sales":
                 scanning.set()
                 assert second_is_waiting.wait(timeout=10)
-            return real(table, histogram_buckets)
+            return real(table)
 
         monkeypatch.setattr(cardinality, "_scan_table", slow_scan)
         results = []
@@ -270,7 +253,7 @@ class TestSharedValues:
         for table in star.tables.values():
             table.freeze()
         expected = {
-            name: cardinality._scan_table(table, 0)
+            name: cardinality._scan_table(table)
             for name, table in star.tables.items()
         }
         wrong = []
@@ -303,7 +286,7 @@ class TestNothingDerivedIsPickled:
     def test_pickle_is_byte_identical_with_and_without_entries(self, star):
         table = star.table("Sales")
         bare = pickle.dumps(table, protocol=4)
-        collect_statistics(star, 10)
+        collect_statistics(star)
         table_to_batch(table, "S", expose_rowids=True)
         twins = partition_table(table, PartitionSpec("hash", "CustID", 2))
         assert pickle.dumps(table, protocol=4) == bare

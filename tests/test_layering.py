@@ -9,16 +9,19 @@ by happening to resolve), the tree must show
     reported too;
 (b) no function-local ``repro`` import outside :data:`SURVIVORS`, each row
     of which carries its reason;
-(c) no import of an underscore name from another package.
+(c) no import of an underscore name from another package;
+(d) no module that only its own package's ``__init__`` and ``tests/``
+    import, outside :data:`UNREACHED` — the library, the benchmark harness,
+    the examples, the CI benchmarks or the scripts must use it.
 
-``if TYPE_CHECKING:`` imports are exempt from all three: they never run.
+``if TYPE_CHECKING:`` imports are exempt from all four: they never run.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 import pytest
 
@@ -82,7 +85,26 @@ SURVIVORS = (
 )
 ALLOWED = frozenset((module, imported) for module, imported, __ in SURVIVORS)
 
-SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SOURCE_ROOT = REPO_ROOT / "src" / "repro"
+
+#: The trees besides ``src/`` whose imports show that a module is used.
+REACHING_ROOTS = ("bench", "examples", "benchmarks", "scripts")
+
+#: Modules that nothing outside ``tests/`` imports and that stay anyway:
+#: (module, reason).
+UNREACHED = (
+    ("repro.__main__", "the entry point: `python -m repro` runs it by name"),
+    (
+        "repro.core.pipelining",
+        "ROADMAP direction 10 decides it with the other physical plan choices",
+    ),
+    (
+        "repro.server.chaos",
+        "robustness machinery a CI gate runs: the concurrency job's "
+        "serial-replay oracle (tests/server/test_chaos.py)",
+    ),
+)
 
 
 def module_name(path: Path) -> str:
@@ -307,3 +329,80 @@ def test_the_old_estimator_path_is_one_re_export():
         and [getattr(target, "id", None) for target in node.targets] == ["__all__"]
     ]
     assert ast.literal_eval(exported) == ["CardinalityEstimator"]
+
+
+# -- module reach ------------------------------------------------------------
+
+
+def _reexports(package: str) -> Dict[str, str]:
+    """Name -> module for each name ``package``'s ``__init__`` imports from
+    a module of the tree."""
+    found = {}
+    for statement, __ in _imports(ast.parse(TREE[package].read_text())):
+        for imported, name in _targets(statement, package, frozenset(TREE), PACKAGES):
+            if name is not None:
+                found[name] = imported
+    return found
+
+
+def _resolve(imported: str, name: Optional[str]) -> str:
+    """The module that defines what ``from imported import name`` binds,
+    following package re-exports."""
+    while name is not None and imported in PACKAGES:
+        target = _reexports(imported).get(name)
+        if target is None or target == imported:
+            break
+        imported = target
+    return imported
+
+
+def _sources() -> Iterator[Tuple[str, Path]]:
+    """(module name or "" outside ``src/``, path) of every importing file."""
+    yield from TREE.items()
+    for root in REACHING_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            yield "", path
+
+
+def importers() -> Dict[str, Set[str]]:
+    """For each module of the tree, the files outside ``tests/`` that
+    import it, leaving out its own package's ``__init__``."""
+    found: Dict[str, Set[str]] = {module: set() for module in TREE}
+    for module, path in _sources():
+        for statement, __ in _imports(ast.parse(path.read_text())):
+            if not module and getattr(statement, "level", 0):
+                continue  # a relative import outside src/ is not repro
+            targets = _targets(statement, module or "repro", frozenset(TREE), PACKAGES)
+            for imported, name in targets:
+                target = _resolve(imported, name)
+                if target not in found:
+                    continue
+                if module and module == target.rpartition(".")[0]:
+                    continue  # its own package's __init__
+                found[target].add(str(path.relative_to(REPO_ROOT)))
+    return found
+
+
+def test_every_module_is_reached_from_outside_the_tests():
+    exempt = {module for module, __ in UNREACHED}
+    unreached = [
+        module
+        for module, files in importers().items()
+        if module not in PACKAGES and not files and module not in exempt
+    ]
+    assert unreached == []
+
+
+def test_every_unreached_row_is_still_unreached_and_has_a_reason():
+    """A row whose module gained a user, or went, is removed with it."""
+    reach = importers()
+    for module, reason in UNREACHED:
+        assert reason.strip()
+        assert module in TREE, f"{module} is gone"
+        assert reach[module] == set(), f"{module} is imported by {reach[module]}"
+
+
+def test_reach_follows_re_exports_to_the_defining_module():
+    assert _resolve("repro", "Session") == "repro.session"
+    assert _resolve("repro.core", "test_fd") == "repro.core.testfd"
+    assert _resolve("repro.core.testfd", "test_fd") == "repro.core.testfd"
