@@ -8,6 +8,7 @@ information Theorem 3 exploits (keys, checks, domains, assertions).
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.constraints import (
@@ -29,6 +30,16 @@ from repro.expressions.eval import (
 from repro.sqltypes.values import SqlValue, is_null
 from repro.storage.table import Table
 
+#: One counter for every catalog in the process, so that two catalogs hold
+#: the same ``schema_epoch`` only when one is a snapshot view of the other
+#: and neither has changed its schema since (``next`` on it is atomic).
+_SCHEMA_EPOCHS = itertools.count(1)
+
+
+def next_schema_epoch() -> int:
+    """A schema epoch no catalog has held before."""
+    return next(_SCHEMA_EPOCHS)
+
 
 class Database:
     """A collection of tables plus database-wide integrity constraints."""
@@ -41,10 +52,12 @@ class Database:
         self.assertions: Dict[str, Assertion] = {}
         # name -> PartitionSpec: declared shard layouts (storage/partition.py)
         self.partitioning: Dict[str, object] = {}
-        #: Bumped by every catalog change (DDL, a declared shard layout).
-        #: With each table's identity and ``Table.version`` it stamps a
-        #: session's remembered plans (:class:`repro.statement.PlanMemo`).
-        self.schema_epoch = 0
+        #: Drawn afresh (:func:`next_schema_epoch`) here and at every catalog
+        #: change (DDL, a declared shard layout); :meth:`snapshot_view`
+        #: copies it.  Equal epochs therefore mean the same catalog state.
+        #: With each table's identity and ``Table.version`` it stamps the
+        #: remembered plans of :class:`repro.statement.PlanMemo`.
+        self.schema_epoch = next_schema_epoch()
 
     # -- DDL ---------------------------------------------------------------
 
@@ -52,7 +65,7 @@ class Database:
         if domain.name in self.domains:
             raise CatalogError(f"domain {domain.name} already exists")
         self.domains[domain.name] = domain
-        self.schema_epoch += 1
+        self.schema_epoch = next_schema_epoch()
         return domain
 
     def create_table(self, schema: TableSchema) -> Table:
@@ -61,7 +74,7 @@ class Database:
         self._validate_foreign_keys(schema)
         table = Table(schema)
         self.tables[schema.name] = table
-        self.schema_epoch += 1
+        self.schema_epoch = next_schema_epoch()
         return table
 
     def create_view(self, name: str, definition: object) -> None:
@@ -69,20 +82,20 @@ class Database:
         if name in self.tables or name in self.views:
             raise CatalogError(f"table or view {name} already exists")
         self.views[name] = definition
-        self.schema_epoch += 1
+        self.schema_epoch = next_schema_epoch()
 
     def create_assertion(self, assertion: Assertion) -> Assertion:
         if assertion.name in self.assertions:
             raise CatalogError(f"assertion {assertion.name} already exists")
         self.assertions[assertion.name] = assertion
-        self.schema_epoch += 1
+        self.schema_epoch = next_schema_epoch()
         return assertion
 
     def drop_table(self, name: str) -> None:
         if name not in self.tables:
             raise CatalogError(f"no such table: {name}")
         del self.tables[name]
-        self.schema_epoch += 1
+        self.schema_epoch = next_schema_epoch()
 
     def _validate_foreign_keys(self, schema: TableSchema) -> None:
         for fk in schema.foreign_keys():
@@ -158,7 +171,7 @@ class Database:
         if table_name not in self.tables:
             raise CatalogError(f"no such table: {table_name}")
         self.partitioning[table_name] = spec
-        self.schema_epoch += 1
+        self.schema_epoch = next_schema_epoch()
 
     def partition_spec(self, table_name: str) -> Optional[object]:
         return self.partitioning.get(table_name)

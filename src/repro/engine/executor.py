@@ -16,6 +16,7 @@ column to every base-table scan so the Main Theorem checker can test
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Tuple
 
 from repro.algebra.ops import Exchange, PlanNode
@@ -31,6 +32,31 @@ from repro.engine.vector.executor import VectorExecutor
 from repro.errors import ReproError, raise_through_frames
 from repro.optimizer.prepare import prepare_plan
 from repro.sqltypes.values import SqlValue
+
+
+@dataclass(frozen=True)
+class PlanConfig:
+    """The nine :class:`ExecutorConfig` fields that planning reads.
+
+    :func:`repro.statement.plan_statement`, :func:`prepare_plan` and the
+    rewrite and distribution steps it runs take this type, and
+    :class:`repro.statement.PlanMemo` keys on it: a planner read of a
+    field outside it fails on the attribute instead of silently missing
+    the key.  Everything else an ``ExecutorConfig`` holds (the budget, the
+    cancellation token, grouping, morsels, spilling, the RPC deadline)
+    changes how a plan runs, never which plan it is.  Built once per
+    config, as :attr:`ExecutorConfig.plan_config`.
+    """
+
+    engine: str
+    workers: int
+    join_algorithm: str
+    rewrites: Tuple[str, ...]
+    shards: int
+    exchange: str
+    partitioning: str
+    transport: str
+    verify: bool
 
 
 @dataclass(frozen=True)
@@ -126,6 +152,10 @@ class ExecutorConfig:
     * ``rpc_timeout_seconds``: the per-call deadline of each
       socket-transport shard delivery (the retry budget is
       :data:`repro.engine.shardrpc.RPC_ATTEMPTS`, not a setting).
+
+    :attr:`plan_config` is the part that planning reads; it is not a
+    field, so it takes no part in ``==``, ``hash`` or
+    :func:`dataclasses.replace`.
     """
 
     join_algorithm: str = "auto"
@@ -179,6 +209,23 @@ class ExecutorConfig:
         if self.rpc_timeout_seconds <= 0:
             raise ValueError("rpc_timeout_seconds must be positive")
 
+    @cached_property
+    def plan_config(self) -> PlanConfig:
+        """This config's :class:`PlanConfig`, built once per instance: after
+        the first read it is a plain instance attribute, so a warm plan-memo
+        lookup pays no copy."""
+        return PlanConfig(
+            engine=self.engine,
+            workers=self.workers,
+            join_algorithm=self.join_algorithm,
+            rewrites=self.rewrites,
+            shards=self.shards,
+            exchange=self.exchange,
+            partitioning=self.partitioning,
+            transport=self.transport,
+            verify=self.verify,
+        )
+
 
 class Executor:
     """Executes logical plans against a :class:`Database`."""
@@ -201,7 +248,7 @@ class Executor:
         skipped when already on the plan) and execute it; returns the result
         and per-operator statistics."""
         return self.run_prepared(
-            prepare_plan(plan, self.database, self.config).plan
+            prepare_plan(plan, self.database, self.config.plan_config).plan
         )
 
     def run_prepared(self, plan: PlanNode) -> Tuple[DataSet, ExecutionStats]:
@@ -215,7 +262,7 @@ class Executor:
         """:meth:`run` with the result column-major, the form that crosses
         the shard wire: the vector engine's root batch as it stands, the row
         engine's rows transposed once."""
-        plan = prepare_plan(plan, self.database, self.config).plan
+        plan = prepare_plan(plan, self.database, self.config.plan_config).plan
         self.executed_plan = plan
         if self.config.engine == "vector":
             return VectorExecutor(

@@ -140,10 +140,8 @@ def _analyze_select(
     as in a session — over the plan that would run, and the rewritten plan is
     analyzed too; returns the number of rule certificates issued (0
     otherwise)."""
-    planned = plan_statement(
-        database, statement, "cost",
-        ExecutorConfig(rewrites="all") if rewrites else ExecutorConfig(),
-    )
+    config = ExecutorConfig(rewrites="all") if rewrites else ExecutorConfig()
+    planned = plan_statement(database, statement, "cost", config.plan_config)
     plans = planned.candidates + ((planned.plan,) if planned.rewrites else ())
     for plan in plans:
         for diagnostic in analyze_plan(plan, database, min_severity=min_severity):

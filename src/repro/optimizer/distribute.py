@@ -24,7 +24,7 @@ executing an unproven plan.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.algebra.ops import (
     Exchange,
@@ -47,6 +47,9 @@ from repro.catalog.catalog import Database
 from repro.costing.cardinality import CardinalityEstimator
 from repro.costing.cost import CostModel
 from repro.storage.partition import PartitionSpec
+
+if TYPE_CHECKING:
+    from repro.engine.executor import PlanConfig
 
 #: The accessor lives with the other evidence accessors; it stays importable
 #: from here, beside the function that attaches what it reads.
@@ -112,7 +115,9 @@ def _exchange_keys(
     return ()
 
 
-def distribute_plan(plan: PlanNode, database: Database, config) -> PlanNode:
+def distribute_plan(
+    plan: PlanNode, database: Database, config: PlanConfig
+) -> PlanNode:
     """Wrap the best scan region of ``plan`` in an Exchange, cost-based.
 
     Picks the region over the largest estimated base table (preferring

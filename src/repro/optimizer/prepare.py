@@ -12,7 +12,7 @@ already on the plan is skipped, so preparing twice is preparing once.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.algebra.ops import Exchange, PlanNode, fuse_group_apply, walk_plan
 from repro.analysis.certificates import RuleCertificate, carry_evidence
@@ -26,9 +26,15 @@ from repro.optimizer.rewrites import (
     rewrites_applied,
 )
 
+if TYPE_CHECKING:
+    from repro.engine.executor import PlanConfig
 
-def prepare_plan(plan: PlanNode, database: Database, config) -> RewriteOutcome:
-    """Make ``plan`` ready to run under ``config`` (an ``ExecutorConfig``).
+
+def prepare_plan(
+    plan: PlanNode, database: Database, config: PlanConfig
+) -> RewriteOutcome:
+    """Make ``plan`` ready to run under ``config`` (an
+    :attr:`~repro.engine.executor.ExecutorConfig.plan_config`).
 
     Returns the prepared plan and the rule certificates of the rewrites
     applied *here*; the root carries everything else it was given or gained

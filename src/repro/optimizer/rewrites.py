@@ -33,7 +33,7 @@ re-verify — the rewriter is never trusted on its own output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.ops import (
     Apply,
@@ -78,6 +78,9 @@ from repro.expressions.ast import (
     transform_expression,
 )
 from repro.expressions.normalize import conjoin, split_conjuncts
+
+if TYPE_CHECKING:
+    from repro.engine.executor import PlanConfig
 
 
 @dataclass(frozen=True)
@@ -728,9 +731,9 @@ def apply_rewrites(
 
 
 def apply_configured_rewrites(
-    plan: PlanNode, database: Database, config
+    plan: PlanNode, database: Database, config: PlanConfig
 ) -> RewriteOutcome:
-    """:func:`apply_rewrites` as an ``ExecutorConfig`` asks for it: the
+    """:func:`apply_rewrites` as a plan config asks for it: the
     config's rule set, costed for the join algorithm the executor will run
     (``"auto"`` resolves to hash)."""
     algorithm = config.join_algorithm

@@ -19,6 +19,13 @@ query's :class:`~repro.engine.governor.ResourceGovernor` budget, and a
 fresh :class:`~repro.engine.governor.CancellationToken` per query gives
 :meth:`ServerSession.cancel` something to flip from another thread.
 
+Every such session plans through the server's one
+:class:`~repro.statement.PlanMemo`.  Its key is the plan part of the
+config, which neither the token nor the budget is in, and its stamp is the
+catalog state, which every snapshot of an unchanged catalog shares: a read
+of a statement any session already planned goes straight to the executor.
+Only DDL or a write to a table the plan reads makes the next read re-plan.
+
 Every query and write runs inside :func:`repro.engine.faults.scope`
 tagged with the session id, so session-scoped fault specs crash exactly
 this session's work while concurrent sessions proceed untouched.
@@ -39,6 +46,7 @@ from repro.engine.governor import CancellationToken
 from repro.server.admission import AdmissionController
 from repro.server.snapshot import Snapshot, VersionedCatalog
 from repro.session import QueryReport, Session
+from repro.statement import PlanMemo
 
 
 class ServerSession:
@@ -82,16 +90,22 @@ class ServerSession:
             token = CancellationToken()
             with self._token_lock:
                 self._token = token
-            config = replace(self.executor_config, cancellation=token)
-            if grant.memory_limit_bytes is not None:
-                # The admitted memory slice *is* the query's governor
-                # budget: admission and enforcement meter the same bytes.
-                config = replace(
-                    config, memory_limit_bytes=grant.memory_limit_bytes
-                )
+            limit = grant.memory_limit_bytes
+            # The admitted memory slice *is* the query's governor budget:
+            # admission and enforcement meter the same bytes.  Neither it
+            # nor the token is part of the plan key.
+            config = replace(
+                self.executor_config,
+                cancellation=token,
+                memory_limit_bytes=(
+                    self.executor_config.memory_limit_bytes
+                    if limit is None else limit
+                ),
+            )
             snapshot = self.server.catalog.snapshot()
             session = Session(
-                snapshot.database, policy=self.policy, executor_config=config
+                snapshot.database, policy=self.policy, executor_config=config,
+                plans=self.server.plans,
             )
             with faults.scope(self.id):
                 report = session.report(sql)
@@ -186,6 +200,8 @@ class Server:
         )
         self.executor_config = executor_config
         self.policy = policy
+        #: The plans every session's reads share (thread-safe).
+        self.plans = PlanMemo()
         self._sessions: Dict[str, ServerSession] = {}
         self._lock = threading.Lock()
         self._ids = itertools.count(1)

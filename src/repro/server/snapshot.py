@@ -52,7 +52,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.catalog.catalog import Database
+from repro.catalog.catalog import Database, next_schema_epoch
 from repro.engine import faults
 from repro.errors import CatalogError, ParseError
 from repro.parser.ast_nodes import (
@@ -225,9 +225,10 @@ class VersionedCatalog:
                     self.database.views.setdefault(name, view)
                 for name, assertion in shadow.assertions.items():
                     self.database.assertions.setdefault(name, assertion)
-                # The additions bypassed Database's DDL methods: bump the
-                # schema epoch that stamps a session's remembered plans.
-                self.database.schema_epoch += 1
+                # The additions bypassed Database's DDL methods: draw the
+                # schema epoch that stamps remembered plans afresh (the
+                # shadow drew its own, which no published catalog holds).
+                self.database.schema_epoch = next_schema_epoch()
                 self.epoch += 1
                 self.write_log.append((self.epoch, sql))
                 self.commits += 1

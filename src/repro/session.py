@@ -21,7 +21,12 @@ A session plans each statement once per catalog state
 (:class:`~repro.statement.PlanMemo`): reporting it again skips bind,
 TestFD, costing, the certificate audit and the rewrites, and only
 executes — until a DDL statement, a declared shard layout or a write to
-a table the plan reads, or a new ``policy`` or ``executor_config``.
+a table the plan reads, or a new ``policy`` or a change to the plan part
+of ``executor_config`` (:class:`~repro.engine.executor.PlanConfig`).  A
+standalone session makes its own memo; the sessions a
+:class:`~repro.server.server.Server` opens for its reads are handed the
+server's one memo, so a statement any read planned is warm for all of
+them.
 """
 
 from __future__ import annotations
@@ -138,14 +143,17 @@ class Session:
         self,
         database: Optional[Database] = None,
         policy: str = "cost",
-        executor_config: ExecutorConfig = ExecutorConfig(),
+        executor_config: Optional[ExecutorConfig] = None,
         params: Optional[Mapping[str, SqlValue]] = None,
+        plans: Optional[PlanMemo] = None,
     ) -> None:
         self.database = database if database is not None else Database()
         self.policy = policy
-        self.executor_config = executor_config
+        self.executor_config = (
+            executor_config if executor_config is not None else ExecutorConfig()
+        )
         self.params = params
-        self._plans = PlanMemo()
+        self._plans = plans if plans is not None else PlanMemo()
 
     # -- statements -------------------------------------------------------------
 
@@ -216,7 +224,7 @@ class Session:
             self.database,
             self._resolve_subqueries(statement, params),
             self.policy,
-            self.executor_config,
+            self.executor_config.plan_config,
         )
         executor = Executor(self.database, self.executor_config, params)
         result, stats = executor.run_prepared(planned.plan)

@@ -11,15 +11,20 @@ executes what it returns; :func:`repro.lint.lint_sql` analyzes what it
 returns; neither builds a plan of its own, so the two cannot disagree about
 what a statement would run.
 
-A session asks through its :class:`PlanMemo`, which calls
-:func:`plan_statement` once per statement and catalog state.  TestFD and
-the FD1/FD2 certificate read only constraints and predicates (§6), the
-cost choice reads statistics (§7): a plan stays valid until the schema or
-a table it reads changes, and the memo's stamp proves neither has.
+A session asks through a :class:`PlanMemo`, which calls
+:func:`plan_statement` once per statement, plan config and catalog state.
+TestFD and the FD1/FD2 certificate read only constraints and predicates
+(§6), the cost choice reads the statistics of the tables it scans (§7): a
+plan stays valid until the schema or a table it reads changes, and the
+memo's stamp proves neither has.  The stamp names catalog *state*, not a
+``Database`` object, so every snapshot of an unchanged catalog hits the
+same entry — which is what lets a :class:`repro.server.server.Server`
+give all its sessions one memo.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
@@ -38,7 +43,7 @@ from repro.core.having import grouped_plan_with_having
 from repro.core.partition import to_group_by_join_query
 from repro.core.planbuild import build_join_tree
 from repro.core.query_class import GroupByJoinQuery
-from repro.engine.executor import ExecutorConfig
+from repro.engine.executor import PlanConfig
 from repro.errors import TransformationError
 from repro.optimizer.planner import PlanChoice, Planner
 from repro.optimizer.prepare import prepare_plan
@@ -76,7 +81,7 @@ def plan_statement(
     database: Database,
     statement: SelectStatement,
     policy: str,
-    config: ExecutorConfig,
+    config: PlanConfig,
 ) -> PlannedStatement:
     """Plan one SELECT (IN-subqueries already materialized) for ``config``
     under the planner ``policy``; nothing is executed."""
@@ -132,17 +137,18 @@ class _Entry:
     """A stored plan and the catalog state it was planned against."""
 
     planned: PlannedStatement
-    database: Database
     schema_epoch: int
     #: ``(name, table, version)`` of every table the candidates and the
     #: plan scan, taken once when the entry is stored.
     tables: Tuple[Tuple[str, Table, int], ...]
 
     def holds(self, database: Database) -> bool:
-        """Nothing the plan read has changed: the same catalog at the same
-        schema epoch, and each table the same object at the same version
-        (a swapped-in table may carry its predecessor's version)."""
-        if database is not self.database or database.schema_epoch != self.schema_epoch:
+        """Nothing the plan read has changed: the same schema epoch (one
+        process-wide draw per catalog state, shared only by snapshot views
+        of it — :attr:`Database.schema_epoch`), and each table the same
+        object at the same version (a swapped-in table may carry its
+        predecessor's version)."""
+        if database.schema_epoch != self.schema_epoch:
             return False
         tables = database.tables
         return all(
@@ -152,20 +158,28 @@ class _Entry:
 
 
 class PlanMemo:
-    """One :class:`PlannedStatement` per statement and catalog state.
+    """One :class:`PlannedStatement` per statement, plan config and catalog
+    state.
 
     The key is the statement (IN-subqueries already materialized, so their
-    values are part of it), the planner policy and the whole
-    ``ExecutorConfig``; parameters are not, because :func:`plan_statement`
-    never sees them.  An entry is served only while its stamp holds
-    (:meth:`_Entry.holds`).  Only a plan :func:`plan_statement` returned is
-    stored — a bind error, a refused certificate or rewrite audit, a failed
-    verification stores nothing — and at most :data:`PLAN_MEMO_SIZE` of
-    them.  A hit hands back the same frozen plan objects.
+    values are part of it), the planner policy and the :class:`PlanConfig`
+    — exactly what :func:`plan_statement` is given, so a run-only setting
+    (the budget, the cancellation token) never splits an entry; parameters
+    are not, because :func:`plan_statement` never sees them.  An entry is
+    served only while its stamp holds (:meth:`_Entry.holds`).  Only a plan
+    :func:`plan_statement` returned is stored — a bind error, a refused
+    certificate or rewrite audit, a failed verification stores nothing —
+    and at most :data:`PLAN_MEMO_SIZE` of them.  A hit hands back the same
+    frozen plan objects.
+
+    Safe to share between threads: lookup, store and eviction hold one
+    lock, and planning runs outside it — two threads may both plan a cold
+    statement, and the later store wins.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[Hashable, _Entry] = {}
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -175,15 +189,14 @@ class PlanMemo:
         database: Database,
         statement: SelectStatement,
         policy: str,
-        config: ExecutorConfig,
+        config: PlanConfig,
     ) -> PlannedStatement:
         """:func:`plan_statement`'s answer, planned now or earlier."""
         key = (statement, policy, config)
-        entry = self._entries.get(key)
-        if entry is not None:
-            if entry.holds(database):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry.holds(database):
                 return entry.planned
-            del self._entries[key]  # stale: stored again below, as the newest
         planned = plan_statement(database, statement, policy, config)
         tables = {
             node.table_name: database.tables[node.table_name]
@@ -191,10 +204,13 @@ class PlanMemo:
             for node in walk_plan(root)
             if isinstance(node, Relation)
         }
-        while len(self._entries) >= PLAN_MEMO_SIZE:
-            del self._entries[next(iter(self._entries))]  # the oldest
-        self._entries[key] = _Entry(
-            planned, database, database.schema_epoch,
+        entry = _Entry(
+            planned, database.schema_epoch,
             tuple((name, table, table.version) for name, table in tables.items()),
         )
+        with self._lock:
+            self._entries.pop(key, None)  # stored again below, as the newest
+            while len(self._entries) >= PLAN_MEMO_SIZE:
+                del self._entries[next(iter(self._entries))]  # the oldest
+            self._entries[key] = entry
         return planned

@@ -734,3 +734,12 @@ class TestOneBudget:
         [fallback] = executor_configs
         assert fallback.timeout_seconds == 5.0
         assert fallback.cancellation is token
+
+
+def test_rpc_counter_snapshot_names_every_counter():
+    """The wire counters a statement's two snapshots difference: one key
+    per field, each its current value."""
+    import dataclasses
+
+    counters = shardrpc.RpcCounters(*range(1, 8))
+    assert counters.snapshot() == dataclasses.asdict(counters)
